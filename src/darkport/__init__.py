@@ -54,6 +54,7 @@ from .fitting import (
     InvalidFitError,
     NormalizedFringe,
     fit_sinusoid,
+    fit_sinusoids,
     normalize,
     propagate,
     visibility_from_fit,

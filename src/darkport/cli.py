@@ -293,6 +293,13 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _jobs_type(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {value}")
+    return value
+
+
 def _ensure_out_dir(args, cfg: ExperimentConfig | None = None) -> str:
     out = args.out or (cfg.out_dir if cfg is not None else ".")
     os.makedirs(out, exist_ok=True)
@@ -337,21 +344,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fit_entry(path: str) -> tuple[dict, bool]:
-    """Fit both detector normalizations of one CSV; returns (entry, soft_fail)."""
-    ig = reports.read_interferogram_csv(path)
-    entry = {"path": path, "n_steps": ig.n_steps, "fits": {}}
+def _fit_entries(paths: list[str]) -> tuple[list[dict], bool]:
+    """Fit both detector normalizations of each CSV; returns (entries, soft_fail)."""
+    entries, fringes = [], []
+    for path in paths:
+        ig = reports.read_interferogram_csv(path)
+        entries.append({"path": path, "n_steps": ig.n_steps, "fits": {}})
+        for det in (1, 2):
+            try:
+                fringes.append(fitting.normalize(ig, detector=det))
+            except fitting.FitInputError as err:
+                fringes.append(err)
+    usable = [f for f in fringes if isinstance(f, fitting.NormalizedFringe)]
+    fits = iter(fitting.fit_sinusoids(usable))
     soft = False
-    for det in (1, 2):
-        key = f"d{det}"
-        try:
-            fringe = fitting.normalize(ig, detector=det)
-            result = fitting.fit_sinusoid(fringe)
-        except (fitting.FitInputError, fitting.InvalidFitError) as err:
-            entry["fits"][key] = {"error": str(err)}
+    for k, fringe in enumerate(fringes):
+        result = next(fits) if isinstance(fringe, fitting.NormalizedFringe) else fringe
+        fit_map = entries[k // 2]["fits"]
+        key = f"d{k % 2 + 1}"
+        if isinstance(result, ValueError):
+            fit_map[key] = {"error": str(result)}
             soft = True
             continue
-        entry["fits"][key] = {
+        fit_map[key] = {
             "amplitude": result.amplitude,
             "frequency": result.frequency,
             "phase": result.phase,
@@ -369,17 +384,18 @@ def _fit_entry(path: str) -> tuple[dict, bool]:
             "n_excluded": fringe.n_excluded,
             "low_signal": result.low_signal,
         }
-        if not result.converged:
-            soft = True
-    return entry, soft
+        soft = soft or not result.converged
+    return entries, soft
 
 
 def cmd_fit(args) -> int:
     entries = []
     any_soft = False
-    for path in args.csv:
-        entry, soft = _fit_entry(path)
-        entries.append(entry)
+    # a block of files at a time, so only one block of fringes is in memory
+    files_per_block = fitting.FIT_BLOCK_ROWS // 2
+    for start in range(0, len(args.csv), files_per_block):
+        block, soft = _fit_entries(args.csv[start:start + files_per_block])
+        entries += block
         any_soft = any_soft or soft
     report = {"files": entries}
     if args.out:
@@ -392,25 +408,29 @@ def cmd_fit(args) -> int:
     return EXIT_SOFT_FIT if any_soft else EXIT_OK
 
 
-def _run_record(payload):
-    model_nim, model_both, scan, master_seed, idx = payload
-    run = photonsim.simulate_run(model_nim, model_both, scan,
-                                 run_index=idx, seed=(master_seed, idx))
-    return analysis.records_from_runs([run])[0]
+def _campaign_records(payload) -> list:
+    """Simulate and fit the runs with the given indices, each from its own seed."""
+    model_nim, model_both, scan, master_seed, indices = payload
+    return analysis.records_from_runs(
+        photonsim.simulate_run(model_nim, model_both, scan, run_index=idx,
+                               seed=(master_seed, idx))
+        for idx in indices)
 
 
 def cmd_campaign(args) -> int:
     cfg = _resolved_config(args)
     master_seed = args.seed if args.seed is not None else cfg.master_seed
     model_nim, model_both = cfg.build_pair()
-    payloads = [(model_nim, model_both, cfg.scan, master_seed, idx)
-                for idx in range(cfg.n_runs)]
     if args.jobs > 1:
+        chunk = max(1, cfg.n_runs // (4 * args.jobs))
+        payloads = [(model_nim, model_both, cfg.scan, master_seed,
+                     range(start, min(start + chunk, cfg.n_runs)))
+                    for start in range(0, cfg.n_runs, chunk)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunk = max(1, cfg.n_runs // (4 * args.jobs))
-            records = list(pool.map(_run_record, payloads, chunksize=chunk))
+            records = [rec for part in pool.map(_campaign_records, payloads) for rec in part]
     else:
-        records = [_run_record(p) for p in payloads]
+        records = _campaign_records((model_nim, model_both, cfg.scan, master_seed,
+                                     range(cfg.n_runs)))
 
     try:
         report = analysis.bound_from_campaign(records, bins=cfg.bins)
@@ -539,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="run the toggle campaign and emit the bound report")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=_seed_type, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_type, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_campaign)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "FitResult",
     "normalize",
     "fit_sinusoid",
+    "fit_sinusoids",
     "visibility_from_fit",
     "propagate",
 ]
@@ -33,6 +35,11 @@ RELATIVE_TOL = 1e-10
 DAMPING_INIT = 1e-3
 DAMPING_STEP = 10.0
 DAMPING_MAX = 1e12
+# Rows fitted together.  A block's work arrays are a few tens of kB at 32
+# rows of 100 points.  Larger blocks spend less time per fit on hard,
+# low-count fringes but raise the peak memory of a campaign or sweep by
+# megabytes at several hundred rows.
+FIT_BLOCK_ROWS = 32
 
 
 class FitInputError(ValueError):
@@ -120,13 +127,17 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     """Normalize one detector's counts to the per-step total.
 
     The binomial sigma sqrt(r (1-r) / n) is floored at 1/(n+2) so points
-    that happen to land at ratio 0 or 1 keep a finite weight.
+    that happen to land at ratio 0 or 1 keep a finite weight.  The kept
+    points are stable-sorted by phase, because the fit's spectral start
+    assumes an ordered grid; sorted input passes through unchanged.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
     d1 = np.asarray(ig.counts_d1, dtype=float)
     d2 = np.asarray(ig.counts_d2, dtype=float)
     phase = np.asarray(ig.phase_rad, dtype=float)
+    order = np.argsort(phase, kind="stable")
+    d1, d2, phase = d1[order], d2[order], phase[order]
     total = d1 + d2
     keep = total > 0
     n_usable = int(np.count_nonzero(keep))
@@ -142,41 +153,171 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
 
 
 def _model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    a, f, p, b = params
+    """A sin^2(f x + p) + B; params is (4,) or (..., 4) against x of (..., n)."""
+    a, f, p, b = (params[..., k, None] for k in range(4))
     s = np.sin(f * x + p)
     return a * s * s + b
 
 
 def _jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    a, f, p, b = params
+    """d model / d (A, f, p, B), shape (..., n, 4)."""
+    a, f, p, b = (params[..., k, None] for k in range(4))
     arg = f * x + p
     s = np.sin(arg)
     s2 = np.sin(2.0 * arg)
-    return np.column_stack([s * s, a * x * s2, a * s2, np.ones_like(x)])
+    return np.stack([s * s, a * x * s2, a * s2, np.ones_like(s)], axis=-1)
 
 
-def _chi2(x: np.ndarray, y: np.ndarray, w: np.ndarray, params: np.ndarray) -> float:
-    r = y - _model(x, params)
-    return float(np.sum(w * r * r))
+def _weighted_sq(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.sum(w * r * r, axis=-1)
 
 
-def _init_params(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    b0 = float(np.min(y))
-    a0 = float(np.max(y) - np.min(y))
+def _normal_equations(x, w, params, resid):
+    """Gauss-Newton Hessian J^T W J, shape (rows, 4, 4), and gradient J^T W r."""
+    jac = _jacobian(x, params)
+    jw_t = (jac * w[..., None]).swapaxes(-1, -2)
+    return jw_t @ jac, (jw_t @ resid[..., None])[..., 0]
+
+
+def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched solve of lhs @ step = rhs; returns (step, solved mask).
+
+    A singular matrix fails the whole batched call, so the rows are then
+    solved one at a time and only the singular ones are marked unsolved
+    (their step is zero).  Each row goes through the same stacked call
+    either way, so a row's step does not depend on its neighbours.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0], np.ones(len(lhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(rhs)
+        solved = np.zeros(len(lhs), dtype=bool)
+        for i in range(len(lhs)):
+            try:
+                step[i] = np.linalg.solve(lhs[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
+                solved[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return step, solved
+
+
+def _covariances(hess: np.ndarray) -> np.ndarray:
+    """Row-wise inverse, with the pseudo-inverse for singular rows."""
+    try:
+        return np.linalg.inv(hess)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(hess)
+        for i in range(len(hess)):
+            try:
+                out[i] = np.linalg.inv(hess[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.pinv(hess[i])
+        return out
+
+
+def _starting_points(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Starting (A, f, p, B) per row: B = min, A = max - min, f from the
+    spectrum, and the best of a 16-point phase grid over [0, pi)."""
+    b0 = np.min(y, axis=-1)
+    a0 = np.max(y, axis=-1) - b0
     # dominant nonzero spectral peak of the detrended ratio; the fringe
     # oscillates at 2f, so bin k of an n-point grid maps to f = pi k / (n dx)
-    n = len(x)
-    dx = (x[-1] - x[0]) / (n - 1)
-    spectrum = np.abs(np.fft.rfft(y - np.mean(y)))
-    k = int(np.argmax(spectrum[1:])) + 1 if len(spectrum) > 1 else 1
+    n = x.shape[-1]
+    dx = (x[:, -1] - x[:, 0]) / (n - 1)
+    spectrum = np.abs(np.fft.rfft(y - np.mean(y, axis=-1, keepdims=True), axis=-1))
+    k = np.argmax(spectrum[:, 1:], axis=-1) + 1
     f0 = math.pi * k / (n * dx)
-    best = None
-    for p0 in np.linspace(0.0, math.pi, 16, endpoint=False):
-        trial = np.array([a0, f0, p0, b0])
-        c = _chi2(x, y, w, trial)
-        if best is None or c < best[0]:
-            best = (c, trial)
-    return best[1]
+    params = np.stack([a0, f0, np.zeros_like(a0), b0], axis=-1)
+    best = params.copy()
+    best_chi2 = _weighted_sq(w, y - _model(x, best))
+    # a later phase replaces the first only when strictly better
+    for p0 in np.linspace(0.0, math.pi, 16, endpoint=False)[1:]:
+        params[:, 2] = p0
+        chi2 = _weighted_sq(w, y - _model(x, params))
+        better = chi2 < best_chi2
+        best[better] = params[better]
+        best_chi2[better] = chi2[better]
+    return best
+
+
+def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[FitResult | InvalidFitError]:
+    """Levenberg-Marquardt on fringes of equal length, one state per row.
+
+    Every row keeps its own parameters, damping and chi-square; rows that
+    converge or give up leave the active set, and the rest iterate on.
+    The arithmetic of each row is independent of the other rows.
+    """
+    x = np.stack([fr.phase for fr in fringes])
+    y = np.stack([fr.ratio for fr in fringes])
+    sigma = np.stack([fr.sigma for fr in fringes])
+    w = 1.0 / (sigma * sigma)
+    rows = len(fringes)
+
+    params = _starting_points(x, y, w)
+    resid = y - _model(x, params)
+    chi2 = _weighted_sq(w, resid)
+    converged = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=np.int64)
+    # state of the active rows; idx maps them back to block rows.  ra is
+    # the residual at pa, carried over from the step that set pa.
+    idx = np.arange(rows)
+    xa, ya, wa, pa, ra, ca = x, y, w, params, resid, chi2
+    damping = np.full(rows, DAMPING_INIT)
+    diag = np.arange(4)
+    for _ in range(MAX_ITERATIONS):
+        iterations[idx] += 1
+        hess, grad = _normal_equations(xa, wa, pa, ra)
+        # Marquardt scaling; zero-curvature directions (flat data makes the
+        # f and p columns vanish at A = 0) get unit damping so the solve
+        # stays regular and those components simply do not move
+        scale = hess[:, diag, diag]
+        scale[scale <= 0.0] = 1.0
+        lhs = hess.copy()
+        lhs[:, diag, diag] += damping[:, None] * scale
+        step, solved = _solve_rows(lhs, grad)
+        trial = pa + step
+        resid_trial = ya - _model(xa, trial)
+        chi2_trial = _weighted_sq(wa, resid_trial)
+        accept = solved & (chi2_trial <= ca)
+        reduction = ca - chi2_trial
+        pa = np.where(accept[:, None], trial, pa)
+        ra = np.where(accept[:, None], resid_trial, ra)
+        ca = np.where(accept, chi2_trial, ca)
+        damping = np.where(accept, np.maximum(damping / DAMPING_STEP, 1e-15),
+                           damping * DAMPING_STEP)
+        done_ok = accept & (reduction <= RELATIVE_TOL * np.maximum(ca, 1e-300))
+        done = done_ok | (~accept & (damping > DAMPING_MAX))
+        if done.any():
+            converged[idx[done_ok]] = True
+            params[idx[done]] = pa[done]
+            chi2[idx[done]] = ca[done]
+            keep = ~done
+            idx, xa, ya, wa, pa, ra, ca, damping = (
+                v[keep] for v in (idx, xa, ya, wa, pa, ra, ca, damping))
+            if idx.size == 0:
+                break
+    params[idx] = pa
+    chi2[idx] = ca
+
+    hess, _ = _normal_equations(x, w, params, y - _model(x, params))
+    # the covariance is rescaled by the reduced chi-square (n >= 8 points)
+    cov = _covariances(hess) * (chi2 / (x.shape[-1] - 4))[:, None, None]
+    results = []
+    for i in range(rows):
+        row_params, row_cov = _renormalize(params[i], cov[i])
+        a, f, p, b = (float(q) for q in row_params)
+        sigma_a = math.sqrt(max(row_cov[0, 0], 0.0))
+        try:
+            visibility = _visibility(a, b, row_cov)
+        except InvalidFitError as err:
+            results.append(err)
+            continue
+        results.append(FitResult(
+            amplitude=a, frequency=f, phase=p, offset=b, covariance=row_cov,
+            visibility=visibility, converged=bool(converged[i]),
+            iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
+            n_points=x.shape[-1], low_signal=a <= 2.0 * sigma_a))
+    return results
 
 
 def _renormalize(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,75 +345,43 @@ def _renormalize(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.array([a, f, p, b]), cov
 
 
-def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
-    """Weighted Levenberg-Marquardt fit of the fringe.
+def fit_sinusoids(
+    fringes: Sequence[NormalizedFringe],
+) -> list[FitResult | FitInputError | InvalidFitError]:
+    """Weighted Levenberg-Marquardt fits of many fringes, one result per fringe.
 
-    Starts from B = min, A = max - min, f from the discrete spectrum, and a
-    phase grid over [0, pi); stops when an accepted step reduces the
-    weighted squared residual by less than 1e-10 relative, or after 200
-    iterations (then converged=False; no exception).
+    Each fit starts from B = min, A = max - min, f from the discrete
+    spectrum, and the best of a phase grid over [0, pi); it stops when an
+    accepted step reduces the weighted squared residual by less than 1e-10
+    relative, or after 200 iterations (then converged=False).  Fringes are
+    grouped by length and fitted FIT_BLOCK_ROWS at a time; a fringe's
+    result does not depend on which others share its block.
+
+    Each entry is a FitResult, or the FitInputError (fewer than 8 points)
+    or InvalidFitError (A + 2B <= 0) of that fringe, returned rather than
+    raised so one bad fringe does not cost the others their fits.
     """
-    x, y = fringe.phase, fringe.ratio
-    w = 1.0 / (fringe.sigma * fringe.sigma)
-    if fringe.n_points < 8:
-        raise FitInputError(f"need at least 8 points, got {fringe.n_points}")
-
-    params = _init_params(x, y, w)
-    chi2 = _chi2(x, y, w, params)
-    damping = DAMPING_INIT
-    converged = False
-    iterations = 0
-    for _ in range(MAX_ITERATIONS):
-        iterations += 1
-        resid = y - _model(x, params)
-        jac = _jacobian(x, params)
-        jw = jac * w[:, None]
-        hess = jw.T @ jac
-        grad = jw.T @ resid
-        # Marquardt scaling; zero-curvature directions (flat data makes the
-        # f and p columns vanish at A = 0) get unit damping so the solve
-        # stays regular and those components simply do not move
-        scale = np.diag(hess).copy()
-        scale[scale <= 0.0] = 1.0
-        try:
-            step = np.linalg.solve(hess + damping * np.diag(scale), grad)
-        except np.linalg.LinAlgError:
-            damping *= DAMPING_STEP
-            if damping > DAMPING_MAX:
-                break
-            continue
-        trial = params + step
-        chi2_trial = _chi2(x, y, w, trial)
-        if chi2_trial <= chi2:
-            reduction = chi2 - chi2_trial
-            params, chi2 = trial, chi2_trial
-            damping = max(damping / DAMPING_STEP, 1e-15)
-            if reduction <= RELATIVE_TOL * max(chi2, 1e-300):
-                converged = True
-                break
+    results: list = [None] * len(fringes)
+    by_length: dict[int, list[int]] = {}
+    for i, fringe in enumerate(fringes):
+        if fringe.n_points < 8:
+            results[i] = FitInputError(f"need at least 8 points, got {fringe.n_points}")
         else:
-            damping *= DAMPING_STEP
-            if damping > DAMPING_MAX:
-                break
+            by_length.setdefault(fringe.n_points, []).append(i)
+    for rows in by_length.values():
+        for start in range(0, len(rows), FIT_BLOCK_ROWS):
+            block = rows[start:start + FIT_BLOCK_ROWS]
+            for i, result in zip(block, _fit_block([fringes[i] for i in block])):
+                results[i] = result
+    return results
 
-    jac = _jacobian(x, params)
-    jw = jac * w[:, None]
-    hess = jw.T @ jac
-    dof = fringe.n_points - 4
-    chi2_red = chi2 / dof if dof > 0 else 1.0
-    try:
-        cov = np.linalg.inv(hess) * chi2_red
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(hess) * chi2_red
 
-    params, cov = _renormalize(params, cov)
-    a, f, p, b = (float(q) for q in params)
-    sigma_a = math.sqrt(max(cov[0, 0], 0.0))
-    visibility = _visibility(a, b, cov)
-    return FitResult(amplitude=a, frequency=f, phase=p, offset=b,
-                     covariance=cov, visibility=visibility, converged=converged,
-                     iterations=iterations, residual_norm=math.sqrt(chi2),
-                     n_points=fringe.n_points, low_signal=a <= 2.0 * sigma_a)
+def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
+    """fit_sinusoids for one fringe; its FitInputError or InvalidFitError is raised."""
+    result = fit_sinusoids([fringe])[0]
+    if isinstance(result, ValueError):
+        raise result
+    return result
 
 
 def _visibility(a: float, b: float, cov: np.ndarray) -> VisibilityValue:

@@ -312,8 +312,11 @@ def theta_bound(ratio: float, sigma: float = 0.0) -> ThetaBound:
     Measured ratios can statistically exceed 1, so the acos argument is
     clamped to [-1, 1] (ratios >= 1 give theta = 0 rather than a crash).
     The central convention uses the ratio itself; the conservative one
-    subtracts one sigma first and is never smaller.
+    subtracts one sigma first and is never smaller.  A non-finite ratio
+    or sigma raises ValueError.
     """
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
 

@@ -101,8 +101,9 @@ def write_interferogram_csv(path, ig: Interferogram) -> None:
             fh.write(f"{format_float(phi)},{_format_count(d1)},{_format_count(d2)}\n")
 
 
-def _parse_rows(path, expected_header: Sequence[str]) -> list[list[float]]:
-    rows = []
+def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
+    """The data rows as a float array; every field must be a finite number."""
+    rows, linenos = [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -125,16 +126,21 @@ def _parse_rows(path, expected_header: Sequence[str]) -> list[list[float]]:
                     rows.append([float(v) for v in row])
                 except ValueError as err:
                     raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
+                linenos.append(lineno)
     except OSError as err:
         raise CsvFormatError(f"{path}: {err}") from err
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return rows
+    data = np.array(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise CsvFormatError(f"{path}: line {linenos[int(np.argmin(finite))]}: "
+                             f"non-finite value")
+    return data
 
 
 def read_interferogram_csv(path, label: str = "") -> Interferogram:
-    rows = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
-    data = np.array(rows, dtype=float)
+    data = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
     counts = data[:, 1:]
     if np.any(counts < 0):
         raise CsvFormatError(f"{path}: negative counts")
@@ -167,8 +173,7 @@ def write_index_csv(path, spectrum: IndexSpectrum) -> None:
 
 
 def read_phase_spectrum_csv(path) -> PhaseSpectrum:
-    rows = _parse_rows(path, ("wavelength_nm", "phase_rad"))
-    data = np.array(rows, dtype=float)
+    data = _parse_rows(path, ("wavelength_nm", "phase_rad"))
     try:
         return PhaseSpectrum(wavelength_nm=data[:, 0], phase_rad=data[:, 1])
     except ValueError as err:

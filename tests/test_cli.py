@@ -311,3 +311,29 @@ def test_numbers_print_with_full_precision(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "0.12345678901234568" in out
+
+
+@pytest.mark.parametrize("row", ["0.5,nan,12", "0.5,10,inf", "nan,10,12", "0.5,-inf,12"])
+def test_fit_non_finite_csv_field_is_input_error(tmp_path, capsys, row):
+    path = tmp_path / "nonfinite.csv"
+    lines = [f"{0.3 * k!r},10,12" for k in range(12)]
+    lines[4] = row
+    path.write_text("phase_rad,counts_d1,counts_d2\n" + "\n".join(lines) + "\n")
+    assert main(["fit", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 6" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+def test_bound_rejects_non_finite_ratio(capsys, ratio):
+    assert main(["bound", f"--ratio={ratio}"]) == 2
+    assert "ratio must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--jobs", jobs, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "bound_report.json").exists()

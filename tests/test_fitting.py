@@ -4,18 +4,27 @@ import numpy as np
 import pytest
 
 from darkport.fitting import (
+    FIT_BLOCK_ROWS,
     FitInputError,
+    FitResult,
     InvalidFitError,
     NormalizedFringe,
     _jacobian,
     _model,
+    _solve_rows,
     fit_sinusoid,
+    fit_sinusoids,
     normalize,
     propagate,
     visibility_from_fit,
 )
 from darkport.interferometer import SagnacModel
-from darkport.photonsim import ScanConfig, simulate_interferogram
+from darkport.photonsim import (
+    CampaignConfig,
+    ScanConfig,
+    simulate_campaign,
+    simulate_interferogram,
+)
 
 
 class FakeInterferogram:
@@ -243,3 +252,159 @@ def test_fit_result_model_reproduces_curve():
     assert np.allclose(fit.model(x), y, atol=1e-7)
     assert fit.residual_norm < 1e-6
     assert fit.n_points == len(x)
+
+
+def test_normalize_sorts_a_permuted_scan():
+    ig = simulate_interferogram(SagnacModel(visibility_v=0.9992774), ScanConfig(rng_seed=8))
+    perm = np.random.default_rng(8).permutation(ig.n_steps)
+    shuffled = FakeInterferogram(ig.phase_rad[perm], ig.counts_d1[perm], ig.counts_d2[perm])
+    in_order = normalize(ig)
+    assert np.array_equal(in_order.phase, ig.phase_rad)  # sorted input is unchanged
+    fit = fit_sinusoid(in_order)
+    fit_shuffled = fit_sinusoid(normalize(shuffled))
+    assert fit.converged and fit_shuffled.converged
+    assert abs(fit_shuffled.visibility.value - fit.visibility.value) <= 1e-12
+    assert abs(fit.frequency - 0.5) < 0.01
+
+
+# ---------------------------------------------------------------- batched engine
+
+def _same_fit(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in FitResult.__dataclass_fields__)
+
+
+def _hard_fringes():
+    """At 0.65 counts a step, detector 1 runs to the iteration cap and
+    detector 2 fits A + 2B < 0."""
+    model = CampaignConfig().build_models()[0]
+    ig = simulate_interferogram(model, ScanConfig(mean_counts_per_step=5.0), seed=(5, 30))
+    return normalize(ig, detector=1), normalize(ig, detector=2)
+
+
+def _mixed_fringes():
+    """Bright default-scan fringes with every fourth a hard low-count fit, whose
+    steps are often rejected; a shorter, a flat and an exact fringe in between."""
+    bright = (SagnacModel(visibility_v=0.9992774), ScanConfig())
+    faint = (CampaignConfig().build_models()[0], ScanConfig(mean_counts_per_step=200.0))
+    fringes = [normalize(simulate_interferogram(*(faint if k % 4 == 1 else bright),
+                                                seed=(71, k)), detector=1 + k % 2)
+               for k in range(FIT_BLOCK_ROWS + 5)]
+    fringes.insert(3, make_fringe((0.2, 1.3, 0.7, 0.3), n=60)[2])
+    fringes.insert(9, NormalizedFringe(phase=np.linspace(0, 4 * math.pi, 100),
+                                       ratio=np.full(100, 0.5), sigma=np.full(100, 1e-3)))
+    fringes.insert(20, make_fringe((0.076, 1.0, 0.3, 0.462))[2])
+    return fringes
+
+
+def test_fit_is_identical_alone_and_in_a_mixed_block():
+    fringes = _mixed_fringes()
+    together = fit_sinusoids(fringes)
+    assert len(together) == len(fringes)
+    for fringe, result in zip(fringes, together):
+        assert _same_fit(fit_sinusoids([fringe])[0], result)
+        assert _same_fit(fit_sinusoid(fringe), result)
+    assert fit_sinusoids([]) == []
+
+
+def test_failing_rows_leave_their_neighbours_unchanged():
+    capped, invalid = _hard_fringes()
+    fit = fit_sinusoids([capped])[0]
+    assert not fit.converged and fit.iterations == 200
+    with pytest.raises(InvalidFitError):
+        fit_sinusoid(invalid)
+    short = NormalizedFringe(phase=np.arange(5.0), ratio=np.full(5, 0.5), sigma=np.full(5, 0.1))
+    with pytest.raises(FitInputError):
+        fit_sinusoid(short)
+
+    good = _mixed_fringes()
+    alone = fit_sinusoids(good)
+    mixed = good[:4] + [capped, invalid, short] + good[4:]
+    results = fit_sinusoids(mixed)
+    assert isinstance(results[5], InvalidFitError)
+    assert isinstance(results[6], FitInputError)
+    assert _same_fit(results[4], fit)
+    for expected, got in zip(alone, results[:4] + results[7:]):
+        assert _same_fit(expected, got)
+
+
+def test_singular_solve_costs_only_its_own_row():
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(3, 4, 4))
+    lhs = m @ m.swapaxes(1, 2) + np.eye(4)
+    lhs[1] = 0.0
+    rhs = rng.normal(size=(3, 4))
+    step, solved = _solve_rows(lhs, rhs)
+    assert solved.tolist() == [True, False, True]
+    assert np.all(step[1] == 0.0)
+    for i in (0, 2):
+        alone, _ = _solve_rows(lhs[i:i + 1], rhs[i:i + 1])
+        assert np.array_equal(step[i], alone[0])
+
+
+def _scalar_reference_fit(fringe):
+    """The per-fringe LM loop that fit_sinusoids replaced: start point, steps
+    and stop rule exactly as before; returns (visibility, iterations, converged)."""
+    x, y = fringe.phase, fringe.ratio
+    w = 1.0 / (fringe.sigma * fringe.sigma)
+
+    def chi2_of(params):
+        r = y - _model(x, params)
+        return float(np.sum(w * r * r))
+
+    n = len(x)
+    dx = (x[-1] - x[0]) / (n - 1)
+    spectrum = np.abs(np.fft.rfft(y - np.mean(y)))
+    f0 = math.pi * (int(np.argmax(spectrum[1:])) + 1) / (n * dx)
+    best = None
+    for p0 in np.linspace(0.0, math.pi, 16, endpoint=False):
+        trial = np.array([float(np.max(y) - np.min(y)), f0, p0, float(np.min(y))])
+        c = chi2_of(trial)
+        if best is None or c < best[0]:
+            best = (c, trial)
+    chi2, params = best
+    damping, converged, iterations = 1e-3, False, 0
+    for _ in range(200):
+        iterations += 1
+        jac = _jacobian(x, params)
+        jw = jac * w[:, None]
+        hess = jw.T @ jac
+        scale = np.diag(hess).copy()
+        scale[scale <= 0.0] = 1.0
+        try:
+            step = np.linalg.solve(hess + damping * np.diag(scale),
+                                   jw.T @ (y - _model(x, params)))
+        except np.linalg.LinAlgError:
+            damping *= 10.0
+            if damping > 1e12:
+                break
+            continue
+        chi2_trial = chi2_of(params + step)
+        if chi2_trial <= chi2:
+            reduction = chi2 - chi2_trial
+            params, chi2 = params + step, chi2_trial
+            damping = max(damping / 10.0, 1e-15)
+            if reduction <= 1e-10 * max(chi2, 1e-300):
+                converged = True
+                break
+        else:
+            damping *= 10.0
+            if damping > 1e12:
+                break
+    # fold a negative amplitude away: -|A| sin^2(t) + B = |A| sin^2(t + pi/2) + B - |A|
+    a, b = abs(params[0]), params[3] + min(params[0], 0.0)
+    return min(max(a / (a + 2.0 * b), 0.0), 1.0), iterations, converged
+
+
+def test_batched_fits_match_the_scalar_loop_on_campaign_fringes():
+    cfg = CampaignConfig()
+    runs = simulate_campaign(cfg.build_models(), cfg.scan, 25, 0)
+    fringes = [normalize(ig, detector=d) for run in runs for ig in (run.nim, run.both)
+               for d in (1, 2)]
+    for fringe, fit in zip(fringes, fit_sinusoids(fringes)):
+        value, iterations, converged = _scalar_reference_fit(fringe)
+        assert fit.iterations == iterations
+        assert fit.converged == converged
+        assert abs(fit.visibility.value - value) <= 1e-12
