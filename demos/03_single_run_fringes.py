@@ -1,7 +1,7 @@
 """One toggle run: simulate, fit, and compare the two visibilities."""
 
 from darkport import (
-    CampaignConfig,
+    ExperimentConfig,
     analytic_visibility,
     fit_sinusoid,
     gamma_ratio,
@@ -10,13 +10,13 @@ from darkport import (
     theta_bound,
 )
 
-cfg = CampaignConfig()
-model_nim, model_both = cfg.build_models()
+cfg = ExperimentConfig()
+model_nim, model_both = cfg.build_pair()
 run = simulate_run(model_nim, model_both, cfg.scan, seed=20260816)
 
 print(f"scan: {cfg.scan.n_steps} steps, "
       f"{cfg.scan.mean_counts_per_step:.0f} mean counts/step, "
-      f"NIM transmission {cfg.nim_intensity_transmission}")
+      f"NIM transmission {model_nim.intensity_transmission():.2f}")
 print()
 
 fits = {}

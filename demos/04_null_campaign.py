@@ -7,16 +7,10 @@ signal non-commutativity.  Here the model is commuting, so the campaign
 should report a null.
 """
 
-from darkport import (
-    CampaignConfig,
-    bound_from_campaign,
-    records_from_runs,
-    simulate_campaign,
-)
+from darkport import ExperimentConfig, bound_from_campaign, campaign_records
 
-cfg = CampaignConfig()  # 200 runs, master seed 0
-runs = simulate_campaign(cfg.build_models(), cfg.scan, cfg.n_runs, cfg.master_seed)
-records = records_from_runs(runs)
+cfg = ExperimentConfig()  # 200 runs, master seed 0
+records = campaign_records(*cfg.build_pair(), cfg.scan, cfg.master_seed, range(cfg.n_runs))
 report = bound_from_campaign(records)
 
 print(f"complete runs   {report.n_complete_runs} of {cfg.n_runs}")

@@ -1,15 +1,14 @@
 """How large a quaternionic phase would this campaign catch?
 
-Inject (0, eps, 0) into the liquid-crystal slot and rerun the campaign.
-gamma_shift is the closed-form Gamma change; the significance compares
-what the visibility chain can see against the campaign's own scatter.
+Inject (0, eps, 0) into the toggled element, the liquid crystal, and
+rerun the campaign.  gamma_shift is the closed-form Gamma change; the
+significance compares what the visibility chain can see against the
+campaign's own scatter.
 """
 
-import dataclasses
+from darkport import ExperimentConfig, sensitivity_sweep
 
-from darkport import CampaignConfig, sensitivity_sweep
-
-cfg = dataclasses.replace(CampaignConfig(), n_runs=50, master_seed=1)
+cfg = ExperimentConfig(n_runs=50, master_seed=1)
 grid = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
 
 result = sensitivity_sweep(grid, cfg)

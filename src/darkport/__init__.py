@@ -39,7 +39,6 @@ from .interferometer import (
     theta_bound,
 )
 from .photonsim import (
-    CampaignConfig,
     Interferogram,
     RunPair,
     ScanConfig,
@@ -48,6 +47,7 @@ from .photonsim import (
     simulate_interferogram,
     simulate_run,
 )
+from .config import ConfigError, ExperimentConfig, load_config
 from .fitting import (
     FitInputError,
     FitResult,
@@ -67,9 +67,9 @@ from .analysis import (
     SweepPoint,
     SweepResult,
     bound_from_campaign,
+    campaign_records,
     delta_v_statistics,
     gamma_ratio_distribution,
-    lc_systematic,
     records_from_runs,
     sensitivity_sweep,
 )

@@ -16,24 +16,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# fit_sinusoid is not called here, but the benchmark's tracer
-# (perfbench/tracing.py) patches it under this module's name
-from .fitting import (  # noqa: F401
-    FIT_BLOCK_ROWS,
-    FitInputError,
-    FitResult,
-    fit_sinusoid,
-    fit_sinusoids,
-    normalize,
-)
+from . import photonsim
+from .config import ConfigError, ExperimentConfig
+from .fitting import FIT_BLOCK_ROWS, FitInputError, FitResult, fit_sinusoids, normalize
 from .interferometer import (
     NonPhysicalVisibilityError,
+    SagnacModel,
     VisibilityValue,
     gamma_of_model,
     gamma_ratio,
     theta_bound,
 )
-from .photonsim import CampaignConfig, RunPair, simulate_campaign
+from .photonsim import RunPair, ScanConfig
+
+# fit_sinusoid and simulate_campaign are not called here, but the
+# benchmark's tracer (perfbench/tracing.py) patches them under this
+# module's name
+from .fitting import fit_sinusoid  # noqa: F401
+from .photonsim import simulate_campaign  # noqa: F401
 
 __all__ = [
     "RunRecord",
@@ -44,10 +44,10 @@ __all__ = [
     "SweepResult",
     "DETECTION_SIGMA",
     "records_from_runs",
+    "campaign_records",
     "delta_v_statistics",
     "gamma_ratio_distribution",
     "bound_from_campaign",
-    "lc_systematic",
     "sensitivity_sweep",
 ]
 
@@ -176,6 +176,19 @@ def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
     return records
 
 
+def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanConfig,
+                     master_seed: int, indices: Iterable[int]) -> list[RunRecord]:
+    """Simulate and fit the toggle runs with the given indices.
+
+    Run idx draws from seed (master_seed, idx): any split of the indices
+    over calls or processes gives the same records.
+    """
+    return records_from_runs(
+        photonsim.simulate_run(reference, toggled, scan, run_index=idx,
+                               seed=(master_seed, idx))
+        for idx in indices)
+
+
 def _pooled_pairs(records: Iterable[RunRecord]) -> list[tuple[VisibilityValue, VisibilityValue]]:
     pairs = []
     for rec in records:
@@ -268,15 +281,6 @@ def bound_from_campaign(records: Sequence[RunRecord], bins="fd") -> BoundReport:
     )
 
 
-def lc_systematic(records: Sequence[RunRecord]) -> DeltaVStats:
-    """Delta_LC = V_on - V_off for an LC-only toggle campaign.
-
-    Same machinery as delta_v_statistics; the records' nim slots hold the
-    LC-off fits and the both slots the LC-on fits.
-    """
-    return delta_v_statistics(records)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One injected epsilon: closed-form shift and empirical significance."""
@@ -294,28 +298,29 @@ class SweepResult:
 
 
 def sensitivity_sweep(epsilon_grid: Iterable[float],
-                      config: CampaignConfig) -> SweepResult:
-    """Detection reach versus injected quaternionic LC phase (0, eps, 0).
+                      config: ExperimentConfig) -> SweepResult:
+    """Detection reach versus a phase (0, eps, 0) in the toggled element.
 
-    gamma_shift is the closed-form Gamma_nim - Gamma_both (up to 2 when
-    the defect saturates).  The significance compares what the visibility
-    chain can actually see, |Gamma_both|/Gamma_nim (visibilities only
-    measure |Gamma|), against the empirical scatter of a simulated
-    campaign at that epsilon; epsilon = 0 therefore gives exactly 0.
+    gamma_shift is the closed-form Gamma_reference - Gamma_toggled (up to 2
+    when the defect saturates).  The significance compares what the
+    visibility chain can actually see, |Gamma_toggled|/Gamma_reference
+    (visibilities only measure |Gamma|), against the empirical scatter of a
+    simulated campaign at that epsilon; epsilon = 0 therefore gives exactly 0.
     """
     points = []
     min_eps = None
     for eps in epsilon_grid:
         cfg = config.with_epsilon(float(eps))
-        model_nim, model_both = cfg.build_models()
-        g_nim = gamma_of_model(model_nim)
-        g_both = gamma_of_model(model_both)
-        if g_nim <= 0.0:
-            raise ValueError(f"reference configuration must have Gamma > 0, got {g_nim!r}")
-        shift = g_nim - g_both
-        visible_deviation = abs(1.0 - abs(g_both) / g_nim)
-        runs = simulate_campaign(cfg.build_models(), cfg.scan, cfg.n_runs, cfg.master_seed)
-        stats = gamma_ratio_distribution(records_from_runs(runs))
+        reference, toggled = cfg.build_pair()
+        g_ref = gamma_of_model(reference)
+        g_tog = gamma_of_model(toggled)
+        if g_ref <= 0.0:
+            raise ConfigError(f"reference configuration must have Gamma > 0, got {g_ref!r} "
+                              f"at epsilon {eps!r}")
+        shift = g_ref - g_tog
+        visible_deviation = abs(1.0 - abs(g_tog) / g_ref)
+        stats = gamma_ratio_distribution(campaign_records(
+            reference, toggled, cfg.scan, cfg.master_seed, range(cfg.n_runs)))
         if visible_deviation == 0.0:
             significance = 0.0
         elif stats.stderr > 0.0:

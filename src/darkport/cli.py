@@ -11,279 +11,26 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import json
-import math
+import functools
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import analysis, fitting, metaoptics, photonsim, reports
+from .config import ConfigError, ExperimentConfig, load_config
 from .interferometer import (
     NonPhysicalVisibilityError,
-    PhaseElement,
-    SagnacModel,
     VisibilityValue,
     gamma_ratio,
     theta_bound,
 )
-from .quaternion import I, J, K, PhaseVector, Quaternion
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOFT_FIT = 4
 EXIT_INTERNAL = 5
-
-_AXES = {"i": I, "j": J, "k": K}
-
-
-class ConfigError(ValueError):
-    """Bad configuration file or bad option values."""
-
-
-def _reject_duplicates(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r}")
-        seen[key] = value
-    return seen
-
-
-def _check_keys(section: dict, allowed: tuple, path: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-
-
-def _get(section: dict, key: str, default, kind, path: str):
-    if key not in section:
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
-
-
-def _parse_phase(value, path: str) -> PhaseVector:
-    if (not isinstance(value, list) or len(value) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"{path}: phase must be a list of 3 numbers, got {value!r}")
-    try:
-        return PhaseVector(float(value[0]), float(value[1]), float(value[2]))
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _parse_reflection(value, path: str) -> Quaternion:
-    if isinstance(value, str):
-        if value not in _AXES:
-            raise ConfigError(f"{path}: reflection axis must be one of "
-                              f"{sorted(_AXES)}, got {value!r}")
-        return _AXES[value]
-    if (isinstance(value, list) and len(value) == 4
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return Quaternion(*(float(v) for v in value))
-    raise ConfigError(f"{path}: reflection must be an axis name or a list of 4 numbers")
-
-
-def _default_elements() -> tuple[PhaseElement, ...]:
-    return (PhaseElement("lc", PhaseVector(math.pi, 0.0, 0.0)),
-            PhaseElement("nim", PhaseVector(-math.pi, 0.0, 0.0), math.sqrt(0.13)))
-
-
-def _default_configurations() -> dict:
-    return {"nim": ("nim",), "both": ("lc", "nim")}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a subcommand needs, already validated."""
-
-    visibility_v: float = 0.9992774
-    reflection: Quaternion = I
-    elements: tuple[PhaseElement, ...] = field(default_factory=_default_elements)
-    scan: photonsim.ScanConfig = photonsim.ScanConfig()
-    n_runs: int = 200
-    master_seed: int = 0
-    reference: str = "nim"
-    toggled: str = "both"
-    configurations: dict = field(default_factory=_default_configurations)
-    bins: object = "fd"
-    theta_convention: str = "both"
-    epsilon_grid: tuple[float, ...] = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
-    out_dir: str = "."
-
-    def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ConfigError(f"campaign.n_runs must be >= 1, got {self.n_runs!r}")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ConfigError(f"campaign.master_seed must be a 64-bit unsigned "
-                              f"integer, got {self.master_seed!r}")
-
-    def build_model(self, configuration: str) -> SagnacModel:
-        if configuration not in self.configurations:
-            raise ConfigError(f"unknown configuration {configuration!r}; "
-                              f"defined: {sorted(self.configurations)}")
-        active = self.configurations[configuration]
-        by_label = {e.label: e for e in self.elements}
-        missing = [lbl for lbl in active if lbl not in by_label]
-        if missing:
-            raise ConfigError(f"configuration {configuration!r} references "
-                              f"unknown element labels {missing}")
-        return SagnacModel(visibility_v=self.visibility_v, reflection=self.reflection,
-                           elements=[by_label[lbl] for lbl in active])
-
-    def build_pair(self) -> tuple[SagnacModel, SagnacModel]:
-        return self.build_model(self.reference), self.build_model(self.toggled)
-
-    def campaign_config(self) -> photonsim.CampaignConfig:
-        """The parametrized LC/NIM campaign, required by the sweep command."""
-        by_label = {e.label: e for e in self.elements}
-        if set(by_label) != {"lc", "nim"}:
-            raise ConfigError("epsilon sweeps require exactly the elements "
-                              "labeled 'lc' and 'nim'")
-        nim = by_label["nim"]
-        return photonsim.CampaignConfig(
-            visibility_v=self.visibility_v,
-            reflection=self.reflection,
-            lc_phase=by_label["lc"].phase,
-            nim_phase=nim.phase,
-            nim_intensity_transmission=nim.amplitude_transmission ** 2,
-            scan=self.scan,
-            n_runs=self.n_runs,
-            master_seed=self.master_seed,
-        )
-
-
-def _parse_elements(raw, path: str) -> tuple[PhaseElement, ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: elements must be a non-empty list")
-    elements = []
-    for idx, entry in enumerate(raw):
-        epath = f"{path}[{idx}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{epath}: element must be an object")
-        _check_keys(entry, ("label", "phase", "amplitude_transmission"), epath)
-        if "label" not in entry or not isinstance(entry["label"], str):
-            raise ConfigError(f"{epath}: element needs a string label")
-        phase = _parse_phase(entry.get("phase", [0.0, 0.0, 0.0]), f"{epath}.phase")
-        trans = _get(entry, "amplitude_transmission", 1.0, float, epath)
-        try:
-            elements.append(PhaseElement(entry["label"], phase, trans))
-        except ValueError as err:
-            raise ConfigError(f"{epath}: {err}") from err
-    return tuple(elements)
-
-
-def _parse_configurations(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: configurations must map names to label lists")
-    out = {}
-    for name, labels in raw.items():
-        if (not isinstance(labels, list)
-                or not all(isinstance(v, str) for v in labels)):
-            raise ConfigError(f"{path}.{name}: expected a list of element labels")
-        out[name] = tuple(labels)
-    return out
-
-
-def load_config(path: str | None) -> ExperimentConfig:
-    """Parse and validate a config file; None gives the defaults."""
-    if path is None:
-        return ExperimentConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_reject_duplicates)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(raw, ("apparatus", "scan", "campaign", "configurations",
-                      "analysis", "output"), path)
-
-    defaults = ExperimentConfig()
-    kwargs = {}
-
-    apparatus = raw.get("apparatus", {})
-    _check_keys(apparatus, ("visibility_v", "reflection", "elements"), "apparatus")
-    kwargs["visibility_v"] = _get(apparatus, "visibility_v",
-                                  defaults.visibility_v, float, "apparatus")
-    if "reflection" in apparatus:
-        kwargs["reflection"] = _parse_reflection(apparatus["reflection"],
-                                                 "apparatus.reflection")
-    if "elements" in apparatus:
-        kwargs["elements"] = _parse_elements(apparatus["elements"], "apparatus.elements")
-
-    scan_raw = raw.get("scan", {})
-    _check_keys(scan_raw, ("n_steps", "phase_start", "phase_end",
-                           "mean_counts_per_step", "rng_seed"), "scan")
-    ds = defaults.scan
-    try:
-        kwargs["scan"] = photonsim.ScanConfig(
-            n_steps=_get(scan_raw, "n_steps", ds.n_steps, int, "scan"),
-            phase_start=_get(scan_raw, "phase_start", ds.phase_start, float, "scan"),
-            phase_end=_get(scan_raw, "phase_end", ds.phase_end, float, "scan"),
-            mean_counts_per_step=_get(scan_raw, "mean_counts_per_step",
-                                      ds.mean_counts_per_step, float, "scan"),
-            rng_seed=_get(scan_raw, "rng_seed", ds.rng_seed, int, "scan"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"scan: {err}") from err
-
-    campaign = raw.get("campaign", {})
-    _check_keys(campaign, ("n_runs", "master_seed", "reference", "toggled"), "campaign")
-    kwargs["n_runs"] = _get(campaign, "n_runs", defaults.n_runs, int, "campaign")
-    kwargs["master_seed"] = _get(campaign, "master_seed",
-                                 defaults.master_seed, int, "campaign")
-    kwargs["reference"] = _get(campaign, "reference", defaults.reference, str, "campaign")
-    kwargs["toggled"] = _get(campaign, "toggled", defaults.toggled, str, "campaign")
-
-    if "configurations" in raw:
-        kwargs["configurations"] = _parse_configurations(raw["configurations"],
-                                                         "configurations")
-
-    analysis_raw = raw.get("analysis", {})
-    _check_keys(analysis_raw, ("bins", "epsilon_grid", "theta_convention"), "analysis")
-    if "bins" in analysis_raw:
-        bins = analysis_raw["bins"]
-        if not (bins == "fd" or (isinstance(bins, int) and not isinstance(bins, bool)
-                                 and bins >= 1)):
-            raise ConfigError(f"analysis.bins: expected 'fd' or a positive integer, "
-                              f"got {bins!r}")
-        kwargs["bins"] = bins
-    conv = _get(analysis_raw, "theta_convention", defaults.theta_convention,
-                str, "analysis")
-    if conv not in ("central", "conservative", "both"):
-        raise ConfigError(f"analysis.theta_convention: expected central, conservative, "
-                          f"or both, got {conv!r}")
-    kwargs["theta_convention"] = conv
-    if "epsilon_grid" in analysis_raw:
-        grid = analysis_raw["epsilon_grid"]
-        if (not isinstance(grid, list) or not grid
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in grid)):
-            raise ConfigError("analysis.epsilon_grid: expected a non-empty list of numbers")
-        kwargs["epsilon_grid"] = tuple(float(v) for v in grid)
-
-    output = raw.get("output", {})
-    _check_keys(output, ("dir",), "output")
-    kwargs["out_dir"] = _get(output, "dir", defaults.out_dir, str, "output")
-
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
 
 
 def _seed_type(text: str) -> int:
@@ -306,35 +53,17 @@ def _ensure_out_dir(args, cfg: ExperimentConfig | None = None) -> str:
     return out
 
 
-def _resolved_config(args) -> ExperimentConfig:
+def _seeded_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    try:
-        cfg.build_pair()
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return cfg
+    return cfg if args.seed is None else dataclasses.replace(cfg, master_seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    scan = cfg.scan
-    if args.seed is not None:
-        scan = photonsim.ScanConfig(n_steps=scan.n_steps, phase_start=scan.phase_start,
-                                    phase_end=scan.phase_end,
-                                    mean_counts_per_step=scan.mean_counts_per_step,
-                                    rng_seed=args.seed)
+    scan = cfg.scan if args.seed is None else dataclasses.replace(cfg.scan, rng_seed=args.seed)
     out = _ensure_out_dir(args, cfg)
-    names = sorted(cfg.configurations)
-    try:
-        models = {name: cfg.build_model(name) for name in names}
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    for idx, name in enumerate(names):
-        model = models[name]
+    models = {name: cfg.build_model(name) for name in sorted(cfg.configurations)}
+    for idx, (name, model) in enumerate(models.items()):
         ig = photonsim.simulate_interferogram(model, scan, label=name,
                                               seed=(scan.rng_seed, idx))
         path = os.path.join(out, f"interferogram_{name}.csv")
@@ -408,29 +137,18 @@ def cmd_fit(args) -> int:
     return EXIT_SOFT_FIT if any_soft else EXIT_OK
 
 
-def _campaign_records(payload) -> list:
-    """Simulate and fit the runs with the given indices, each from its own seed."""
-    model_nim, model_both, scan, master_seed, indices = payload
-    return analysis.records_from_runs(
-        photonsim.simulate_run(model_nim, model_both, scan, run_index=idx,
-                               seed=(master_seed, idx))
-        for idx in indices)
-
-
 def cmd_campaign(args) -> int:
-    cfg = _resolved_config(args)
-    master_seed = args.seed if args.seed is not None else cfg.master_seed
-    model_nim, model_both = cfg.build_pair()
+    cfg = _seeded_config(args)
+    run = functools.partial(analysis.campaign_records, *cfg.build_pair(), cfg.scan,
+                            cfg.master_seed)
     if args.jobs > 1:
         chunk = max(1, cfg.n_runs // (4 * args.jobs))
-        payloads = [(model_nim, model_both, cfg.scan, master_seed,
-                     range(start, min(start + chunk, cfg.n_runs)))
-                    for start in range(0, cfg.n_runs, chunk)]
+        parts = [range(start, min(start + chunk, cfg.n_runs))
+                 for start in range(0, cfg.n_runs, chunk)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = [rec for part in pool.map(_campaign_records, payloads) for rec in part]
+            records = [rec for part in pool.map(run, parts) for rec in part]
     else:
-        records = _campaign_records((model_nim, model_both, cfg.scan, master_seed,
-                                     range(cfg.n_runs)))
+        records = run(range(cfg.n_runs))
 
     try:
         report = analysis.bound_from_campaign(records, bins=cfg.bins)
@@ -442,7 +160,7 @@ def cmd_campaign(args) -> int:
     json_path = os.path.join(out, "bound_report.json")
     payload = {
         "n_runs": cfg.n_runs,
-        "master_seed": master_seed,
+        "master_seed": cfg.master_seed,
         "reference": cfg.reference,
         "toggled": cfg.toggled,
         "report": report,
@@ -474,11 +192,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    campaign_cfg = cfg.campaign_config()
-    if args.seed is not None:
-        campaign_cfg = dataclasses.replace(campaign_cfg, master_seed=args.seed)
-    result = analysis.sensitivity_sweep(cfg.epsilon_grid, campaign_cfg)
+    cfg = _seeded_config(args)
+    result = analysis.sensitivity_sweep(cfg.epsilon_grid, cfg)
     out = _ensure_out_dir(args, cfg)
     path = os.path.join(out, "sweep.csv")
     reports.write_sweep_csv(path, result.points)

@@ -9,26 +9,17 @@ regardless of execution order.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (
-    PhaseElement,
-    SagnacModel,
-    dark_port_prob,
-    mz_visibility_from_ports,
-)
-from .quaternion import I, PhaseVector, Quaternion
+from .interferometer import SagnacModel, dark_port_prob, mz_visibility_from_ports
 
 __all__ = [
     "ScanConfig",
     "Interferogram",
     "RunPair",
-    "CampaignConfig",
-    "CONFIGURATIONS",
     "analytic_visibility",
     "expected_rates",
     "simulate_interferogram",
@@ -56,11 +47,13 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.n_steps < 8:
             raise ValueError(f"n_steps must be >= 8, got {self.n_steps!r}")
+        if not (math.isfinite(self.phase_start) and math.isfinite(self.phase_end)):
+            raise ValueError("phase_start and phase_end must be finite")
         if abs(self.phase_end - self.phase_start) < TWO_PI - 1e-9:
             raise ValueError("phase span must cover at least one full fringe (2 pi)")
-        if not self.mean_counts_per_step > 0.0:
-            raise ValueError(
-                f"mean_counts_per_step must be positive, got {self.mean_counts_per_step!r}")
+        if not 0.0 < self.mean_counts_per_step < math.inf:
+            raise ValueError(f"mean_counts_per_step must be positive and finite, "
+                             f"got {self.mean_counts_per_step!r}")
         if not 0 <= int(self.rng_seed) < 2 ** 64:
             raise ValueError(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed!r}")
 
@@ -209,63 +202,3 @@ def simulate_campaign(
                      seed=(int(master_seed), idx), labels=labels, noiseless=noiseless)
         for idx in range(n_runs)
     ]
-
-
-CONFIGURATIONS = ("none", "lc", "nim", "both")
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Apparatus and campaign parameters for the toggle experiment.
-
-    lc_phase is the liquid crystal's ordinary (complex) retardance at the
-    operating point; a nonzero lc_epsilon replaces it with the quaternionic
-    phase (0, epsilon, 0), the injection used for detection-power studies.
-    nim_phase is the metamaterial's measured phase at 790 nm, about -pi.
-    """
-
-    visibility_v: float = 0.9992774
-    reflection: Quaternion = I
-    lc_phase: PhaseVector = PhaseVector(math.pi, 0.0, 0.0)
-    lc_epsilon: float = 0.0
-    nim_phase: PhaseVector = PhaseVector(-math.pi, 0.0, 0.0)
-    nim_intensity_transmission: float = 0.13
-    scan: ScanConfig = ScanConfig()
-    n_runs: int = 200
-    master_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.nim_intensity_transmission <= 1.0:
-            raise ValueError(
-                f"nim_intensity_transmission must lie in (0, 1], "
-                f"got {self.nim_intensity_transmission!r}")
-        if self.n_runs < 1:
-            raise ValueError(f"n_runs must be >= 1, got {self.n_runs!r}")
-
-    def lc_element(self) -> PhaseElement:
-        phase = PhaseVector(0.0, self.lc_epsilon, 0.0) if self.lc_epsilon else self.lc_phase
-        return PhaseElement("lc", phase)
-
-    def nim_element(self) -> PhaseElement:
-        return PhaseElement("nim", self.nim_phase,
-                            math.sqrt(self.nim_intensity_transmission))
-
-    def build_model(self, configuration: str) -> SagnacModel:
-        """Sagnac model for one configuration: none, lc, nim, or both."""
-        if configuration not in CONFIGURATIONS:
-            raise ValueError(
-                f"unknown configuration {configuration!r}; expected one of {CONFIGURATIONS}")
-        elements = []
-        if configuration in ("lc", "both"):
-            elements.append(self.lc_element())
-        if configuration in ("nim", "both"):
-            elements.append(self.nim_element())
-        return SagnacModel(visibility_v=self.visibility_v, reflection=self.reflection,
-                           elements=elements)
-
-    def build_models(self) -> tuple[SagnacModel, SagnacModel]:
-        """The headline toggle pair: NIM-only reference, then LC added."""
-        return self.build_model("nim"), self.build_model("both")
-
-    def with_epsilon(self, epsilon: float) -> "CampaignConfig":
-        return dataclasses.replace(self, lc_epsilon=float(epsilon))

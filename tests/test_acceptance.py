@@ -14,6 +14,7 @@ from darkport.analysis import (
     gamma_ratio_distribution,
     records_from_runs,
 )
+from darkport.config import ExperimentConfig
 from darkport.fitting import NormalizedFringe, fit_sinusoid, normalize
 from darkport.interferometer import (
     PhaseElement,
@@ -35,7 +36,6 @@ from darkport.metaoptics import (
     phase_to_index,
 )
 from darkport.photonsim import (
-    CampaignConfig,
     ScanConfig,
     simulate_campaign,
     simulate_interferogram,
@@ -106,9 +106,9 @@ def test_criterion_2_closed_form_oracle():
 
 def test_criterion_3_null_campaign():
     t0 = time.perf_counter()
-    cfg = CampaignConfig()
+    cfg = ExperimentConfig()
     v0 = mz_visibility_theta(cfg.visibility_v, 0.0)
-    runs = simulate_campaign(cfg.build_models(), cfg.scan, cfg.n_runs,
+    runs = simulate_campaign(cfg.build_pair(), cfg.scan, cfg.n_runs,
                              cfg.master_seed)
     records = records_from_runs(runs)
     dv = delta_v_statistics(records)
@@ -153,15 +153,15 @@ def test_criterion_4_single_run_arithmetic():
 def test_criterion_5_detection_power():
     t0 = time.perf_counter()
     eps = math.asin(0.05)  # generalized defect 2 sin(eps) = 0.1 exactly
-    injected_cfg = CampaignConfig().with_epsilon(eps)
+    injected_cfg = ExperimentConfig().with_epsilon(eps)
     defect = 2.0 * math.sin(eps)
     gamma_shift = 0.5 * defect * defect
-    runs = simulate_campaign(injected_cfg.build_models(), injected_cfg.scan, 200, 0)
+    runs = simulate_campaign(injected_cfg.build_pair(), injected_cfg.scan, 200, 0)
     injected = gamma_ratio_distribution(records_from_runs(runs))
     significance = abs(injected.mean - 1.0) / injected.stderr
 
-    null_cfg = CampaignConfig()
-    null_models = null_cfg.build_models()
+    null_cfg = ExperimentConfig()
+    null_models = null_cfg.build_pair()
     false_flags = []
     for seed in range(20):
         null_runs = simulate_campaign(null_models, null_cfg.scan, 200, seed)
@@ -187,7 +187,8 @@ def test_criterion_6_fit_fidelity():
                                         sigma=np.full(x.size, 1e-3), detector=1))
     rel = max(abs(getattr(fit, k) - v) / v for k, v in truth.items())
 
-    model = CampaignConfig().build_model("none")
+    cfg = ExperimentConfig()
+    model = SagnacModel(visibility_v=cfg.visibility_v, reflection=cfg.reflection)
     scan = ScanConfig()
     v_true = mz_visibility_theta(model.visibility_v, 0.0)
     pulls = np.empty(500)

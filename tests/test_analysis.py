@@ -8,14 +8,21 @@ from darkport.analysis import (
     DETECTION_SIGMA,
     RunRecord,
     bound_from_campaign,
+    campaign_records,
     delta_v_statistics,
     gamma_ratio_distribution,
-    lc_systematic,
     records_from_runs,
     sensitivity_sweep,
 )
 from darkport.interferometer import VisibilityValue, theta_bound
-from darkport.photonsim import CampaignConfig, ScanConfig, simulate_campaign
+from darkport.config import ExperimentConfig
+from darkport.photonsim import ScanConfig, simulate_campaign
+
+
+def lc_only(**kwargs):
+    """An LC-only toggle campaign: the empty loop as reference, LC added."""
+    return ExperimentConfig(configurations={"off": (), "on": ("lc",)},
+                            reference="off", toggled="on", **kwargs)
 
 
 def record(idx, nim1, nim2, both1, both2, sigma=0.002):
@@ -114,8 +121,8 @@ def test_detector_swap_leaves_pooled_values_unchanged():
 
 
 def test_records_from_runs_complete_campaign():
-    cfg = CampaignConfig()
-    runs = simulate_campaign(cfg.build_models(), cfg.scan, 10, 201)
+    cfg = ExperimentConfig()
+    runs = simulate_campaign(cfg.build_pair(), cfg.scan, 10, 201)
     recs = records_from_runs(runs)
     assert len(recs) == 10
     assert not any(r.is_partial for r in recs)
@@ -126,6 +133,14 @@ def test_records_from_runs_complete_campaign():
     assert report.theta_conservative_deg >= report.theta_central_deg
     assert sum(n for _, n in report.delta_v_hist) == 20
     assert sum(n for _, n in report.gamma_ratio_hist) == 20
+
+
+def test_campaign_records_match_the_stored_campaign_in_any_split():
+    cfg = ExperimentConfig()
+    pair = cfg.build_pair()
+    whole = campaign_records(*pair, cfg.scan, 5, range(6))
+    assert whole == records_from_runs(simulate_campaign(pair, cfg.scan, 6, 5))
+    assert campaign_records(*pair, cfg.scan, 5, range(4, 6)) == whole[4:]
 
 
 def test_bound_report_degenerate_histogram():
@@ -139,8 +154,8 @@ def test_bound_report_degenerate_histogram():
 
 
 def test_null_campaigns_stay_unflagged_across_seeds():
-    cfg = CampaignConfig()
-    models = cfg.build_models()
+    cfg = ExperimentConfig()
+    models = cfg.build_pair()
     for seed in range(200, 210):
         runs = simulate_campaign(models, cfg.scan, 30, seed)
         gr = gamma_ratio_distribution(records_from_runs(runs))
@@ -148,11 +163,11 @@ def test_null_campaigns_stay_unflagged_across_seeds():
 
 
 def test_lc_systematic_noiseless_is_exactly_zero():
-    cfg = CampaignConfig()
-    models = (cfg.build_model("none"), cfg.build_model("lc"))
+    cfg = lc_only()
+    models = cfg.build_pair()
     runs = simulate_campaign(models, cfg.scan, 3, 0, labels=("off", "on"),
                              noiseless=True)
-    stats = lc_systematic(records_from_runs(runs))
+    stats = delta_v_statistics(records_from_runs(runs))
     assert stats.mean == 0.0
     assert stats.std == 0.0
 
@@ -160,26 +175,26 @@ def test_lc_systematic_noiseless_is_exactly_zero():
 def test_lc_systematic_matches_counting_statistics():
     # 5000 counts/step at unit transmission: sigma_V ~ sqrt(2/N) = 0.002,
     # so Delta_LC spreads as sqrt(2) * 0.002 ~ 0.003
-    cfg = CampaignConfig(scan=ScanConfig(mean_counts_per_step=5000.0))
-    models = (cfg.build_model("none"), cfg.build_model("lc"))
+    cfg = lc_only(scan=ScanConfig(mean_counts_per_step=5000.0))
+    models = cfg.build_pair()
     runs = simulate_campaign(models, cfg.scan, 60, 71, labels=("off", "on"))
-    stats = lc_systematic(records_from_runs(runs))
+    stats = delta_v_statistics(records_from_runs(runs))
     assert abs(stats.mean) < 3.0 * stats.stderr
     assert 0.002 < stats.std < 0.004
 
 
 def test_lc_systematic_sees_injected_epsilon():
-    cfg = CampaignConfig(lc_epsilon=0.3)
-    models = (cfg.build_model("none"), cfg.build_model("lc"))
+    cfg = lc_only().with_epsilon(0.3)
+    models = cfg.build_pair()
     runs = simulate_campaign(models, cfg.scan, 5, 1, labels=("off", "on"))
-    stats = lc_systematic(records_from_runs(runs))
+    stats = delta_v_statistics(records_from_runs(runs))
     # Gamma drops to 1 - 2 sin^2(0.3): the on-visibility jumps far above noise
     assert stats.mean > 0.5
     assert stats.mean > 20.0 * stats.stderr
 
 
 def test_sensitivity_sweep_shape_and_threshold():
-    cfg = dataclasses.replace(CampaignConfig(), n_runs=40, master_seed=300)
+    cfg = dataclasses.replace(ExperimentConfig(), n_runs=40, master_seed=300)
     grid = (0.0, 0.005, 0.02, 0.05)
     res = sensitivity_sweep(grid, cfg)
     assert [p.epsilon for p in res.points] == list(grid)
@@ -195,7 +210,7 @@ def test_sensitivity_sweep_shape_and_threshold():
 
 
 def test_sweep_epsilon_zero_shift_is_exact():
-    cfg = dataclasses.replace(CampaignConfig(), n_runs=2, master_seed=0)
+    cfg = dataclasses.replace(ExperimentConfig(), n_runs=2, master_seed=0)
     res = sensitivity_sweep((0.0,), cfg)
     assert res.points[0].gamma_shift == 0.0
     assert res.points[0].significance == 0.0
@@ -205,8 +220,8 @@ def test_sweep_epsilon_zero_shift_is_exact():
 def test_detection_reach_scales_with_campaign_size():
     # the conservative bound at null follows the gamma-ratio stderr:
     # theta ~ sqrt(stderr) ~ n^(-1/4)
-    cfg = CampaignConfig()
-    models = cfg.build_models()
+    cfg = ExperimentConfig()
+    models = cfg.build_pair()
     stderrs = []
     thetas = []
     for n in (50, 800):

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from darkport.cli import main
+from darkport import photonsim
+from darkport.cli import load_config, main
 
 SMALL_CAMPAIGN = {
     "campaign": {"n_runs": 10, "master_seed": 7},
@@ -224,7 +225,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_sweep_requires_lc_nim_elements(tmp_path, capsys):
+def test_sweep_runs_any_single_element_toggle(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "apparatus": {"elements": [
             {"label": "waveplate", "phase": [3.141592653589793, 0, 0]},
@@ -232,8 +233,76 @@ def test_sweep_requires_lc_nim_elements(tmp_path, capsys):
         "configurations": {"off": [], "on": ["waveplate"]},
         "campaign": {"reference": "off", "toggled": "on", "n_runs": 5},
     })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = read_csv_rows(tmp_path / "sweep.csv")
+    assert header == "epsilon,gamma_shift,significance"
+    assert [float(r[0]) for r in rows] == [0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
+    assert float(rows[0][2]) == 0.0
+
+
+@pytest.mark.parametrize("reference", [[], ["nim", "lc"]], ids=["two_added", "reordered"])
+def test_sweep_rejects_toggle_of_two_elements(tmp_path, capsys, reference):
+    cfg = write_config(tmp_path, {
+        "configurations": {"ref": reference, "both": ["lc", "nim"]},
+        "campaign": {"reference": "ref", "toggled": "both", "n_runs": 5},
+    })
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "lc" in capsys.readouterr().err
+    assert "exactly one element" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_simulates_the_campaign_pair(tmp_path, capsys, monkeypatch):
+    # a lossy LC and the reference/toggled roles swapped: at epsilon = 0 the
+    # sweep must simulate exactly the pair that campaign would
+    cfg = write_config(tmp_path, {
+        "apparatus": {"elements": [
+            {"label": "lc", "phase": [3.141592653589793, 0, 0],
+             "amplitude_transmission": 0.5},
+            {"label": "nim", "phase": [-3.141592653589793, 0, 0],
+             "amplitude_transmission": 0.36055512754639896},
+        ]},
+        "campaign": {"reference": "both", "toggled": "nim", "n_runs": 2},
+        "analysis": {"epsilon_grid": [0.0]},
+    })
+    simulated = []
+    simulate_run = photonsim.simulate_run
+
+    def recording(model_a, model_b, *args, **kwargs):
+        simulated.append((model_a, model_b))
+        return simulate_run(model_a, model_b, *args, **kwargs)
+
+    monkeypatch.setattr(photonsim, "simulate_run", recording)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert simulated == [load_config(cfg).build_pair()] * 2
+
+
+def test_sweep_rejects_epsilon_that_darkens_the_reference(tmp_path, capsys):
+    # with the LC in the reference loop, epsilon = 1 drives its Gamma to
+    # 1 - 2 sin^2(1) < 0, where the visible deviation is undefined
+    cfg = write_config(tmp_path, {
+        "campaign": {"reference": "both", "toggled": "nim", "n_runs": 2},
+        "analysis": {"epsilon_grid": [0.0, 1.0]},
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "Gamma > 0" in capsys.readouterr().err
+
+
+_NON_FINITE = [
+    {"scan": {"mean_counts_per_step": math.inf}},
+    {"scan": {"phase_end": math.nan}},
+    {"analysis": {"epsilon_grid": [0.0, math.nan]}},
+    {"apparatus": {"visibility_v": math.nan}},
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
+@pytest.mark.parametrize("payload", _NON_FINITE,
+                         ids=["counts_inf", "phase_end_nan", "grid_nan", "visibility_nan"])
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_missing_and_malformed_csv(tmp_path, capsys):

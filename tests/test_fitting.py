@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkport.config import ExperimentConfig
 from darkport.fitting import (
     FIT_BLOCK_ROWS,
     FitInputError,
@@ -20,7 +21,6 @@ from darkport.fitting import (
 )
 from darkport.interferometer import SagnacModel
 from darkport.photonsim import (
-    CampaignConfig,
     ScanConfig,
     simulate_campaign,
     simulate_interferogram,
@@ -279,7 +279,7 @@ def _same_fit(a, b):
 def _hard_fringes():
     """At 0.65 counts a step, detector 1 runs to the iteration cap and
     detector 2 fits A + 2B < 0."""
-    model = CampaignConfig().build_models()[0]
+    model = ExperimentConfig().build_pair()[0]
     ig = simulate_interferogram(model, ScanConfig(mean_counts_per_step=5.0), seed=(5, 30))
     return normalize(ig, detector=1), normalize(ig, detector=2)
 
@@ -288,7 +288,7 @@ def _mixed_fringes():
     """Bright default-scan fringes with every fourth a hard low-count fit, whose
     steps are often rejected; a shorter, a flat and an exact fringe in between."""
     bright = (SagnacModel(visibility_v=0.9992774), ScanConfig())
-    faint = (CampaignConfig().build_models()[0], ScanConfig(mean_counts_per_step=200.0))
+    faint = (ExperimentConfig().build_pair()[0], ScanConfig(mean_counts_per_step=200.0))
     fringes = [normalize(simulate_interferogram(*(faint if k % 4 == 1 else bright),
                                                 seed=(71, k)), detector=1 + k % 2)
                for k in range(FIT_BLOCK_ROWS + 5)]
@@ -399,8 +399,8 @@ def _scalar_reference_fit(fringe):
 
 
 def test_batched_fits_match_the_scalar_loop_on_campaign_fringes():
-    cfg = CampaignConfig()
-    runs = simulate_campaign(cfg.build_models(), cfg.scan, 25, 0)
+    cfg = ExperimentConfig()
+    runs = simulate_campaign(cfg.build_pair(), cfg.scan, 25, 0)
     fringes = [normalize(ig, detector=d) for run in runs for ig in (run.nim, run.both)
                for d in (1, 2)]
     for fringe, fit in zip(fringes, fit_sinusoids(fringes)):

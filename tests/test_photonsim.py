@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from darkport.config import ConfigError, ExperimentConfig
 from darkport.fitting import fit_sinusoid, normalize
 from darkport.interferometer import PhaseElement, SagnacModel
 from darkport.photonsim import (
-    CONFIGURATIONS,
-    CampaignConfig,
     Interferogram,
     ScanConfig,
     analytic_visibility,
@@ -56,16 +55,16 @@ def test_same_seed_reproduces_counts():
 
 def test_run_streams_are_independent():
     scan = ScanConfig()
-    cfg = CampaignConfig()
-    run = simulate_run(*cfg.build_models(), scan, seed=7)
+    cfg = ExperimentConfig()
+    run = simulate_run(*cfg.build_pair(), scan, seed=7)
     assert run.nim.seed == (7, 0)
     assert run.both.seed == (7, 1)
     assert not np.array_equal(run.nim.counts_d1, run.both.counts_d1)
 
 
 def test_campaign_runs_are_order_independent():
-    cfg = CampaignConfig()
-    models = cfg.build_models()
+    cfg = ExperimentConfig()
+    models = cfg.build_pair()
     runs = simulate_campaign(models, cfg.scan, n_runs=5, master_seed=99)
     # run k must be regenerable in isolation from (master_seed, k)
     solo = simulate_run(*models, cfg.scan, run_index=3, seed=(99, 3))
@@ -76,7 +75,7 @@ def test_campaign_runs_are_order_independent():
 
 def test_noiseless_counts_conserve_flux():
     scan = ScanConfig(mean_counts_per_step=20000.0)
-    cfg = CampaignConfig()
+    cfg = ExperimentConfig()
     model = cfg.build_model("nim")
     ig = simulate_interferogram(model, scan, noiseless=True)
     n_eff = scan.mean_counts_per_step * model.intensity_transmission()
@@ -97,8 +96,9 @@ def test_expected_rates_follow_the_fringe():
 
 def test_poisson_totals_scale_with_transmission():
     scan = ScanConfig(rng_seed=5)
-    cfg = CampaignConfig()
-    baseline = simulate_interferogram(cfg.build_model("none"), scan, seed=5)
+    cfg = ExperimentConfig()
+    empty = SagnacModel(visibility_v=cfg.visibility_v, reflection=cfg.reflection)
+    baseline = simulate_interferogram(empty, scan, seed=5)
     dimmed = simulate_interferogram(cfg.build_model("nim"), scan, seed=5)
     total0 = baseline.counts_d1.sum() + baseline.counts_d2.sum()
     total1 = dimmed.counts_d1.sum() + dimmed.counts_d2.sum()
@@ -120,7 +120,7 @@ def test_zero_visibility_fringe_is_flat():
 
 
 def test_noiseless_fit_recovers_analytic_visibility():
-    cfg = CampaignConfig()
+    cfg = ExperimentConfig()
     model = cfg.build_model("both")
     ig = simulate_interferogram(model, cfg.scan, noiseless=True)
     fit = fit_sinusoid(normalize(ig))
@@ -142,26 +142,27 @@ def test_interferogram_validation():
 
 
 def test_campaign_config_configurations():
-    cfg = CampaignConfig()
-    assert CONFIGURATIONS == ("none", "lc", "nim", "both")
-    assert cfg.build_model("none").elements == ()
+    cfg = ExperimentConfig()
+    assert sorted(cfg.configurations) == ["both", "nim"]
+    assert [e.label for e in cfg.build_model("nim").elements] == ["nim"]
     assert [e.label for e in cfg.build_model("both").elements] == ["lc", "nim"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         cfg.build_model("spooky")
-    with pytest.raises(ValueError):
-        CampaignConfig(nim_intensity_transmission=0.0)
-    with pytest.raises(ValueError):
-        CampaignConfig(n_runs=0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(toggled="spooky")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(n_runs=0)
 
 
 def test_with_epsilon_switches_lc_phase():
-    cfg = CampaignConfig()
-    assert cfg.lc_element().phase == PhaseVector(math.pi, 0.0, 0.0)
+    cfg = ExperimentConfig()
+    lc, nim = cfg.elements
+    assert lc.phase == PhaseVector(math.pi, 0.0, 0.0)
+    assert cfg.with_epsilon(0.0) == cfg
     poked = cfg.with_epsilon(0.02)
-    assert poked.lc_element().phase == PhaseVector(0.0, 0.02, 0.0)
-    assert poked.nim_element().phase == cfg.nim_element().phase
+    assert poked.elements == (PhaseElement("lc", PhaseVector(0.0, 0.02, 0.0)), nim)
     # toggle pair shares everything except the lc element
-    m_nim, m_both = poked.build_models()
+    m_nim, m_both = poked.build_pair()
     assert m_nim.visibility_v == m_both.visibility_v
     assert [e.label for e in m_nim.elements] == ["nim"]
 
@@ -175,14 +176,14 @@ def test_simulate_run_rejects_mismatched_models():
 
 
 def test_campaign_rejects_zero_runs():
-    cfg = CampaignConfig()
+    cfg = ExperimentConfig()
     with pytest.raises(ValueError):
-        simulate_campaign(cfg.build_models(), cfg.scan, n_runs=0, master_seed=0)
+        simulate_campaign(cfg.build_pair(), cfg.scan, n_runs=0, master_seed=0)
 
 
 def test_labels_and_seed_are_recorded():
-    cfg = CampaignConfig()
-    run = simulate_run(*cfg.build_models(), cfg.scan, run_index=4, seed=(3, 4))
+    cfg = ExperimentConfig()
+    run = simulate_run(*cfg.build_pair(), cfg.scan, run_index=4, seed=(3, 4))
     assert run.nim.label == "nim"
     assert run.both.label == "both"
     assert run.run_index == 4
