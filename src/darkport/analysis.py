@@ -8,7 +8,6 @@ further than 5 standard errors from 1 raises the non-commutativity flag.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import photonsim
 from .config import ConfigError, ExperimentConfig
-from .fitting import FIT_BLOCK_ROWS, FitInputError, FitResult, fit_sinusoids, normalize
+from .fitting import FitResult, fit_interferograms
 from .interferometer import (
     NonPhysicalVisibilityError,
     SagnacModel,
@@ -29,13 +28,14 @@ from .interferometer import (
 )
 from .photonsim import RunPair, ScanConfig
 
-# fit_sinusoid and simulate_campaign are not called here, but the
-# benchmark's tracer (perfbench/tracing.py) patches them under this
+# normalize, fit_sinusoid and simulate_campaign are not called here, but
+# the benchmark's tracer (perfbench/tracing.py) patches them under this
 # module's name
-from .fitting import fit_sinusoid  # noqa: F401
+from .fitting import fit_sinusoid, normalize  # noqa: F401
 from .photonsim import simulate_campaign  # noqa: F401
 
 __all__ = [
+    "TooFewFitsError",
     "RunRecord",
     "DeltaVStats",
     "GammaRatioStats",
@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 DETECTION_SIGMA = 5.0
+
+
+class TooFewFitsError(ValueError):
+    """Too few usable fits for a campaign statistic."""
 
 
 @dataclass(frozen=True)
@@ -149,31 +153,24 @@ def _visibility_or_none(fit) -> VisibilityValue | None:
     return None
 
 
-def _records_of_block(runs: Sequence[RunPair]) -> list[RunRecord]:
-    fringes = []
-    for run in runs:
-        for ig in (run.nim, run.both):
-            for detector in (1, 2):
-                try:
-                    fringes.append(normalize(ig, detector=detector))
-                except FitInputError:
-                    fringes.append(None)
-    fits = iter(fit_sinusoids([f for f in fringes if f is not None]))
-    values = [None if f is None else _visibility_or_none(next(fits)) for f in fringes]
-    return [RunRecord(run.run_index, *values[4 * k:4 * k + 4]) for k, run in enumerate(runs)]
-
-
 def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
     """Fit every interferogram of every run; failures leave None slots.
 
-    Runs are consumed and fitted a block at a time (four fringes a run),
-    so a generator of runs is never held in memory whole.
+    The runs are consumed as fit_interferograms needs them, so a
+    generator of runs is never held in memory whole.
     """
-    runs = iter(runs)
-    records = []
-    while block := list(itertools.islice(runs, FIT_BLOCK_ROWS // 4)):
-        records += _records_of_block(block)
-    return records
+    indices = []
+
+    def interferograms():
+        for run in runs:
+            indices.append(run.run_index)
+            yield run.nim
+            yield run.both
+
+    fits = fit_interferograms(interferograms())
+    # consecutive (d1, d2) pairs are one run's reference and toggled fits
+    return [RunRecord(indices[k], *map(_visibility_or_none, nim + both))
+            for k, (nim, both) in enumerate(zip(fits, fits))]
 
 
 def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanConfig,
@@ -200,7 +197,7 @@ def delta_v_statistics(records: Sequence[RunRecord]) -> DeltaVStats:
     """Delta V mean, sample std, and standard error, pooled over detectors."""
     pairs = _pooled_pairs(records)
     if len(pairs) < 2:
-        raise ValueError(f"need at least 2 Delta V values, got {len(pairs)}")
+        raise TooFewFitsError(f"need at least 2 Delta V values, got {len(pairs)}")
     values = np.array([v_both.value - v_nim.value for v_both, v_nim in pairs])
     std = float(np.std(values, ddof=1))
     return DeltaVStats(values=values, mean=float(np.mean(values)), std=std,
@@ -226,7 +223,7 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
         values.append(ratio.value)
         sigmas.append(ratio.sigma)
     if not values:
-        raise ValueError("no usable Gamma-ratio points")
+        raise TooFewFitsError("no usable Gamma-ratio points")
     arr = np.array(values)
     point_sigmas = np.array(sigmas)
     std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0

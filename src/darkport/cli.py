@@ -73,59 +73,34 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fit_entries(paths: list[str]) -> tuple[list[dict], bool]:
-    """Fit both detector normalizations of each CSV; returns (entries, soft_fail)."""
-    entries, fringes = [], []
-    for path in paths:
-        ig = reports.read_interferogram_csv(path)
-        entries.append({"path": path, "n_steps": ig.n_steps, "fits": {}})
-        for det in (1, 2):
-            try:
-                fringes.append(fitting.normalize(ig, detector=det))
-            except fitting.FitInputError as err:
-                fringes.append(err)
-    usable = [f for f in fringes if isinstance(f, fitting.NormalizedFringe)]
-    fits = iter(fitting.fit_sinusoids(usable))
-    soft = False
-    for k, fringe in enumerate(fringes):
-        result = next(fits) if isinstance(fringe, fitting.NormalizedFringe) else fringe
-        fit_map = entries[k // 2]["fits"]
-        key = f"d{k % 2 + 1}"
-        if isinstance(result, ValueError):
-            fit_map[key] = {"error": str(result)}
-            soft = True
-            continue
-        fit_map[key] = {
-            "amplitude": result.amplitude,
-            "frequency": result.frequency,
-            "phase": result.phase,
-            "offset": result.offset,
-            "sigma_amplitude": result.sigma_amplitude,
-            "sigma_frequency": result.sigma_frequency,
-            "sigma_phase": result.sigma_phase,
-            "sigma_offset": result.sigma_offset,
-            "visibility": {"value": result.visibility.value,
-                           "sigma": result.visibility.sigma},
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "residual_norm": result.residual_norm,
-            "n_points": result.n_points,
-            "n_excluded": fringe.n_excluded,
-            "low_signal": result.low_signal,
-        }
-        soft = soft or not result.converged
-    return entries, soft
+# the fit report's fields; the JSON writer sorts keys and writes the
+# visibility dataclass as {"sigma", "value"}
+_FIT_FIELDS = ("amplitude", "frequency", "phase", "offset", "sigma_amplitude",
+               "sigma_frequency", "sigma_phase", "sigma_offset", "visibility", "converged",
+               "iterations", "residual_norm", "n_points", "n_excluded", "low_signal")
+
+
+def _fit_entry(result) -> dict:
+    if isinstance(result, ValueError):
+        return {"error": str(result)}
+    return {name: getattr(result, name) for name in _FIT_FIELDS}
 
 
 def cmd_fit(args) -> int:
-    entries = []
-    any_soft = False
-    # a block of files at a time, so only one block of fringes is in memory
-    files_per_block = fitting.FIT_BLOCK_ROWS // 2
-    for start in range(0, len(args.csv), files_per_block):
-        block, soft = _fit_entries(args.csv[start:start + files_per_block])
-        entries += block
-        any_soft = any_soft or soft
+    n_steps = []
+
+    def interferograms():
+        for path in args.csv:
+            ig = reports.read_interferogram_csv(path)
+            n_steps.append(ig.n_steps)
+            yield ig
+
+    fits = fitting.fit_interferograms(interferograms())
+    entries = [{"path": path, "n_steps": n_steps[k],
+                "fits": {"d1": _fit_entry(d1), "d2": _fit_entry(d2)}}
+               for k, (path, (d1, d2)) in enumerate(zip(args.csv, fits))]
+    soft = any("error" in fit or not fit["converged"]
+               for entry in entries for fit in entry["fits"].values())
     report = {"files": entries}
     if args.out:
         out = _ensure_out_dir(args)
@@ -134,7 +109,7 @@ def cmd_fit(args) -> int:
         print(f"fit report: {path}")
     else:
         sys.stdout.write(reports.dumps_json(report))
-    return EXIT_SOFT_FIT if any_soft else EXIT_OK
+    return EXIT_SOFT_FIT if soft else EXIT_OK
 
 
 def cmd_campaign(args) -> int:
@@ -152,7 +127,7 @@ def cmd_campaign(args) -> int:
 
     try:
         report = analysis.bound_from_campaign(records, bins=cfg.bins)
-    except ValueError as err:
+    except analysis.TooFewFitsError as err:
         print(f"campaign produced too few usable fits: {err}", file=sys.stderr)
         return EXIT_SOFT_FIT
 
@@ -193,7 +168,11 @@ def cmd_campaign(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _seeded_config(args)
-    result = analysis.sensitivity_sweep(cfg.epsilon_grid, cfg)
+    try:
+        result = analysis.sensitivity_sweep(cfg.epsilon_grid, cfg)
+    except analysis.TooFewFitsError as err:
+        print(f"sweep produced too few usable fits: {err}", file=sys.stderr)
+        return EXIT_SOFT_FIT
     out = _ensure_out_dir(args, cfg)
     path = os.path.join(out, "sweep.csv")
     reports.write_sweep_csv(path, result.points)
@@ -206,7 +185,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_index(args) -> int:
-    slab = metaoptics.SlabSpec(thickness_nm=args.thickness_nm)
+    try:
+        slab = metaoptics.SlabSpec(thickness_nm=args.thickness_nm)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     spectrum = reports.read_phase_spectrum_csv(args.spectrum)
     result = metaoptics.index_spectrum(spectrum, slab)
     out = _ensure_out_dir(args)

@@ -9,10 +9,11 @@ the noise model is off.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "normalize",
     "fit_sinusoid",
     "fit_sinusoids",
+    "fit_interferograms",
     "visibility_from_fit",
     "propagate",
 ]
@@ -87,7 +89,7 @@ class FitResult:
 
     A >= 0, f >= 0, and p in [0, pi) by convention (the sign and phase
     degeneracies of sin^2 are folded away); low_signal marks amplitudes
-    within 2 sigma of zero.
+    within 2 sigma of zero.  n_excluded is copied from the fitted fringe.
     """
 
     amplitude: float
@@ -101,6 +103,7 @@ class FitResult:
     residual_norm: float
     n_points: int
     low_signal: bool
+    n_excluded: int
 
     @property
     def sigma_amplitude(self) -> float:
@@ -123,6 +126,10 @@ class FitResult:
         return self.amplitude * s * s + self.offset
 
 
+# a fit's result, or the error that stopped it
+FitOutcome = FitResult | FitInputError | InvalidFitError
+
+
 def normalize(ig, detector: int = 1) -> NormalizedFringe:
     """Normalize one detector's counts to the per-step total.
 
@@ -130,6 +137,9 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     that happen to land at ratio 0 or 1 keep a finite weight.  The kept
     points are stable-sorted by phase, because the fit's spectral start
     assumes an ordered grid; sorted input passes through unchanged.
+    Raises FitInputError for fewer than 8 points with counts, or for
+    points with counts spanning less than one fringe (2 pi), where the
+    frequency is not determined.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
@@ -144,11 +154,16 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     if n_usable < 8:
         raise FitInputError(
             f"need at least 8 points with nonzero total counts, got {n_usable}")
+    phase = phase[keep]
+    span = float(phase[-1] - phase[0])
+    if not span >= 2.0 * math.pi - 1e-9:
+        raise FitInputError(
+            f"points with counts must span at least one full fringe (2 pi), got {span!r}")
     n = total[keep]
     num = d1[keep] if detector == 1 else d2[keep]
     r = num / n
     sigma = np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))
-    return NormalizedFringe(phase=phase[keep], ratio=r, sigma=sigma,
+    return NormalizedFringe(phase=phase, ratio=r, sigma=sigma,
                             detector=detector, n_excluded=int(len(total) - n_usable))
 
 
@@ -316,7 +331,8 @@ def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[FitResult | InvalidF
             amplitude=a, frequency=f, phase=p, offset=b, covariance=row_cov,
             visibility=visibility, converged=bool(converged[i]),
             iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
-            n_points=x.shape[-1], low_signal=a <= 2.0 * sigma_a))
+            n_points=x.shape[-1], low_signal=a <= 2.0 * sigma_a,
+            n_excluded=fringes[i].n_excluded))
     return results
 
 
@@ -345,9 +361,7 @@ def _renormalize(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.array([a, f, p, b]), cov
 
 
-def fit_sinusoids(
-    fringes: Sequence[NormalizedFringe],
-) -> list[FitResult | FitInputError | InvalidFitError]:
+def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
     """Weighted Levenberg-Marquardt fits of many fringes, one result per fringe.
 
     Each fit starts from B = min, A = max - min, f from the discrete
@@ -382,6 +396,30 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
     if isinstance(result, ValueError):
         raise result
     return result
+
+
+def fit_interferograms(
+    interferograms: Iterable,
+) -> Iterator[tuple[FitOutcome, FitOutcome]]:
+    """Fit detector 1 and detector 2 of each interferogram, yielding (d1, d2).
+
+    Each entry is as in fit_sinusoids; a fringe that normalize refuses
+    gets its FitInputError.  The input is consumed half a block of
+    interferograms at a time (one block of fringes), in order, so a
+    generator is never held in memory whole.
+    """
+    interferograms = iter(interferograms)
+    while block := list(itertools.islice(interferograms, FIT_BLOCK_ROWS // 2)):
+        fringes = []
+        for ig in block:
+            for detector in (1, 2):
+                try:
+                    fringes.append(normalize(ig, detector=detector))
+                except FitInputError as err:
+                    fringes.append(err)
+        fits = iter(fit_sinusoids([f for f in fringes if isinstance(f, NormalizedFringe)]))
+        results = [f if isinstance(f, FitInputError) else next(fits) for f in fringes]
+        yield from zip(results[::2], results[1::2])
 
 
 def _visibility(a: float, b: float, cov: np.ndarray) -> VisibilityValue:

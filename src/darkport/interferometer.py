@@ -74,9 +74,9 @@ class PhaseElement:
     amplitude_transmission: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.amplitude_transmission <= 1.0:
+        if not 0.0 < self.amplitude_transmission <= 1.0:
             raise ValueError(
-                f"amplitude_transmission must lie in [0, 1], got {self.amplitude_transmission!r}")
+                f"amplitude_transmission must lie in (0, 1], got {self.amplitude_transmission!r}")
 
     @property
     def quaternion(self) -> Quaternion:

@@ -35,8 +35,9 @@ class SlabSpec:
     thickness_nm: float = DEFAULT_THICKNESS_NM
 
     def __post_init__(self) -> None:
-        if not self.thickness_nm > 0.0:
-            raise ValueError(f"thickness_nm must be positive, got {self.thickness_nm!r}")
+        if not 0.0 < self.thickness_nm < math.inf:
+            raise ValueError(f"thickness_nm must be finite and positive, "
+                             f"got {self.thickness_nm!r}")
 
 
 @dataclass(frozen=True)

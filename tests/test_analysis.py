@@ -14,7 +14,7 @@ from darkport.analysis import (
     records_from_runs,
     sensitivity_sweep,
 )
-from darkport.interferometer import VisibilityValue, theta_bound
+from darkport.interferometer import VisibilityValue, gamma_ratio, theta_bound
 from darkport.config import ExperimentConfig
 from darkport.photonsim import ScanConfig, simulate_campaign
 
@@ -233,3 +233,18 @@ def test_detection_reach_scales_with_campaign_size():
     assert 0.15 < stderrs[1] / stderrs[0] < 0.35  # ~ sqrt(50/800) = 0.25
     assert thetas[1] < thetas[0]
     assert 0.35 < thetas[1] / thetas[0] < 0.65  # ~ (50/800)^(1/4) = 0.5
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "d2/(d1+d2) is 1 minus the detector-1 ratio, so a run's two detector "
+    "values are one measurement counted twice and the pooled stderr is "
+    "about 0.707 of the per-run stderr"))
+def test_null_campaign_stderr_counts_each_run_once():
+    cfg = ExperimentConfig()
+    records = campaign_records(*cfg.build_pair(), cfg.scan, 5, range(200))
+    pooled = gamma_ratio_distribution(records)
+    per_run = [np.mean([gamma_ratio(v_both, v_nim).value
+                        for v_both, v_nim in rec.detector_pairs()])
+               for rec in records if rec.detector_pairs()]
+    per_run_stderr = np.std(per_run, ddof=1) / math.sqrt(len(per_run))
+    assert abs(pooled.stderr / per_run_stderr - 1.0) <= 0.10

@@ -406,3 +406,65 @@ def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "bound_report.json").exists()
+
+
+@pytest.mark.parametrize("phases", [[1.0] * 30, [0.5 * k / 29 for k in range(30)]],
+                         ids=["constant", "half_radian"])
+def test_fit_rejects_phases_spanning_less_than_a_fringe(tmp_path, capsys, phases):
+    path = tmp_path / "narrow.csv"
+    rows = [f"{x!r},{100 + k},{140 - k}" for k, x in enumerate(phases)]
+    path.write_text("phase_rad,counts_d1,counts_d2\n" + "\n".join(rows) + "\n")
+    assert main(["fit", str(path)]) == 4
+    fits = json.loads(capsys.readouterr().out)["files"][0]["fits"]
+    for key in ("d1", "d2"):
+        assert "one full fringe" in fits[key]["error"]
+
+
+# an LC passing 1e-6 of the amplitude leaves the toggled loop 1e-12 of the
+# counts, so no fit of it is usable
+_DARK_LC = {
+    "apparatus": {"elements": [
+        {"label": "lc", "phase": [3.141592653589793, 0, 0], "amplitude_transmission": 1e-6},
+        {"label": "nim", "phase": [-3.141592653589793, 0, 0],
+         "amplitude_transmission": 0.36055512754639896},
+    ]},
+    "campaign": {"n_runs": 3},
+}
+
+
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
+def test_no_usable_fits_is_soft_failure(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, _DARK_LC)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "too few usable fits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thickness", ["-1", "0", "nan", "inf"])
+def test_index_rejects_bad_thickness(tmp_path, capsys, thickness):
+    spectrum = tmp_path / "phase.csv"
+    spectrum.write_text("wavelength_nm,phase_rad\n500,1.0\n600,1.2\n")
+    rc = main(["index", str(spectrum), f"--thickness-nm={thickness}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "thickness_nm must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "index.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
+def test_blocked_element_is_config_error(tmp_path, capsys, command):
+    payload = json.loads(json.dumps(_DARK_LC))
+    payload["apparatus"]["elements"][0]["amplitude_transmission"] = 0
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "amplitude_transmission must lie in (0, 1]" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_fit_bad_csv_after_a_full_block_writes_no_report(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    good = sorted(str(p) for p in tmp_path.glob("interferogram_*.csv"))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("phase_rad,counts_d1,counts_d2\n1.0,2.0\n")
+    out = tmp_path / "report"
+    # 20 readable files, more than one block of fits, then the bad one
+    assert main(["fit", *good * 10, str(bad), "--out", str(out)]) == 3
+    assert not (out / "fit_report.json").exists()

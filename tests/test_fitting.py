@@ -181,6 +181,20 @@ def test_normalize_rejects_too_few_points():
         normalize(FakeInterferogram(phase, d1, d2))
 
 
+def test_normalize_rejects_points_spanning_less_than_a_fringe():
+    phase = np.linspace(0.0, 4.0 * math.pi, 20)
+    d1 = np.full(20, 25.0)
+    d2 = np.full(20, 25.0)
+    d1[9:] = d2[9:] = 0.0  # the 9 points with counts span 32/19 pi
+    with pytest.raises(FitInputError, match="one full fringe"):
+        normalize(FakeInterferogram(phase, d1, d2))
+    # too few points is reported first, with its own message
+    with pytest.raises(FitInputError, match="at least 8 points"):
+        normalize(FakeInterferogram(phase[:12] / 10.0, np.zeros(12), np.zeros(12)))
+    exact = np.linspace(0.0, 2.0 * math.pi, 12)
+    assert normalize(FakeInterferogram(exact, np.full(12, 30.0), np.full(12, 20.0))).n_points == 12
+
+
 def test_normalized_fringe_validation():
     x = np.linspace(0, 7, 10)
     with pytest.raises(ValueError):
