@@ -63,7 +63,10 @@ class RunRecord:
     """Per-run fitted visibilities, one per detector and configuration.
 
     The slots are named for the headline campaign (NIM-only reference,
-    BOTH toggled); LC-only campaigns reuse them as off/on.  A slot is None
+    BOTH toggled); LC-only campaigns reuse them as off/on.  Per
+    configuration one detector is fitted and the other is its exact mirror
+    (fitting.fit_interferograms), so v_nim_d1 and v_nim_d2 carry one
+    measurement, not two, and so do the v_both slots.  A slot is None
     when its fit failed or did not converge, which marks the record
     partial; statistics use only detector pairs with both slots present.
     """

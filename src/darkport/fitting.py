@@ -4,7 +4,9 @@ The model is A sin^2(f x + p) + B fitted by weighted Levenberg-Marquardt
 (damped Gauss-Newton with Marquardt diagonal scaling).  Weights come from
 the binomial error of the normalized count ratio, and the covariance is
 rescaled by the reduced chi-square so the reported sigmas stay honest when
-the noise model is off.
+the noise model is off.  Of an interferogram's two detector fringes, which
+sum to 1 at every step, only one is fitted; the other's fit is its exact
+mirror (fit_interferograms).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -128,6 +130,20 @@ class FitResult:
 
 # a fit's result, or the error that stopped it
 FitOutcome = FitResult | FitInputError | InvalidFitError
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """A fitted row before the A + 2B > 0 check: renormalized (A, f, p, B)
+    and covariance, with the fields FitResult copies unchanged."""
+
+    params: np.ndarray
+    covariance: np.ndarray
+    converged: bool
+    iterations: int
+    residual_norm: float
+    n_points: int
+    n_excluded: int
 
 
 def normalize(ig, detector: int = 1) -> NormalizedFringe:
@@ -255,7 +271,7 @@ def _starting_points(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return best
 
 
-def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[FitResult | InvalidFitError]:
+def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[_Fit]:
     """Levenberg-Marquardt on fringes of equal length, one state per row.
 
     Every row keeps its own parameters, damping and chi-square; rows that
@@ -317,23 +333,13 @@ def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[FitResult | InvalidF
     hess, _ = _normal_equations(x, w, params, y - _model(x, params))
     # the covariance is rescaled by the reduced chi-square (n >= 8 points)
     cov = _covariances(hess) * (chi2 / (x.shape[-1] - 4))[:, None, None]
-    results = []
+    fits = []
     for i in range(rows):
         row_params, row_cov = _renormalize(params[i], cov[i])
-        a, f, p, b = (float(q) for q in row_params)
-        sigma_a = math.sqrt(max(row_cov[0, 0], 0.0))
-        try:
-            visibility = _visibility(a, b, row_cov)
-        except InvalidFitError as err:
-            results.append(err)
-            continue
-        results.append(FitResult(
-            amplitude=a, frequency=f, phase=p, offset=b, covariance=row_cov,
-            visibility=visibility, converged=bool(converged[i]),
-            iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
-            n_points=x.shape[-1], low_signal=a <= 2.0 * sigma_a,
-            n_excluded=fringes[i].n_excluded))
-    return results
+        fits.append(_Fit(params=row_params, covariance=row_cov, converged=bool(converged[i]),
+                         iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
+                         n_points=x.shape[-1], n_excluded=fringes[i].n_excluded))
+    return fits
 
 
 def _renormalize(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,6 +367,57 @@ def _renormalize(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.array([a, f, p, b]), cov
 
 
+# the linear map of (A, f, p, B) -> (A, f, p + pi/2, 1 - A - B)
+_MIRROR = np.array([[1.0, 0.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0, 0.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [-1.0, 0.0, 0.0, -1.0]])
+
+
+def _mirror(fit: _Fit) -> _Fit:
+    """The fit of the complementary fringe 1 - r, in closed form.
+
+    1 - A sin^2(f x + p) - B = A sin^2(f x + p + pi/2) + (1 - A - B) is an
+    exact reparameterization, so the covariance is transported with its
+    linear map; the residuals only change sign, so every other field stays.
+    """
+    a, f, p, b = fit.params
+    params = np.array([a, f, math.fmod(p + 0.5 * math.pi, math.pi), 1.0 - a - b])
+    return replace(fit, params=params, covariance=_MIRROR @ fit.covariance @ _MIRROR.T)
+
+
+def _outcome(fit: _Fit) -> FitResult | InvalidFitError:
+    """The FitResult of a fitted row, or its InvalidFitError (A + 2B <= 0)."""
+    a, f, p, b = (float(q) for q in fit.params)
+    try:
+        visibility = _visibility(a, b, fit.covariance)
+    except InvalidFitError as err:
+        return err
+    return FitResult(
+        amplitude=a, frequency=f, phase=p, offset=b, covariance=fit.covariance,
+        visibility=visibility, converged=fit.converged, iterations=fit.iterations,
+        residual_norm=fit.residual_norm, n_points=fit.n_points,
+        low_signal=a <= 2.0 * math.sqrt(max(fit.covariance[0, 0], 0.0)),
+        n_excluded=fit.n_excluded)
+
+
+def _fit_rows(fringes: Sequence[NormalizedFringe]) -> list[_Fit | FitInputError]:
+    """fit_sinusoids before the A + 2B > 0 check."""
+    results: list = [None] * len(fringes)
+    by_length: dict[int, list[int]] = {}
+    for i, fringe in enumerate(fringes):
+        if fringe.n_points < 8:
+            results[i] = FitInputError(f"need at least 8 points, got {fringe.n_points}")
+        else:
+            by_length.setdefault(fringe.n_points, []).append(i)
+    for rows in by_length.values():
+        for start in range(0, len(rows), FIT_BLOCK_ROWS):
+            block = rows[start:start + FIT_BLOCK_ROWS]
+            for i, fit in zip(block, _fit_block([fringes[i] for i in block])):
+                results[i] = fit
+    return results
+
+
 def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
     """Weighted Levenberg-Marquardt fits of many fringes, one result per fringe.
 
@@ -375,19 +432,8 @@ def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
     or InvalidFitError (A + 2B <= 0) of that fringe, returned rather than
     raised so one bad fringe does not cost the others their fits.
     """
-    results: list = [None] * len(fringes)
-    by_length: dict[int, list[int]] = {}
-    for i, fringe in enumerate(fringes):
-        if fringe.n_points < 8:
-            results[i] = FitInputError(f"need at least 8 points, got {fringe.n_points}")
-        else:
-            by_length.setdefault(fringe.n_points, []).append(i)
-    for rows in by_length.values():
-        for start in range(0, len(rows), FIT_BLOCK_ROWS):
-            block = rows[start:start + FIT_BLOCK_ROWS]
-            for i, result in zip(block, _fit_block([fringes[i] for i in block])):
-                results[i] = result
-    return results
+    return [fit if isinstance(fit, FitInputError) else _outcome(fit)
+            for fit in _fit_rows(fringes)]
 
 
 def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
@@ -398,28 +444,62 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
     return result
 
 
+def _fitted_detector(ig) -> int:
+    """The detector whose fringe fit_interferograms fits.
+
+    It is the one with more counts; on equal totals, the one with more
+    counts at the first phase-sorted step where the two differ; detector 1
+    when the columns are equal.  The rule swaps with the detectors and does
+    not depend on the order of the rows (the sums run in phase order).
+    """
+    order = np.argsort(np.asarray(ig.phase_rad, dtype=float), kind="stable")
+    d1 = np.asarray(ig.counts_d1, dtype=float)[order]
+    d2 = np.asarray(ig.counts_d2, dtype=float)[order]
+    c1, c2 = d1.sum(), d2.sum()
+    if c1 == c2:
+        differ = np.flatnonzero(d1 != d2)
+        if differ.size:
+            c1, c2 = d1[differ[0]], d2[differ[0]]
+    return 1 if c1 >= c2 else 2
+
+
 def fit_interferograms(
     interferograms: Iterable,
 ) -> Iterator[tuple[FitOutcome, FitOutcome]]:
-    """Fit detector 1 and detector 2 of each interferogram, yielding (d1, d2).
+    """Fit each interferogram once, yielding its (d1, d2) outcomes.
 
-    Each entry is as in fit_sinusoids; a fringe that normalize refuses
-    gets its FitInputError.  The input is consumed half a block of
-    interferograms at a time (one block of fringes), in order, so a
-    generator is never held in memory whole.
+    normalize divides by the per-step total d1 + d2, so one detector's
+    fringe is 1 minus the other's, with the same sigmas.  Only the fringe
+    of _fitted_detector is fitted; the other detector's result follows from
+    that fit by the exact map _mirror: A, f, the sigmas of A, f and p,
+    converged, iterations, residual_norm, n_points, n_excluded and
+    low_signal are the fitted detector's, p moves by pi/2 and B becomes
+    1 - A - B.  Each detector gets its own A + 2B > 0 check, so an
+    InvalidFitError on one side can come with a valid fit on the other.
+
+    The fitted entry is fit_sinusoid(normalize(ig, detector)) exactly; an
+    interferogram that normalize refuses gets its FitInputError on both
+    sides.  The input is consumed FIT_BLOCK_ROWS interferograms (one block
+    of fringes) at a time, in order, so a generator is never held in
+    memory whole.
     """
     interferograms = iter(interferograms)
-    while block := list(itertools.islice(interferograms, FIT_BLOCK_ROWS // 2)):
+    while block := list(itertools.islice(interferograms, FIT_BLOCK_ROWS)):
+        detectors = [_fitted_detector(ig) for ig in block]
         fringes = []
-        for ig in block:
-            for detector in (1, 2):
-                try:
-                    fringes.append(normalize(ig, detector=detector))
-                except FitInputError as err:
-                    fringes.append(err)
-        fits = iter(fit_sinusoids([f for f in fringes if isinstance(f, NormalizedFringe)]))
-        results = [f if isinstance(f, FitInputError) else next(fits) for f in fringes]
-        yield from zip(results[::2], results[1::2])
+        for ig, detector in zip(block, detectors):
+            try:
+                fringes.append(normalize(ig, detector=detector))
+            except FitInputError as err:
+                fringes.append(err)
+        fits = iter(_fit_rows([f for f in fringes if isinstance(f, NormalizedFringe)]))
+        for detector, fringe in zip(detectors, fringes):
+            fit = fringe if isinstance(fringe, FitInputError) else next(fits)
+            if isinstance(fit, FitInputError):
+                yield fit, fit
+                continue
+            fitted, mirrored = _outcome(fit), _outcome(_mirror(fit))
+            yield (fitted, mirrored) if detector == 1 else (mirrored, fitted)
 
 
 def _visibility(a: float, b: float, cov: np.ndarray) -> VisibilityValue:

@@ -144,7 +144,8 @@ def read_interferogram_csv(path, label: str = "") -> Interferogram:
     counts = data[:, 1:]
     if np.any(counts < 0):
         raise CsvFormatError(f"{path}: negative counts")
-    if np.all(counts == np.round(counts)):
+    # integer counts become int64 only up to 2**53, where every float is exact
+    if np.all(counts == np.round(counts)) and np.all(counts <= 2.0 ** 53):
         counts = counts.astype(np.int64)
     return Interferogram(phase_rad=data[:, 0], counts_d1=counts[:, 0],
                          counts_d2=counts[:, 1], label=label)

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from darkport import photonsim
+from darkport import fitting, photonsim
 from darkport.cli import load_config, main
+from darkport.reports import read_interferogram_csv, write_interferogram_csv
 
 SMALL_CAMPAIGN = {
     "campaign": {"n_runs": 10, "master_seed": 7},
@@ -465,6 +466,43 @@ def test_fit_bad_csv_after_a_full_block_writes_no_report(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("phase_rad,counts_d1,counts_d2\n1.0,2.0\n")
     out = tmp_path / "report"
-    # 20 readable files, more than one block of fits, then the bad one
-    assert main(["fit", *good * 10, str(bad), "--out", str(out)]) == 3
+    # 40 readable files, more than one block of fits, then the bad one
+    assert main(["fit", *good * 20, str(bad), "--out", str(out)]) == 3
     assert not (out / "fit_report.json").exists()
+
+
+def test_fit_reads_counts_beyond_int64(tmp_path, capsys):
+    # about 1e19 counts a step: an int64 cast would wrap them negative
+    assert main(["simulate", "--seed", "3", "--out", str(tmp_path)]) == 0
+    ig = read_interferogram_csv(tmp_path / "interferogram_nim.csv")
+    big = tmp_path / "big.csv"
+    write_interferogram_csv(big, photonsim.Interferogram(
+        ig.phase_rad, ig.counts_d1 * 1e16, ig.counts_d2 * 1e16))
+    capsys.readouterr()
+    assert main(["fit", str(tmp_path / "interferogram_nim.csv"), str(big)]) == 0
+    small, scaled = (entry["fits"] for entry in json.loads(capsys.readouterr().out)["files"])
+    assert read_interferogram_csv(big).counts_d1.max() >= 2.0 ** 63
+    # scaling every count by one factor leaves the weighted fit unchanged
+    for det in ("d1", "d2"):
+        assert scaled[det]["converged"] is True
+        assert abs(scaled[det]["visibility"]["value"] - small[det]["visibility"]["value"]) < 1e-6
+
+
+def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):
+    # default campaign and sweep: (1 + 7 epsilons) x 200 runs x 2 configurations
+    calls = {"normalize": 0, "rows": 0}
+    normalize, fit_block = fitting.normalize, fitting._fit_block
+
+    def counted_normalize(*args, **kwargs):
+        calls["normalize"] += 1
+        return normalize(*args, **kwargs)
+
+    def counted_fit_block(fringes):
+        calls["rows"] += len(fringes)
+        return fit_block(fringes)
+
+    monkeypatch.setattr(fitting, "normalize", counted_normalize)
+    monkeypatch.setattr(fitting, "_fit_block", counted_fit_block)
+    assert main(["campaign", "--out", str(tmp_path / "campaign")]) == 0
+    assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == {"normalize": 3200, "rows": 3200}

@@ -10,9 +10,13 @@ from darkport.fitting import (
     FitResult,
     InvalidFitError,
     NormalizedFringe,
+    _fit_rows,
+    _fitted_detector,
     _jacobian,
+    _mirror,
     _model,
     _solve_rows,
+    fit_interferograms,
     fit_sinusoid,
     fit_sinusoids,
     normalize,
@@ -21,6 +25,7 @@ from darkport.fitting import (
 )
 from darkport.interferometer import SagnacModel
 from darkport.photonsim import (
+    Interferogram,
     ScanConfig,
     simulate_campaign,
     simulate_interferogram,
@@ -422,3 +427,72 @@ def test_batched_fits_match_the_scalar_loop_on_campaign_fringes():
         assert fit.iterations == iterations
         assert fit.converged == converged
         assert abs(fit.visibility.value - value) <= 1e-12
+
+
+# ---------------------------------------------------------------- one fit per interferogram
+
+def test_mirror_is_the_complementary_fringe_in_closed_form():
+    ig = simulate_interferogram(ExperimentConfig().build_pair()[1], ScanConfig(), seed=(3, 1))
+    fringe = normalize(ig, detector=1)
+    fit = _fit_rows([fringe])[0]
+    mirrored = _mirror(fit)
+    a, f, p, b = fit.params
+    assert mirrored.params.tolist() == [a, f, math.fmod(p + 0.5 * math.pi, math.pi), 1.0 - a - b]
+    t = np.eye(4)
+    t[3] = [-1.0, 0.0, 0.0, -1.0]
+    assert np.array_equal(mirrored.covariance, t @ fit.covariance @ t.T)
+    for name in ("converged", "iterations", "residual_norm", "n_points", "n_excluded"):
+        assert getattr(mirrored, name) == getattr(fit, name)
+    assert np.allclose(_model(fringe.phase, mirrored.params), 1.0 - _model(fringe.phase, fit.params),
+                       rtol=0.0, atol=1e-15)
+    twice = _mirror(mirrored)
+    assert np.allclose(twice.params, fit.params, rtol=1e-15, atol=1e-15)
+    assert np.allclose(twice.covariance, fit.covariance, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("counts", [20000.0, 200.0])
+def test_mirrored_fit_matches_an_independent_fit_of_the_other_detector(counts):
+    # both fits stop once a step gains less than 1e-10 of chi^2, so they
+    # agree to a small fraction of a sigma rather than to the last bit
+    pair = ExperimentConfig().build_pair()
+    scan = ScanConfig(mean_counts_per_step=counts)
+    igs = [simulate_interferogram(pair[k % 2], scan, seed=(17, k)) for k in range(100)]
+    others = [3 - _fitted_detector(ig) for ig in igs]
+    assert 20 < others.count(1) < 80  # both detectors get mirrored
+    compared = 0
+    for ig, other, fits in zip(igs, others, fit_interferograms(igs)):
+        got, want = fits[other - 1], fit_sinusoids([normalize(ig, detector=other)])[0]
+        assert type(got) is type(want)
+        if not (isinstance(got, FitResult) and got.converged and want.converged):
+            continue
+        compared += 1
+        assert abs(got.visibility.value - want.visibility.value) <= 1e-4 * want.visibility.sigma
+        assert abs(got.visibility.sigma - want.visibility.sigma) <= 1e-2 * want.visibility.sigma
+        assert abs(got.amplitude - want.amplitude) <= 1e-3 * want.sigma_amplitude
+        assert abs(got.frequency - want.frequency) <= 1e-3 * want.sigma_frequency
+        dp = (got.phase - want.phase + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+        assert abs(dp) <= 1e-3 * want.sigma_phase
+        assert abs(got.offset - want.offset) <= 1e-3 * want.sigma_offset
+    assert compared >= 90
+
+
+def test_invalid_fitted_detector_can_have_a_valid_mirror():
+    # detector 1 reads 1 at x = pi (mod 2 pi) with a million counts a step
+    # and 0 at x = 2 pi/3 and 4 pi/3 (mod 2 pi) with one count: 4 sin^2(x/2) - 3
+    # fits it exactly, with A + 2B = -2.  Detector 2 is 4 sin^2(x/2 + pi/2), V = 1.
+    turns = 2.0 * math.pi * np.arange(4)
+    phase = np.sort(np.concatenate([turns + math.pi, turns + 2.0 * math.pi / 3.0,
+                                    turns + 4.0 * math.pi / 3.0]))
+    bright = np.isclose(np.cos(phase), -1.0)
+    ig = Interferogram(phase, np.where(bright, 10 ** 6, 0), np.where(bright, 0, 1))
+    assert _fitted_detector(ig) == 1
+    with pytest.raises(InvalidFitError):
+        fit_sinusoid(normalize(ig, detector=1))
+    [(d1, d2)] = fit_interferograms([ig])
+    assert isinstance(d1, InvalidFitError)
+    assert isinstance(d2, FitResult) and d2.converged
+    assert d2.amplitude == pytest.approx(4.0, rel=1e-9)
+    assert abs(d2.offset) < 1e-9
+    assert d2.visibility.value == 1.0
+    assert fit_sinusoid(normalize(ig, detector=2)).visibility.value == 1.0
+

@@ -2,10 +2,13 @@
 
 The fit front end must not care how its input is split, which detector is
 called which, or in what order the rows of a scan arrive; the closed-form
-loop model must agree with the brute-force propagation oracle.
+loop model must agree with the brute-force propagation oracle; quaternion
+algebra and the interferogram CSV format must hold for any input.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import Phase, given, settings
@@ -16,13 +19,17 @@ from darkport.fitting import (
     FitInputError,
     FitResult,
     InvalidFitError,
+    _fit_rows,
+    _mirror,
+    _outcome,
     fit_interferograms,
     fit_sinusoid,
     normalize,
 )
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
 from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram
-from darkport.quaternion import PhaseVector, Quaternion
+from darkport.quaternion import PhaseVector, Quaternion, mul, norm, qexp
+from darkport.reports import read_interferogram_csv, write_interferogram_csv
 
 # shrinking is off: a failing example is reported as drawn, in seconds
 # rather than minutes of refitting
@@ -30,17 +37,28 @@ PROPERTY = settings(derandomize=True, max_examples=10, deadline=None, database=N
                     phases=[Phase.generate])
 
 
+def _equal_totals():
+    """Detector 2 counts detector 1's fringe a quarter scan later: equal
+    totals, so the first phase-sorted step where they differ decides."""
+    ig = simulate_interferogram(ExperimentConfig().build_pair()[1],
+                                ScanConfig(mean_counts_per_step=200.0), seed=(90, 99))
+    return Interferogram(ig.phase_rad, ig.counts_d1, np.roll(ig.counts_d1, 25))
+
+
 def _pool():
-    """Bright, low-count (some capped or A + 2B < 0) and shorter scans, both
-    configurations, and one all-zero scan that normalize refuses."""
+    """Bright, low-count (some capped) and shorter scans, both
+    configurations, a scan with equal detector totals, and one all-zero
+    scan that normalize refuses."""
     pair = ExperimentConfig().build_pair()
     igs = []
     for k, counts in enumerate((20000.0, 200.0, 5.0, 50.0) * 4):
         scan = ScanConfig(n_steps=60 if k % 7 == 3 else 100, mean_counts_per_step=counts)
         igs.append(simulate_interferogram(pair[k % 2], scan, seed=(90, k)))
-    # detector 1 runs to the iteration cap, detector 2 fits A + 2B < 0
+    # detector 2, the fitted one, runs to the iteration cap and fits
+    # A + 2B < 0; its mirror on detector 1 is a valid fit
     igs.append(simulate_interferogram(pair[0], ScanConfig(mean_counts_per_step=5.0),
                                       seed=(5, 30)))
+    igs.append(_equal_totals())
     phase = ScanConfig().phases()
     igs.append(Interferogram(phase, np.zeros(phase.size), np.zeros(phase.size)))
     return igs
@@ -50,14 +68,34 @@ POOL = _pool()
 ZERO = len(POOL) - 1
 
 
-def _fit_one(ig, detector):
+def _chosen(ig):
+    """The fitted detector: more counts, else more counts at the first
+    phase-sorted step where the columns differ, else detector 1."""
+    order = np.argsort(ig.phase_rad, kind="stable")
+    d1, d2 = ig.counts_d1[order], ig.counts_d2[order]
+    if d1.sum() != d2.sum():
+        return 1 if d1.sum() > d2.sum() else 2
+    differ = np.flatnonzero(d1 != d2)
+    return 1 if differ.size == 0 or d1[differ[0]] > d2[differ[0]] else 2
+
+
+def _reference(ig):
+    """The chosen detector's fit_sinusoid(normalize(ig, chosen)), and the
+    other detector's outcome from the mirror map of that fit."""
+    chosen = _chosen(ig)
     try:
-        return fit_sinusoid(normalize(ig, detector=detector))
-    except (FitInputError, InvalidFitError) as err:
-        return err
+        fringe = normalize(ig, detector=chosen)
+    except FitInputError as err:
+        return err, err
+    try:
+        fitted = fit_sinusoid(fringe)
+    except InvalidFitError as err:
+        fitted = err
+    pair = (fitted, _outcome(_mirror(_fit_rows([fringe])[0])))
+    return pair if chosen == 1 else pair[::-1]
 
 
-REFERENCE = [(_fit_one(ig, 1), _fit_one(ig, 2)) for ig in POOL]
+REFERENCE = [_reference(ig) for ig in POOL]
 
 
 def _same_fit(a, b):
@@ -76,6 +114,11 @@ def test_pool_covers_every_outcome():
     outcomes = {type(fit) for pair in REFERENCE for fit in pair}
     assert outcomes == {FitResult, FitInputError, InvalidFitError}
     assert isinstance(REFERENCE[ZERO][0], FitInputError)
+    assert {frozenset(map(type, pair)) for pair in REFERENCE} >= {
+        frozenset((FitResult, InvalidFitError))}
+    tie = POOL[ZERO - 1]
+    assert tie.counts_d1.sum() == tie.counts_d2.sum()
+    assert not np.array_equal(tie.counts_d1, tie.counts_d2)
     assert any(isinstance(fit, FitResult) and not fit.converged
                for pair in REFERENCE for fit in pair)
     excluded = [(fit.n_excluded, normalize(ig, detector=d).n_excluded)
@@ -118,6 +161,16 @@ def test_row_order_does_not_change_the_fits(data):
     assert _same_pairs(list(fit_interferograms([shuffled])), [REFERENCE[k]])
 
 
+def test_equal_totals_fit_the_detector_ahead_at_the_first_differing_step():
+    ig = POOL[ZERO - 1]
+    first = np.flatnonzero(ig.counts_d1 != ig.counts_d2)[0]
+    chosen = 1 if ig.counts_d1[first] > ig.counts_d2[first] else 2
+    [pair] = fit_interferograms([ig])
+    assert _same_fit(pair[chosen - 1], fit_sinusoid(normalize(ig, detector=chosen)))
+    [swapped] = fit_interferograms([Interferogram(ig.phase_rad, ig.counts_d2, ig.counts_d1)])
+    assert _same_pairs([swapped[::-1]], [pair])
+
+
 _ANGLE = st.floats(-math.pi, math.pi)
 
 
@@ -143,3 +196,48 @@ def test_closed_form_matches_the_propagation_oracle(model):
     full = propagate_state(model)
     assert abs(closed.p_dark - full.p_dark) <= 1e-12
     assert abs(closed.p_bright - full.p_bright) <= 1e-12
+
+
+_COMPONENT = st.floats(-2.0, 2.0)
+_QUATERNIONS = st.builds(Quaternion, _COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(a=_QUATERNIONS, b=_QUATERNIONS, c=_QUATERNIONS)
+def test_quaternion_product_is_associative_and_norm_multiplicative(a, b, c):
+    left, right = mul(mul(a, b), c), mul(a, mul(b, c))
+    assert norm(left - right) <= 1e-12 * max(1.0, norm(left))
+    assert math.isclose(norm(mul(a, b)), norm(a) * norm(b), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(v=st.builds(PhaseVector, *(st.floats(-20.0, 20.0),) * 3))
+def test_qexp_is_a_unit_quaternion(v):
+    assert abs(norm(qexp(v)) - 1.0) <= 1e-12
+
+
+def _counts(draw, n, integer):
+    if integer:
+        values = draw(st.lists(st.integers(0, 10 ** 19), min_size=n, max_size=n))
+        # int64 as the simulator draws them, floats past 2**53 (exact integers)
+        return np.array(values, dtype=np.int64 if max(values) <= 2 ** 53 else float)
+    return np.array(draw(st.lists(st.floats(0.0, 1e20), min_size=n, max_size=n)))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(data=st.data())
+def test_interferogram_csv_round_trip_is_exact(data):
+    n = data.draw(st.integers(1, 30))
+    integer = data.draw(st.booleans())
+    phase = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    ig = Interferogram(phase, _counts(data.draw, n, integer), _counts(data.draw, n, integer))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ig.csv")
+        write_interferogram_csv(path, ig)
+        back = read_interferogram_csv(path)
+    assert back.phase_rad.tobytes() == ig.phase_rad.tobytes()
+    counts = np.concatenate([ig.counts_d1, ig.counts_d2]).astype(float)
+    exact_int = np.all(counts == np.round(counts)) and counts.max() <= 2.0 ** 53
+    for got, want in ((back.counts_d1, ig.counts_d1), (back.counts_d2, ig.counts_d2)):
+        assert got.dtype == (np.int64 if exact_int else float)
+        assert got.astype(want.dtype).tobytes() == want.tobytes()
