@@ -1,8 +1,10 @@
 """Fringe normalization and sinusoid fitting.
 
-The model is A sin^2(f x + p) + B fitted by weighted Levenberg-Marquardt
-(damped Gauss-Newton with Marquardt diagonal scaling).  Weights come from
-the binomial error of the normalized count ratio, and the covariance is
+The model is A sin^2(f x + p) + B = c0 + c1 cos 2fx + c2 sin 2fx, fitted
+by weighted variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+413, 1973): the three linear coefficients are solved exactly at each trial
+f, and f alone is searched by Gauss-Newton steps.  Weights come from the
+binomial error of the normalized count ratio, and the covariance is
 rescaled by the reduced chi-square so the reported sigmas stay honest when
 the noise model is off.  Of an interferogram's two detector fringes, which
 sum to 1 at every step, only one is fitted; the other's fit is its exact
@@ -36,13 +38,11 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
-DAMPING_INIT = 1e-3
-DAMPING_STEP = 10.0
-DAMPING_MAX = 1e12
 # Rows fitted together.  A block's work arrays are a few tens of kB at 32
-# rows of 100 points.  Larger blocks spend less time per fit on hard,
-# low-count fringes but raise the peak memory of a campaign or sweep by
-# megabytes at several hundred rows.
+# rows of 100 points.  A block iterates until its slowest row stops, so
+# larger blocks spend less time per fit on hard, low-count fringes, but
+# they raise the peak memory of a campaign or sweep by megabytes at
+# several hundred rows.
 FIT_BLOCK_ROWS = 32
 
 
@@ -85,12 +85,17 @@ class NormalizedFringe:
         return self.phase.shape[0]
 
 
+def _sigma(k: int) -> property:
+    """The square root of the k-th diagonal covariance entry, clamped at zero."""
+    return property(lambda self: math.sqrt(max(self.covariance[k, k], 0.0)))
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Fitted A sin^2(f x + p) + B with covariance in (A, f, p, B) order.
 
-    A >= 0, f >= 0, and p in [0, pi) by convention (the sign and phase
-    degeneracies of sin^2 are folded away); low_signal marks amplitudes
+    A >= 0, f >= 0, and p in [0, pi) by convention (sin^2 is even and
+    pi-periodic, so each fit has one such form); low_signal marks amplitudes
     within 2 sigma of zero.  n_excluded is copied from the fitted fringe.
     """
 
@@ -107,21 +112,7 @@ class FitResult:
     low_signal: bool
     n_excluded: int
 
-    @property
-    def sigma_amplitude(self) -> float:
-        return math.sqrt(max(self.covariance[0, 0], 0.0))
-
-    @property
-    def sigma_frequency(self) -> float:
-        return math.sqrt(max(self.covariance[1, 1], 0.0))
-
-    @property
-    def sigma_phase(self) -> float:
-        return math.sqrt(max(self.covariance[2, 2], 0.0))
-
-    @property
-    def sigma_offset(self) -> float:
-        return math.sqrt(max(self.covariance[3, 3], 0.0))
+    sigma_amplitude, sigma_frequency, sigma_phase, sigma_offset = map(_sigma, range(4))
 
     def model(self, x: np.ndarray) -> np.ndarray:
         s = np.sin(self.frequency * np.asarray(x, dtype=float) + self.phase)
@@ -134,8 +125,9 @@ FitOutcome = FitResult | FitInputError | InvalidFitError
 
 @dataclass(frozen=True)
 class _Fit:
-    """A fitted row before the A + 2B > 0 check: renormalized (A, f, p, B)
-    and covariance, with the fields FitResult copies unchanged."""
+    """A fitted row before the A + 2B > 0 check: (A, f, p, B) with A, f >= 0
+    and p in [0, pi), and covariance, with the fields FitResult copies
+    unchanged."""
 
     params: np.ndarray
     covariance: np.ndarray
@@ -199,17 +191,6 @@ def _jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     return np.stack([s * s, a * x * s2, a * s2, np.ones_like(s)], axis=-1)
 
 
-def _weighted_sq(w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.sum(w * r * r, axis=-1)
-
-
-def _normal_equations(x, w, params, resid):
-    """Gauss-Newton Hessian J^T W J, shape (rows, 4, 4), and gradient J^T W r."""
-    jac = _jacobian(x, params)
-    jw_t = (jac * w[..., None]).swapaxes(-1, -2)
-    return jw_t @ jac, (jw_t @ resid[..., None])[..., 0]
-
-
 def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched solve of lhs @ step = rhs; returns (step, solved mask).
 
@@ -232,139 +213,112 @@ def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return step, solved
 
 
-def _covariances(hess: np.ndarray) -> np.ndarray:
-    """Row-wise inverse, with the pseudo-inverse for singular rows."""
-    try:
-        return np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        out = np.empty_like(hess)
-        for i in range(len(hess)):
-            try:
-                out[i] = np.linalg.inv(hess[i:i + 1])[0]
-            except np.linalg.LinAlgError:
-                out[i] = np.linalg.pinv(hess[i])
-        return out
+def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray):
+    """The model c0 + c1 cos 2fx + c2 sin 2fx at a fixed f per row.
+
+    Returns the weighted least-squares (c0, c1, c2) per row, their weighted
+    squared residual, and the Gauss-Newton step on f from there: the f part
+    of the 4x4 Gauss-Newton step, whose normal matrix reduces to the Schur
+    complement of its linear block, the f derivative with the three columns
+    projected out.  The columns are centred to zero weighted mean, which
+    separates c0 and leaves 2x2 solves.  Collinear columns leave c1 = c2 = 0,
+    a valid but worse fit, and a zero step.
+    """
+    wsum = np.sum(w, axis=-1, keepdims=True)
+
+    def centred(v):
+        return v - np.sum(w * v, axis=-1, keepdims=True) / wsum
+
+    def residual(v):
+        """v less its weighted least squares on the centred columns, and the fit."""
+        coef, _ = _solve_rows(gram, (weighted @ v[..., None])[..., 0])
+        return v - (coef[:, None] @ cols)[:, 0], coef[:, :1], coef[:, 1:]
+
+    arg = 2.0 * f[:, None] * x
+    cos, sin = np.cos(arg), np.sin(arg)
+    cols = np.stack([centred(cos), centred(sin)], axis=1)
+    weighted = w[:, None] * cols
+    gram = weighted @ cols.swapaxes(1, 2)
+    resid, c1, c2 = residual(centred(y))
+    deriv = residual(centred(2.0 * x * (c2 * cos - c1 * sin)))[0]
+    curvature = np.sum(w * deriv * deriv, axis=-1)
+    step = np.divide(np.sum(w * deriv * resid, axis=-1), curvature,
+                     out=np.zeros_like(curvature), where=curvature > 0.0)
+    c0 = np.sum(w * (y - c1 * cos - c2 * sin), axis=-1, keepdims=True) / wsum
+    return np.concatenate([c0, c1, c2], axis=-1), np.sum(w * resid * resid, axis=-1), step
 
 
-def _starting_points(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Starting (A, f, p, B) per row: B = min, A = max - min, f from the
-    spectrum, and the best of a 16-point phase grid over [0, pi)."""
-    b0 = np.min(y, axis=-1)
-    a0 = np.max(y, axis=-1) - b0
-    # dominant nonzero spectral peak of the detrended ratio; the fringe
-    # oscillates at 2f, so bin k of an n-point grid maps to f = pi k / (n dx)
-    n = x.shape[-1]
-    dx = (x[:, -1] - x[:, 0]) / (n - 1)
-    spectrum = np.abs(np.fft.rfft(y - np.mean(y, axis=-1, keepdims=True), axis=-1))
-    k = np.argmax(spectrum[:, 1:], axis=-1) + 1
-    f0 = math.pi * k / (n * dx)
-    params = np.stack([a0, f0, np.zeros_like(a0), b0], axis=-1)
-    best = params.copy()
-    best_chi2 = _weighted_sq(w, y - _model(x, best))
-    # a later phase replaces the first only when strictly better
-    for p0 in np.linspace(0.0, math.pi, 16, endpoint=False)[1:]:
-        params[:, 2] = p0
-        chi2 = _weighted_sq(w, y - _model(x, params))
-        better = chi2 < best_chi2
-        best[better] = params[better]
-        best_chi2[better] = chi2[better]
-    return best
+def _amplitude_form(f: float, c0: float, c1: float, c2: float) -> tuple[float, ...]:
+    """(A, f, p, B) of c0 + c1 cos 2fx + c2 sin 2fx, with f >= 0 and p in [0, pi).
+
+    A sin^2(f x + p) + B = B + A/2 - (A/2) cos 2p cos 2fx + (A/2) sin 2p sin 2fx.
+    """
+    if f < 0.0:  # sin^2 is even under (f, p) -> (-f, -p)
+        f, c2 = -f, -c2
+    a = 2.0 * math.hypot(c1, c2)
+    p = 0.5 * math.atan2(c2, -c1)
+    return a, f, p + math.pi if p < 0.0 else p, c0 - 0.5 * a
 
 
 def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[_Fit]:
-    """Levenberg-Marquardt on fringes of equal length, one state per row.
+    """Variable projection on fringes of equal length, one state per row.
 
-    Every row keeps its own parameters, damping and chi-square; rows that
-    converge or give up leave the active set, and the rest iterate on.
-    The arithmetic of each row is independent of the other rows.
+    f is the only nonlinear parameter: each trial f gets its exact linear
+    fit, and f moves by Gauss-Newton steps.  Rows that stop leave the
+    active set, and the rest iterate on.  The arithmetic of each row is
+    independent of the other rows.
     """
-    x = np.stack([fr.phase for fr in fringes])
-    y = np.stack([fr.ratio for fr in fringes])
-    sigma = np.stack([fr.sigma for fr in fringes])
+    x, y, sigma = (np.stack([getattr(fr, name) for fr in fringes])
+                   for name in ("phase", "ratio", "sigma"))
     w = 1.0 / (sigma * sigma)
-    rows = len(fringes)
+    rows, n = x.shape
 
-    params = _starting_points(x, y, w)
-    resid = y - _model(x, params)
-    chi2 = _weighted_sq(w, resid)
+    # the fringe oscillates at 2f, so bin k of the n-point spectrum maps to
+    # f = pi k / (n dx).  The band the scan resolves runs from bin 1 up to
+    # half a bin below the Nyquist frequency, excluded; the search starts
+    # at the strongest bin below the Nyquist bin.
+    dx = (x[:, -1] - x[:, 0]) / (n - 1)
+    lowest = math.pi / (n * dx)
+    highest = lowest * (0.5 * (n - 1))
+    spectrum = np.abs(np.fft.rfft(y - np.mean(y, axis=-1, keepdims=True), axis=-1))
+    f = lowest * (np.argmax(spectrum[:, 1:(n + 1) // 2], axis=-1) + 1)
+    coef, chi2, step = _project(x, w, y, f)
     converged = np.zeros(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=np.int64)
-    # state of the active rows; idx maps them back to block rows.  ra is
-    # the residual at pa, carried over from the step that set pa.
-    idx = np.arange(rows)
-    xa, ya, wa, pa, ra, ca = x, y, w, params, resid, chi2
-    damping = np.full(rows, DAMPING_INIT)
-    diag = np.arange(4)
+    # a step is at most one bin, as the chi-square has a local minimum about
+    # every bin, and is halved at each rejected trial
+    scale = np.ones(rows)
+    active = np.arange(rows)
     for _ in range(MAX_ITERATIONS):
-        iterations[idx] += 1
-        hess, grad = _normal_equations(xa, wa, pa, ra)
-        # Marquardt scaling; zero-curvature directions (flat data makes the
-        # f and p columns vanish at A = 0) get unit damping so the solve
-        # stays regular and those components simply do not move
-        scale = hess[:, diag, diag]
-        scale[scale <= 0.0] = 1.0
-        lhs = hess.copy()
-        lhs[:, diag, diag] += damping[:, None] * scale
-        step, solved = _solve_rows(lhs, grad)
-        trial = pa + step
-        resid_trial = ya - _model(xa, trial)
-        chi2_trial = _weighted_sq(wa, resid_trial)
-        accept = solved & (chi2_trial <= ca)
-        reduction = ca - chi2_trial
-        pa = np.where(accept[:, None], trial, pa)
-        ra = np.where(accept[:, None], resid_trial, ra)
-        ca = np.where(accept, chi2_trial, ca)
-        damping = np.where(accept, np.maximum(damping / DAMPING_STEP, 1e-15),
-                           damping * DAMPING_STEP)
-        done_ok = accept & (reduction <= RELATIVE_TOL * np.maximum(ca, 1e-300))
-        done = done_ok | (~accept & (damping > DAMPING_MAX))
-        if done.any():
-            converged[idx[done_ok]] = True
-            params[idx[done]] = pa[done]
-            chi2[idx[done]] = ca[done]
-            keep = ~done
-            idx, xa, ya, wa, pa, ra, ca, damping = (
-                v[keep] for v in (idx, xa, ya, wa, pa, ra, ca, damping))
-            if idx.size == 0:
-                break
-    params[idx] = pa
-    chi2[idx] = ca
+        iterations[active] += 1
+        width = lowest[active]
+        trial = f[active] + scale[active] * np.clip(step[active], -width, width)
+        coef_trial, chi2_trial, step_trial = _project(x[active], w[active], y[active], trial)
+        accept = chi2_trial <= chi2[active]
+        reduction = chi2[active] - chi2_trial
+        moved = active[accept]
+        f[moved], coef[moved] = trial[accept], coef_trial[accept]
+        chi2[moved], step[moved] = chi2_trial[accept], step_trial[accept]
+        scale[active] = np.where(accept, 1.0, 0.5 * scale[active])
+        done = accept & (reduction <= RELATIVE_TOL * np.maximum(chi2[active], 1e-300))
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
 
-    hess, _ = _normal_equations(x, w, params, y - _model(x, params))
-    # the covariance is rescaled by the reduced chi-square (n >= 8 points)
-    cov = _covariances(hess) * (chi2 / (x.shape[-1] - 4))[:, None, None]
-    fits = []
-    for i in range(rows):
-        row_params, row_cov = _renormalize(params[i], cov[i])
-        fits.append(_Fit(params=row_params, covariance=row_cov, converged=bool(converged[i]),
-                         iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
-                         n_points=x.shape[-1], n_excluded=fringes[i].n_excluded))
-    return fits
-
-
-def _renormalize(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the sign and phase degeneracies of A sin^2(f x + p) + B away.
-
-    Each rewrite is an exact reparameterization, so the covariance is
-    transported with the corresponding linear map.
-    """
-    a, f, p, b = params
-    if a < 0.0:
-        # -|A| sin^2(t) + B = |A| sin^2(t + pi/2) + (B - |A|)
-        t = np.array([[-1.0, 0.0, 0.0, 0.0],
-                      [0.0, 1.0, 0.0, 0.0],
-                      [0.0, 0.0, 1.0, 0.0],
-                      [1.0, 0.0, 0.0, 1.0]])
-        a, p, b = -a, p + 0.5 * math.pi, b + params[0]
-        cov = t @ cov @ t.T
-    if f < 0.0:
-        t = np.diag([1.0, -1.0, -1.0, 1.0])
-        f, p = -f, -p
-        cov = t @ cov @ t.T
-    p = math.fmod(p, math.pi)
-    if p < 0.0:
-        p += math.pi
-    return np.array([a, f, p, b]), cov
+    params = np.array([_amplitude_form(f[i], *coef[i]) for i in range(rows)])
+    # a fit outside the band, or one that the band's upper edge beats (the
+    # data alternate near the Nyquist frequency), is not a resolved fringe
+    converged &= ((params[:, 1] >= lowest) & (params[:, 1] < highest)
+                  & (chi2 <= _project(x, w, y, highest)[1]))
+    jac = _jacobian(x, params)
+    hess = (jac * w[..., None]).swapaxes(-1, -2) @ jac
+    # the covariance is the (pseudo-)inverse of J^T W J at the optimum,
+    # rescaled by the reduced chi-square (n >= 8 points)
+    cov = np.linalg.pinv(hess) * (chi2 / (n - 4))[:, None, None]
+    return [_Fit(params=params[i], covariance=cov[i], converged=bool(converged[i]),
+                 iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
+                 n_points=n, n_excluded=fringes[i].n_excluded) for i in range(rows)]
 
 
 # the linear map of (A, f, p, B) -> (A, f, p + pi/2, 1 - A - B)
@@ -419,14 +373,17 @@ def _fit_rows(fringes: Sequence[NormalizedFringe]) -> list[_Fit | FitInputError]
 
 
 def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
-    """Weighted Levenberg-Marquardt fits of many fringes, one result per fringe.
+    """Weighted variable-projection fits of many fringes, one result per fringe.
 
-    Each fit starts from B = min, A = max - min, f from the discrete
-    spectrum, and the best of a phase grid over [0, pi); it stops when an
-    accepted step reduces the weighted squared residual by less than 1e-10
-    relative, or after 200 iterations (then converged=False).  Fringes are
-    grouped by length and fitted FIT_BLOCK_ROWS at a time; a fringe's
-    result does not depend on which others share its block.
+    Each fit searches f from the strongest bin of the discrete spectrum
+    below the Nyquist bin; every trial f (an iteration) gets its exact
+    linear fit.  It stops when an accepted step reduces the weighted squared
+    residual by less than 1e-10 relative.  converged is False after 200
+    iterations, for an f outside the band the scan resolves (FFT bin 1 up
+    to half a bin below the Nyquist frequency), or when the fit at that
+    upper edge has a smaller chi-square.  Fringes are grouped by length and
+    fitted FIT_BLOCK_ROWS at a time; a fringe's result does not depend on
+    which others share its block.
 
     Each entry is a FitResult, or the FitInputError (fewer than 8 points)
     or InvalidFitError (A + 2B <= 0) of that fringe, returned rather than

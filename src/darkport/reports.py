@@ -53,6 +53,8 @@ def _json_fragment(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
+        if x == 0.0 and math.copysign(1.0, x) < 0.0:
+            return "-0.0"  # "-0" would read back as the integer 0, which has no sign
         return format_float(x) if math.isfinite(x) else f'"{format_float(x)}"'
     if isinstance(obj, str):
         out = ['"']

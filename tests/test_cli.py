@@ -342,6 +342,20 @@ def test_fit_flat_data_is_low_signal_not_failure(tmp_path, capsys):
     assert fit["low_signal"] is True
 
 
+def test_fit_of_a_drift_shorter_than_a_fringe_is_not_converged(tmp_path, capsys):
+    # the ratio drifts through a fifth of a fringe over the scan, a
+    # frequency below the lowest one the scan resolves
+    phase = [4.0 * math.pi * k / 99 for k in range(100)]
+    d1 = [round(1000 * (0.3 * math.sin(0.055 * x + 0.4) ** 2 + 0.2)) for x in phase]
+    rows = "\n".join(f"{x!r},{c},{1000 - c}" for x, c in zip(phase, d1))
+    path = tmp_path / "drift.csv"
+    path.write_text("phase_rad,counts_d1,counts_d2\n" + rows + "\n")
+    assert main(["fit", str(path)]) == 4
+    fits = json.loads(capsys.readouterr().out)["files"][0]["fits"]
+    for key in ("d1", "d2"):
+        assert fits[key]["converged"] is False
+
+
 def test_custom_elements_and_configurations(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "apparatus": {

@@ -3,15 +3,17 @@
 The fit front end must not care how its input is split, which detector is
 called which, or in what order the rows of a scan arrive; the closed-form
 loop model must agree with the brute-force propagation oracle; quaternion
-algebra and the interferogram CSV format must hold for any input.
+algebra, the interferogram CSV format and the JSON reports must hold for
+any input.
 """
 
+import json
 import math
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from darkport.config import ExperimentConfig
@@ -29,7 +31,12 @@ from darkport.fitting import (
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
 from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram
 from darkport.quaternion import PhaseVector, Quaternion, mul, norm, qexp
-from darkport.reports import read_interferogram_csv, write_interferogram_csv
+from darkport.reports import (
+    dumps_json,
+    format_float,
+    read_interferogram_csv,
+    write_interferogram_csv,
+)
 
 # shrinking is off: a failing example is reported as drawn, in seconds
 # rather than minutes of refitting
@@ -46,7 +53,7 @@ def _equal_totals():
 
 
 def _pool():
-    """Bright, low-count (some capped) and shorter scans, both
+    """Bright, low-count (some not converged) and shorter scans, both
     configurations, a scan with equal detector totals, and one all-zero
     scan that normalize refuses."""
     pair = ExperimentConfig().build_pair()
@@ -54,8 +61,8 @@ def _pool():
     for k, counts in enumerate((20000.0, 200.0, 5.0, 50.0) * 4):
         scan = ScanConfig(n_steps=60 if k % 7 == 3 else 100, mean_counts_per_step=counts)
         igs.append(simulate_interferogram(pair[k % 2], scan, seed=(90, k)))
-    # detector 2, the fitted one, runs to the iteration cap and fits
-    # A + 2B < 0; its mirror on detector 1 is a valid fit
+    # detector 2, the fitted one, is not converged (its f drifts below the
+    # band) and fits A + 2B < 0; its mirror on detector 1 is a valid fit
     igs.append(simulate_interferogram(pair[0], ScanConfig(mean_counts_per_step=5.0),
                                       seed=(5, 30)))
     igs.append(_equal_totals())
@@ -241,3 +248,36 @@ def test_interferogram_csv_round_trip_is_exact(data):
     for got, want in ((back.counts_d1, ig.counts_d1), (back.counts_d2, ig.counts_d2)):
         assert got.dtype == (np.int64 if exact_int else float)
         assert got.astype(want.dtype).tobytes() == want.tobytes()
+
+
+_REPORTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+def _same_report(got, want):
+    """got is the JSON reading of want: finite floats come back with the
+    same bits, non-finite floats as their strings."""
+    if isinstance(want, float):
+        if not math.isfinite(want):
+            return got == format_float(want)
+        return isinstance(got, (int, float)) and not isinstance(got, bool) and \
+            float(got).hex() == want.hex()
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(
+            _same_report(g, w) for g, w in zip(got, want))
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same_report(got[k], want[k]) for k in want)
+    return type(got) is type(want) and got == want
+
+
+@settings(PROPERTY, max_examples=200, phases=[Phase.explicit, Phase.generate])
+@given(report=_REPORTS)
+@example(report={"zero": -0.0, "values": [1.0, 1e16, 1e17, 5e-324, math.inf, math.nan]})
+def test_json_report_round_trip_is_exact(report):
+    text = dumps_json(report)
+    back = json.loads(text)
+    assert _same_report(back, report)
+    assert dumps_json(back) == text
