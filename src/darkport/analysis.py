@@ -8,6 +8,7 @@ further than 5 standard errors from 1 raises the non-commutativity flag.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import photonsim
 from .config import ConfigError, ExperimentConfig
-from .fitting import FitResult, fit_interferograms
+from .fitting import FIT_BLOCK_ROWS, FitOutcome, FitResult, fit_counts, fit_interferograms
 from .interferometer import (
     NonPhysicalVisibilityError,
     SagnacModel,
@@ -156,6 +157,11 @@ def _visibility_or_none(fit) -> VisibilityValue | None:
     return None
 
 
+def _record(run_index: int, reference: tuple[FitOutcome, FitOutcome],
+            toggled: tuple[FitOutcome, FitOutcome]) -> RunRecord:
+    return RunRecord(run_index, *map(_visibility_or_none, reference + toggled))
+
+
 def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
     """Fit every interferogram of every run; failures leave None slots.
 
@@ -172,21 +178,31 @@ def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
 
     fits = fit_interferograms(interferograms())
     # consecutive (d1, d2) pairs are one run's reference and toggled fits
-    return [RunRecord(indices[k], *map(_visibility_or_none, nim + both))
-            for k, (nim, both) in enumerate(zip(fits, fits))]
+    return [_record(indices[k], nim, both) for k, (nim, both) in enumerate(zip(fits, fits))]
 
 
 def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanConfig,
                      master_seed: int, indices: Iterable[int]) -> list[RunRecord]:
     """Simulate and fit the toggle runs with the given indices.
 
-    Run idx draws from seed (master_seed, idx): any split of the indices
-    over calls or processes gives the same records.
+    Run idx draws its reference and toggled interferograms from seeds
+    (master_seed, idx, 0) and (master_seed, idx, 1), exactly as simulate_run
+    with seed (master_seed, idx) does, so the records equal
+    records_from_runs of those runs, and any split of the indices over
+    calls or processes gives the same records.  The runs go through
+    photonsim.draw_counts and fitting.fit_counts FIT_BLOCK_ROWS // 2 at a
+    time, as (rows, n_steps) count blocks with no Interferogram per run.
     """
-    return records_from_runs(
-        photonsim.simulate_run(reference, toggled, scan, run_index=idx,
-                               seed=(master_seed, idx))
-        for idx in indices)
+    photonsim.check_pair(reference, toggled)
+    phase = scan.phases()
+    indices = iter(indices)
+    records = []
+    while block := list(itertools.islice(indices, FIT_BLOCK_ROWS // 2)):
+        seeds = [(master_seed, idx, slot) for idx in block for slot in (0, 1)]
+        d1, d2 = photonsim.draw_counts([reference, toggled] * len(block), scan, seeds)
+        fits = iter(fit_counts(phase, d1, d2))
+        records.extend(_record(idx, nim, both) for idx, nim, both in zip(block, fits, fits))
+    return records
 
 
 def _pooled_pairs(records: Iterable[RunRecord]) -> list[tuple[VisibilityValue, VisibilityValue]]:

@@ -8,7 +8,8 @@ binomial error of the normalized count ratio, and the covariance is
 rescaled by the reduced chi-square so the reported sigmas stay honest when
 the noise model is off.  Of an interferogram's two detector fringes, which
 sum to 1 at every step, only one is fitted; the other's fit is its exact
-mirror (fit_interferograms).
+mirror (fit_interferograms).  Counts are sorted, normalized and fitted as
+(rows, n_steps) blocks (fit_counts), and normalize is the one-row case.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "normalize",
     "fit_sinusoid",
     "fit_sinusoids",
+    "fit_counts",
     "fit_interferograms",
     "visibility_from_fit",
     "propagate",
@@ -147,32 +149,100 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     assumes an ordered grid; sorted input passes through unchanged.
     Raises FitInputError for fewer than 8 points with counts, or for
     points with counts spanning less than one fringe (2 pi), where the
-    frequency is not determined.
+    frequency is not determined.  This is the one-row case of the block
+    normalization in fit_counts.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
-    d1 = np.asarray(ig.counts_d1, dtype=float)
-    d2 = np.asarray(ig.counts_d2, dtype=float)
-    phase = np.asarray(ig.phase_rad, dtype=float)
-    order = np.argsort(phase, kind="stable")
-    d1, d2, phase = d1[order], d2[order], phase[order]
+    _, [error], groups = _normalize_rows(*_one_row(ig), detector=detector)
+    if error is not None:
+        raise error
+    [(_, phase, ratio, sigma, n_excluded)] = groups
+    return NormalizedFringe(phase=phase[0], ratio=ratio[0], sigma=sigma[0],
+                            detector=detector, n_excluded=int(n_excluded[0]))
+
+
+def _one_row(ig) -> tuple[np.ndarray, ...]:
+    """(1, n) float arrays of an interferogram's phase, d1 and d2, sorted by phase."""
+    return _sorted_by_phase(*(np.asarray(getattr(ig, name), dtype=float)[None]
+                              for name in ("phase_rad", "counts_d1", "counts_d2")))
+
+
+def _sorted_by_phase(phase: np.ndarray, d1: np.ndarray,
+                     d2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three (rows, n) arrays with each row stable-sorted by phase."""
+    if np.all(phase[:, 1:] >= phase[:, :-1]):  # a stable sort leaves these as they are
+        return phase, d1, d2
+    order = np.argsort(phase, axis=-1, kind="stable")
+    return tuple(np.take_along_axis(a, order, axis=-1) for a in (phase, d1, d2))
+
+
+def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """The detector fit_interferograms fits, per row of phase-sorted counts.
+
+    It is the one with more counts; on equal totals, the one with more
+    counts at the first phase-sorted step where the two differ; detector 1
+    when the columns are equal.  The rule swaps with the detectors and does
+    not depend on the order of the steps (the sums run in phase order).
+    """
+    c1, c2 = d1.sum(axis=-1), d2.sum(axis=-1)
+    differ = d1 != d2
+    rows = np.arange(len(d1))
+    first = np.argmax(differ, axis=-1)
+    tie = (c1 == c2) & differ[rows, first]
+    c1 = np.where(tie, d1[rows, first], c1)
+    c2 = np.where(tie, d2[rows, first], c2)
+    return np.where(c1 >= c2, 1, 2)
+
+
+def _fitted_detector(ig) -> int:
+    """_fitted_detectors of one interferogram."""
+    return int(_fitted_detectors(*_one_row(ig)[1:])[0])
+
+
+def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                    detector: int | None = None):
+    """normalize on each row of phase-sorted (rows, n) float arrays.
+
+    Returns (detector, errors, groups): the detector normalized in each row
+    (the given one, or _fitted_detectors when detector is None), each row's
+    FitInputError or None, and the usable rows grouped by kept length as
+    (rows, phase, ratio, sigma, n_excluded) with (len(rows), kept) arrays.
+    """
     total = d1 + d2
     keep = total > 0
-    n_usable = int(np.count_nonzero(keep))
-    if n_usable < 8:
-        raise FitInputError(
-            f"need at least 8 points with nonzero total counts, got {n_usable}")
-    phase = phase[keep]
-    span = float(phase[-1] - phase[0])
-    if not span >= 2.0 * math.pi - 1e-9:
-        raise FitInputError(
-            f"points with counts must span at least one full fringe (2 pi), got {span!r}")
-    n = total[keep]
-    num = d1[keep] if detector == 1 else d2[keep]
-    r = num / n
+    width = total.shape[-1]
+    n_usable = np.count_nonzero(keep, axis=-1)
+    errors: list[FitInputError | None] = [None] * len(total)
+    for i in np.flatnonzero(n_usable < 8):
+        errors[i] = FitInputError(
+            f"need at least 8 points with nonzero total counts, got {n_usable[i]}")
+    detectors = np.full(len(total), detector or 1)
+    usable = np.flatnonzero(n_usable >= 8)
+    if usable.size == 0:
+        return detectors, errors, []
+    first = np.argmax(keep[usable], axis=-1)
+    last = width - 1 - np.argmax(keep[usable, ::-1], axis=-1)
+    span = phase[usable, last] - phase[usable, first]
+    short = ~(span >= 2.0 * math.pi - 1e-9)
+    for i, s in zip(usable[short], span[short]):
+        errors[i] = FitInputError(
+            f"points with counts must span at least one full fringe (2 pi), got {float(s)!r}")
+    usable = usable[~short]
+    if detector is None:
+        detectors[usable] = _fitted_detectors(d1[usable], d2[usable])
+    n = np.where(keep, total, 1.0)
+    r = np.where(detectors[:, None] == 1, d1, d2) / n
     sigma = np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))
-    return NormalizedFringe(phase=phase, ratio=r, sigma=sigma,
-                            detector=detector, n_excluded=int(len(total) - n_usable))
+    groups = []
+    for kept in dict.fromkeys(n_usable[usable].tolist()):
+        rows = usable[n_usable[usable] == kept]
+        arrays = (phase[rows], r[rows], sigma[rows])
+        if kept < width:
+            mask = keep[rows]
+            arrays = tuple(a[mask].reshape(len(rows), kept) for a in arrays)
+        groups.append((rows, *arrays, np.full(len(rows), width - kept)))
+    return detectors, errors, groups
 
 
 def _model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -260,16 +330,15 @@ def _amplitude_form(f: float, c0: float, c1: float, c2: float) -> tuple[float, .
     return a, f, p + math.pi if p < 0.0 else p, c0 - 0.5 * a
 
 
-def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[_Fit]:
-    """Variable projection on fringes of equal length, one state per row.
+def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
+               n_excluded: np.ndarray) -> list[_Fit]:
+    """Variable projection on (rows, n) fringe arrays, one state per row.
 
     f is the only nonlinear parameter: each trial f gets its exact linear
     fit, and f moves by Gauss-Newton steps.  Rows that stop leave the
     active set, and the rest iterate on.  The arithmetic of each row is
     independent of the other rows.
     """
-    x, y, sigma = (np.stack([getattr(fr, name) for fr in fringes])
-                   for name in ("phase", "ratio", "sigma"))
     w = 1.0 / (sigma * sigma)
     rows, n = x.shape
 
@@ -302,7 +371,9 @@ def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[_Fit]:
         scale[active] = np.where(accept, 1.0, 0.5 * scale[active])
         done = accept & (reduction <= RELATIVE_TOL * np.maximum(chi2[active], 1e-300))
         converged[active[done]] = True
-        active = active[~done]
+        # below the band the chi-square falls on toward f = 0, where A grows
+        # without bound, and the fit can only end unconverged: stop it now
+        active = active[~(done | (np.abs(f[active]) < width))]
         if active.size == 0:
             break
 
@@ -318,7 +389,7 @@ def _fit_block(fringes: Sequence[NormalizedFringe]) -> list[_Fit]:
     cov = np.linalg.pinv(hess) * (chi2 / (n - 4))[:, None, None]
     return [_Fit(params=params[i], covariance=cov[i], converged=bool(converged[i]),
                  iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
-                 n_points=n, n_excluded=fringes[i].n_excluded) for i in range(rows)]
+                 n_points=n, n_excluded=int(n_excluded[i])) for i in range(rows)]
 
 
 # the linear map of (A, f, p, B) -> (A, f, p + pi/2, 1 - A - B)
@@ -355,6 +426,16 @@ def _outcome(fit: _Fit) -> FitResult | InvalidFitError:
         n_excluded=fit.n_excluded)
 
 
+def _fit_groups(groups) -> Iterator[tuple[int, _Fit]]:
+    """(row, fit) for each row of groups of (rows, x, y, sigma, n_excluded),
+    fitted FIT_BLOCK_ROWS rows at a time."""
+    for rows, x, y, sigma, n_excluded in groups:
+        for start in range(0, len(rows), FIT_BLOCK_ROWS):
+            block = slice(start, start + FIT_BLOCK_ROWS)
+            yield from zip(rows[block].tolist(),
+                           _fit_block(x[block], y[block], sigma[block], n_excluded[block]))
+
+
 def _fit_rows(fringes: Sequence[NormalizedFringe]) -> list[_Fit | FitInputError]:
     """fit_sinusoids before the A + 2B > 0 check."""
     results: list = [None] * len(fringes)
@@ -364,11 +445,11 @@ def _fit_rows(fringes: Sequence[NormalizedFringe]) -> list[_Fit | FitInputError]
             results[i] = FitInputError(f"need at least 8 points, got {fringe.n_points}")
         else:
             by_length.setdefault(fringe.n_points, []).append(i)
-    for rows in by_length.values():
-        for start in range(0, len(rows), FIT_BLOCK_ROWS):
-            block = rows[start:start + FIT_BLOCK_ROWS]
-            for i, fit in zip(block, _fit_block([fringes[i] for i in block])):
-                results[i] = fit
+    groups = [(np.array(rows), *(np.stack([getattr(fringes[i], name) for i in rows])
+                                 for name in ("phase", "ratio", "sigma")),
+               np.array([fringes[i].n_excluded for i in rows])) for rows in by_length.values()]
+    for i, fit in _fit_groups(groups):
+        results[i] = fit
     return results
 
 
@@ -378,10 +459,11 @@ def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
     Each fit searches f from the strongest bin of the discrete spectrum
     below the Nyquist bin; every trial f (an iteration) gets its exact
     linear fit.  It stops when an accepted step reduces the weighted squared
-    residual by less than 1e-10 relative.  converged is False after 200
-    iterations, for an f outside the band the scan resolves (FFT bin 1 up
-    to half a bin below the Nyquist frequency), or when the fit at that
-    upper edge has a smaller chi-square.  Fringes are grouped by length and
+    residual by less than 1e-10 relative, or at once when an accepted f
+    falls below the band the scan resolves (FFT bin 1 up to half a bin
+    below the Nyquist frequency).  converged is False after 200
+    iterations, for an f outside that band, or when the fit at its upper
+    edge has a smaller chi-square.  Fringes are grouped by length and
     fitted FIT_BLOCK_ROWS at a time; a fringe's result does not depend on
     which others share its block.
 
@@ -401,23 +483,24 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
     return result
 
 
-def _fitted_detector(ig) -> int:
-    """The detector whose fringe fit_interferograms fits.
+def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
+               counts_d2: np.ndarray) -> list[tuple[FitOutcome, FitOutcome]]:
+    """fit_interferograms on count blocks: the (d1, d2) outcomes of each row.
 
-    It is the one with more counts; on equal totals, the one with more
-    counts at the first phase-sorted step where the two differ; detector 1
-    when the columns are equal.  The rule swaps with the detectors and does
-    not depend on the order of the rows (the sums run in phase order).
+    The arguments are (rows, n_steps) arrays, or broadcast to that shape
+    (a scan's one phase grid serves every row).  Rows are sorted,
+    normalized and checked together, then fitted FIT_BLOCK_ROWS at a time
+    in groups of equal kept length; a row's outcomes do not depend on the
+    other rows.
     """
-    order = np.argsort(np.asarray(ig.phase_rad, dtype=float), kind="stable")
-    d1 = np.asarray(ig.counts_d1, dtype=float)[order]
-    d2 = np.asarray(ig.counts_d2, dtype=float)[order]
-    c1, c2 = d1.sum(), d2.sum()
-    if c1 == c2:
-        differ = np.flatnonzero(d1 != d2)
-        if differ.size:
-            c1, c2 = d1[differ[0]], d2[differ[0]]
-    return 1 if c1 >= c2 else 2
+    arrays = (np.ascontiguousarray(a, dtype=float)
+              for a in np.broadcast_arrays(phase, counts_d1, counts_d2))
+    detectors, errors, groups = _normalize_rows(*_sorted_by_phase(*arrays))
+    outcomes: list = [(err, err) for err in errors]
+    for i, fit in _fit_groups(groups):
+        fitted, mirrored = _outcome(fit), _outcome(_mirror(fit))
+        outcomes[i] = (fitted, mirrored) if detectors[i] == 1 else (mirrored, fitted)
+    return outcomes
 
 
 def fit_interferograms(
@@ -427,8 +510,8 @@ def fit_interferograms(
 
     normalize divides by the per-step total d1 + d2, so one detector's
     fringe is 1 minus the other's, with the same sigmas.  Only the fringe
-    of _fitted_detector is fitted; the other detector's result follows from
-    that fit by the exact map _mirror: A, f, the sigmas of A, f and p,
+    of _fitted_detectors is fitted; the other detector's result follows
+    from that fit by the exact map _mirror: A, f, the sigmas of A, f and p,
     converged, iterations, residual_norm, n_points, n_excluded and
     low_signal are the fitted detector's, p moves by pi/2 and B becomes
     1 - A - B.  Each detector gets its own A + 2B > 0 check, so an
@@ -438,25 +521,22 @@ def fit_interferograms(
     interferogram that normalize refuses gets its FitInputError on both
     sides.  The input is consumed FIT_BLOCK_ROWS interferograms (one block
     of fringes) at a time, in order, so a generator is never held in
-    memory whole.
+    memory whole; each block's scans of equal length go to fit_counts
+    together.
     """
     interferograms = iter(interferograms)
     while block := list(itertools.islice(interferograms, FIT_BLOCK_ROWS)):
-        detectors = [_fitted_detector(ig) for ig in block]
-        fringes = []
-        for ig, detector in zip(block, detectors):
-            try:
-                fringes.append(normalize(ig, detector=detector))
-            except FitInputError as err:
-                fringes.append(err)
-        fits = iter(_fit_rows([f for f in fringes if isinstance(f, NormalizedFringe)]))
-        for detector, fringe in zip(detectors, fringes):
-            fit = fringe if isinstance(fringe, FitInputError) else next(fits)
-            if isinstance(fit, FitInputError):
-                yield fit, fit
-                continue
-            fitted, mirrored = _outcome(fit), _outcome(_mirror(fit))
-            yield (fitted, mirrored) if detector == 1 else (mirrored, fitted)
+        outcomes: list = [None] * len(block)
+        by_length: dict[int, list[int]] = {}
+        for i, ig in enumerate(block):
+            by_length.setdefault(len(ig.phase_rad), []).append(i)
+        for rows in by_length.values():
+            stacked = (np.stack([np.asarray(getattr(block[i], name), dtype=float)
+                                 for i in rows])
+                       for name in ("phase_rad", "counts_d1", "counts_d2"))
+            for i, pair in zip(rows, fit_counts(*stacked)):
+                outcomes[i] = pair
+        yield from outcomes
 
 
 def _visibility(a: float, b: float, cov: np.ndarray) -> VisibilityValue:

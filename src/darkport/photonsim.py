@@ -2,15 +2,21 @@
 
 A heralded single-photon source is modeled as a Poisson count source: at
 each stage phase the two detectors receive independent Poisson draws whose
-means follow the Mach-Zehnder fringe fed by the Sagnac ports.  Every draw
-is tied to an explicit seed path, so a campaign is reproducible run by run
-regardless of execution order.
+means follow the Mach-Zehnder fringe fed by the Sagnac ports.  Every
+interferogram is drawn from its own seed path, so a campaign is
+reproducible run by run regardless of execution order or grouping.
+
+draw_counts is the one drawer: it computes each distinct model's rates
+once and draws a (rows, n_steps) count block, row by row, each row from
+its own SeedSequence.  simulate_interferogram and simulate_run are its
+one- and two-row cases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +28,8 @@ __all__ = [
     "RunPair",
     "analytic_visibility",
     "expected_rates",
+    "check_pair",
+    "draw_counts",
     "simulate_interferogram",
     "simulate_run",
     "simulate_campaign",
@@ -124,6 +132,38 @@ def _as_entropy(seed) -> tuple:
     return (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
 
 
+def draw_counts(
+    models: Sequence[SagnacModel],
+    scan: ScanConfig,
+    seeds: Sequence,
+    *,
+    noiseless: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts at the two detectors, one row per (model, seed) pair.
+
+    Returns two (rows, n_steps) arrays.  Row k is drawn from its own
+    Generator on SeedSequence(seeds[k]) (an int or tuple of ints), detector
+    1 first, so it depends on nothing but its model, the scan and its seed.
+    expected_rates runs once per distinct model object.  With ``noiseless``
+    the rows are the float expected values instead of int64 draws.
+    """
+    rates: dict[int, np.ndarray] = {}
+    for model in models:
+        if id(model) not in rates:
+            rates[id(model)] = np.stack(expected_rates(model, scan))
+    counts = np.empty((len(models), 2, scan.n_steps),
+                      dtype=float if noiseless else np.int64)
+    for k, (model, seed) in enumerate(zip(models, seeds, strict=True)):
+        lam = rates[id(model)]
+        if noiseless:
+            counts[k] = lam
+        else:
+            # one call draws d1 then d2, as two calls on the same stream would
+            rng = np.random.default_rng(np.random.SeedSequence(_as_entropy(seed)))
+            counts[k] = rng.poisson(lam)
+    return counts[:, 0], counts[:, 1]
+
+
 def simulate_interferogram(
     model: SagnacModel,
     scan: ScanConfig,
@@ -141,15 +181,21 @@ def simulate_interferogram(
     against the analytic visibility.
     """
     entropy = _as_entropy(scan.rng_seed if seed is None else seed)
-    lam1, lam2 = expected_rates(model, scan)
-    if noiseless:
-        d1, d2 = lam1, lam2
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        d1 = rng.poisson(lam1)
-        d2 = rng.poisson(lam2)
-    return Interferogram(phase_rad=scan.phases(), counts_d1=d1, counts_d2=d2,
+    d1, d2 = draw_counts([model], scan, [entropy], noiseless=noiseless)
+    return Interferogram(phase_rad=scan.phases(), counts_d1=d1[0], counts_d2=d2[0],
                          label=label, seed=entropy)
+
+
+def check_pair(model_nim: SagnacModel, model_both: SagnacModel) -> None:
+    """Raise ValueError unless the two models can form one toggle run.
+
+    They must share the Sagnac visibility and reflection; they are meant to
+    differ only in which elements are active.
+    """
+    if model_nim.visibility_v != model_both.visibility_v:
+        raise ValueError("paired models must share visibility_v")
+    if model_nim.reflection != model_both.reflection:
+        raise ValueError("paired models must share the reflection unit")
 
 
 def simulate_run(
@@ -164,19 +210,17 @@ def simulate_run(
 ) -> RunPair:
     """Simulate one toggle run: reference configuration, then toggled.
 
-    The two interferograms get independent noise streams derived from the
-    run seed.  The models must share the Sagnac visibility and reflection;
-    they are meant to differ only in which elements are active.
+    The two interferograms are drawn from the run seed extended by slot 0
+    and slot 1, so each has its own stream.  The models must pass
+    check_pair.
     """
-    if model_nim.visibility_v != model_both.visibility_v:
-        raise ValueError("paired models must share visibility_v")
-    if model_nim.reflection != model_both.reflection:
-        raise ValueError("paired models must share the reflection unit")
+    check_pair(model_nim, model_both)
     entropy = _as_entropy(scan.rng_seed if seed is None else seed)
-    nim = simulate_interferogram(model_nim, scan, label=labels[0],
-                                 seed=entropy + (0,), noiseless=noiseless)
-    both = simulate_interferogram(model_both, scan, label=labels[1],
-                                  seed=entropy + (1,), noiseless=noiseless)
+    seeds = (entropy + (0,), entropy + (1,))
+    d1, d2 = draw_counts([model_nim, model_both], scan, seeds, noiseless=noiseless)
+    phase = scan.phases()
+    nim, both = (Interferogram(phase_rad=phase, counts_d1=d1[k], counts_d2=d2[k],
+                               label=labels[k], seed=seeds[k]) for k in (0, 1))
     return RunPair(run_index=run_index, nim=nim, both=both)
 
 

@@ -266,13 +266,14 @@ def test_sweep_simulates_the_campaign_pair(tmp_path, capsys, monkeypatch):
         "analysis": {"epsilon_grid": [0.0]},
     })
     simulated = []
-    simulate_run = photonsim.simulate_run
+    draw_counts = photonsim.draw_counts
 
-    def recording(model_a, model_b, *args, **kwargs):
-        simulated.append((model_a, model_b))
-        return simulate_run(model_a, model_b, *args, **kwargs)
+    def recording(models, *args, **kwargs):
+        # rows alternate reference and toggled, one pair per run
+        simulated.extend(zip(models[::2], models[1::2]))
+        return draw_counts(models, *args, **kwargs)
 
-    monkeypatch.setattr(photonsim, "simulate_run", recording)
+    monkeypatch.setattr(photonsim, "draw_counts", recording)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert simulated == [load_config(cfg).build_pair()] * 2
 
@@ -505,17 +506,17 @@ def test_fit_reads_counts_beyond_int64(tmp_path, capsys):
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):
     # default campaign and sweep: (1 + 7 epsilons) x 200 runs x 2 configurations
     calls = {"normalize": 0, "rows": 0}
-    normalize, fit_block = fitting.normalize, fitting._fit_block
+    normalize, fit_block = fitting._normalize_rows, fitting._fit_block
 
-    def counted_normalize(*args, **kwargs):
-        calls["normalize"] += 1
-        return normalize(*args, **kwargs)
+    def counted_normalize(phase, *args, **kwargs):
+        calls["normalize"] += len(phase)
+        return normalize(phase, *args, **kwargs)
 
-    def counted_fit_block(fringes):
-        calls["rows"] += len(fringes)
-        return fit_block(fringes)
+    def counted_fit_block(x, *args):
+        calls["rows"] += len(x)
+        return fit_block(x, *args)
 
-    monkeypatch.setattr(fitting, "normalize", counted_normalize)
+    monkeypatch.setattr(fitting, "_normalize_rows", counted_normalize)
     monkeypatch.setattr(fitting, "_fit_block", counted_fit_block)
     assert main(["campaign", "--out", str(tmp_path / "campaign")]) == 0
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0

@@ -10,6 +10,7 @@ from darkport.photonsim import (
     Interferogram,
     ScanConfig,
     analytic_visibility,
+    draw_counts,
     expected_rates,
     simulate_campaign,
     simulate_interferogram,
@@ -71,6 +72,32 @@ def test_campaign_runs_are_order_independent():
     assert np.array_equal(runs[3].nim.counts_d1, solo.nim.counts_d1)
     assert np.array_equal(runs[3].both.counts_d2, solo.both.counts_d2)
     assert [r.run_index for r in runs] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("counts", [0.5, 200.0, 20000.0])
+def test_block_rows_are_the_seeded_interferograms(counts):
+    # the seed-stream contract that keeps campaign --jobs output byte-identical:
+    # row k of a block is the interferogram drawn alone from its seed, and
+    # that is detector 1 then detector 2 from one SeedSequence Generator
+    scan = ScanConfig(mean_counts_per_step=counts)
+    ref, tog = ExperimentConfig().with_epsilon(0.3).build_pair()
+    assert not np.array_equal(expected_rates(ref, scan), expected_rates(tog, scan))
+    runs = [4, 0, 17]
+    models = [ref, tog] * len(runs)
+    seeds = [(11, idx, slot) for idx in runs for slot in (0, 1)]
+    d1, d2 = draw_counts(models, scan, seeds)
+    assert d1.shape == d2.shape == (len(seeds), scan.n_steps)
+    for k, (model, seed) in enumerate(zip(models, seeds)):
+        ig = simulate_interferogram(model, scan, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        lam1, lam2 = expected_rates(model, scan)
+        for got, alone, stream in ((d1[k], ig.counts_d1, rng.poisson(lam1)),
+                                   (d2[k], ig.counts_d2, rng.poisson(lam2))):
+            assert got.dtype == alone.dtype == stream.dtype == np.int64
+            assert got.tobytes() == alone.tobytes() == stream.tobytes()
+    noiseless = draw_counts(models, scan, seeds, noiseless=True)
+    assert noiseless[0].dtype == float
+    assert np.array_equal(noiseless[0][1], expected_rates(tog, scan)[0])
 
 
 def test_noiseless_counts_conserve_flux():

@@ -1,10 +1,11 @@
 """Property tests (hypothesis, derandomized so the suite stays deterministic).
 
 The fit front end must not care how its input is split, which detector is
-called which, or in what order the rows of a scan arrive; the closed-form
-loop model must agree with the brute-force propagation oracle; quaternion
-algebra, the interferogram CSV format and the JSON reports must hold for
-any input.
+called which, or in what order the rows of a scan arrive; a campaign's
+count blocks must give the records of its runs fitted one by one; the
+closed-form loop model must agree with the brute-force propagation
+oracle; quaternion algebra, the interferogram CSV format and the JSON
+reports must hold for any input.
 """
 
 import json
@@ -16,6 +17,7 @@ import numpy as np
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from darkport.analysis import campaign_records, records_from_runs
 from darkport.config import ExperimentConfig
 from darkport.fitting import (
     FitInputError,
@@ -29,7 +31,7 @@ from darkport.fitting import (
     normalize,
 )
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
-from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram
+from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram, simulate_run
 from darkport.quaternion import PhaseVector, Quaternion, mul, norm, qexp
 from darkport.reports import (
     dumps_json,
@@ -64,7 +66,7 @@ def _pool():
     # detector 2, the fitted one, is not converged (its f drifts below the
     # band) and fits A + 2B < 0; its mirror on detector 1 is a valid fit
     igs.append(simulate_interferogram(pair[0], ScanConfig(mean_counts_per_step=5.0),
-                                      seed=(5, 30)))
+                                      seed=(5, 67)))
     igs.append(_equal_totals())
     phase = ScanConfig().phases()
     igs.append(Interferogram(phase, np.zeros(phase.size), np.zeros(phase.size)))
@@ -176,6 +178,54 @@ def test_equal_totals_fit_the_detector_ahead_at_the_first_differing_step():
     assert _same_fit(pair[chosen - 1], fit_sinusoid(normalize(ig, detector=chosen)))
     [swapped] = fit_interferograms([Interferogram(ig.phase_rad, ig.counts_d2, ig.counts_d1)])
     assert _same_pairs([swapped[::-1]], [pair])
+
+
+def _bits(records):
+    """Each record's run index and slots, floats as their exact hex strings."""
+    return [(rec.run_index, *(None if v is None else (v.value.hex(), v.sigma.hex())
+                              for v in (rec.v_nim_d1, rec.v_nim_d2, rec.v_both_d1,
+                                        rec.v_both_d2)))
+            for rec in records]
+
+
+@settings(PROPERTY, phases=[Phase.explicit, Phase.generate])
+@given(counts=st.floats(0.5, 50.0), descending=st.booleans(), n_runs=st.integers(1, 40),
+       master_seed=st.integers(0, 2 ** 32), data=st.data())
+@example(counts=0.5, descending=True, n_runs=20, master_seed=1, data=None)
+@example(counts=5.0, descending=False, n_runs=20, master_seed=2, data=None)
+def test_campaign_blocks_match_the_runs_fitted_one_by_one(counts, descending, n_runs,
+                                                          master_seed, data):
+    # low counts leave steps with no counts and runs with equal detector
+    # totals; a descending scan puts every row's phases out of order
+    span = (0.0, 4.0 * math.pi)
+    start, end = span[::-1] if descending else span
+    scan = ScanConfig(phase_start=start, phase_end=end, mean_counts_per_step=counts)
+    pair = ExperimentConfig().build_pair()
+    whole = _bits(campaign_records(*pair, scan, master_seed, range(n_runs)))
+    runs = [simulate_run(*pair, scan, run_index=idx, seed=(master_seed, idx))
+            for idx in range(n_runs)]
+    assert _bits(records_from_runs(runs)) == whole
+    if data is None:
+        order, cuts = list(range(n_runs))[::-1], [n_runs // 3, n_runs // 2]
+    else:
+        order = data.draw(st.permutations(range(n_runs)))
+        cuts = data.draw(st.lists(st.integers(0, n_runs), max_size=3))
+    bounds = [0, *sorted(cuts), n_runs]
+    split = [rec for a, b in zip(bounds, bounds[1:])
+             for rec in campaign_records(*pair, scan, master_seed, order[a:b])]
+    assert _bits(sorted(split, key=lambda rec: rec.run_index)) == whole
+
+
+def test_low_count_campaigns_have_zero_total_steps_and_equal_totals():
+    # the runs of the property's first example reach both branches in
+    # interferograms that get as far as the fit
+    scan = ScanConfig(phase_start=4.0 * math.pi, phase_end=0.0, mean_counts_per_step=0.5)
+    runs = [simulate_run(*ExperimentConfig().build_pair(), scan, seed=(1, idx))
+            for idx in range(20)]
+    fitted = [ig for run in runs for ig in (run.nim, run.both)
+              if np.count_nonzero(ig.counts_d1 + ig.counts_d2) >= 8]
+    assert any(np.any(ig.counts_d1 + ig.counts_d2 == 0) for ig in fitted)
+    assert any(ig.counts_d1.sum() == ig.counts_d2.sum() for ig in fitted)
 
 
 _ANGLE = st.floats(-math.pi, math.pi)
