@@ -227,7 +227,8 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
     """Per-point Gamma ratios pooled over detectors and runs.
 
     Points with non-physical visibilities are excluded with a warning
-    rather than failing the campaign.
+    rather than failing the campaign.  At least 2 usable points are needed:
+    one value has no scatter, so no stderr to test the mean against.
     """
     values = []
     sigmas = []
@@ -241,11 +242,11 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
             continue
         values.append(ratio.value)
         sigmas.append(ratio.sigma)
-    if not values:
-        raise TooFewFitsError("no usable Gamma-ratio points")
+    if len(values) < 2:
+        raise TooFewFitsError(f"need at least 2 Gamma-ratio values, got {len(values)}")
     arr = np.array(values)
     point_sigmas = np.array(sigmas)
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+    std = float(np.std(arr, ddof=1))
     return GammaRatioStats(values=arr, point_sigmas=point_sigmas,
                            mean=float(np.mean(arr)), std=std,
                            stderr=std / math.sqrt(arr.size),

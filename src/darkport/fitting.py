@@ -9,7 +9,10 @@ rescaled by the reduced chi-square so the reported sigmas stay honest when
 the noise model is off.  Of an interferogram's two detector fringes, which
 sum to 1 at every step, only one is fitted; the other's fit is its exact
 mirror (fit_interferograms).  Counts are sorted, normalized and fitted as
-(rows, n_steps) blocks (fit_counts), and normalize is the one-row case.
+(rows, n_steps) blocks (fit_counts), and normalize is the one-row case.  A
+fitted block stays arrays through the mirror map, the A + 2B > 0 check and
+the visibility with its propagated sigma; only then is each row's
+FitResult or InvalidFitError built.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -117,27 +120,12 @@ class FitResult:
     sigma_amplitude, sigma_frequency, sigma_phase, sigma_offset = map(_sigma, range(4))
 
     def model(self, x: np.ndarray) -> np.ndarray:
-        s = np.sin(self.frequency * np.asarray(x, dtype=float) + self.phase)
-        return self.amplitude * s * s + self.offset
+        params = np.array([self.amplitude, self.frequency, self.phase, self.offset])
+        return _model(np.asarray(x, dtype=float), params)
 
 
 # a fit's result, or the error that stopped it
 FitOutcome = FitResult | FitInputError | InvalidFitError
-
-
-@dataclass(frozen=True)
-class _Fit:
-    """A fitted row before the A + 2B > 0 check: (A, f, p, B) with A, f >= 0
-    and p in [0, pi), and covariance, with the fields FitResult copies
-    unchanged."""
-
-    params: np.ndarray
-    covariance: np.ndarray
-    converged: bool
-    iterations: int
-    residual_norm: float
-    n_points: int
-    n_excluded: int
 
 
 def normalize(ig, detector: int = 1) -> NormalizedFringe:
@@ -195,11 +183,6 @@ def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.where(c1 >= c2, 1, 2)
 
 
-def _fitted_detector(ig) -> int:
-    """_fitted_detectors of one interferogram."""
-    return int(_fitted_detectors(*_one_row(ig)[1:])[0])
-
-
 def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
                     detector: int | None = None):
     """normalize on each row of phase-sorted (rows, n) float arrays.
@@ -235,14 +218,20 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     r = np.where(detectors[:, None] == 1, d1, d2) / n
     sigma = np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))
     groups = []
-    for kept in dict.fromkeys(n_usable[usable].tolist()):
-        rows = usable[n_usable[usable] == kept]
+    for kept, rows in _by_length(n_usable[usable]).items():
+        rows = usable[rows]
         arrays = (phase[rows], r[rows], sigma[rows])
         if kept < width:
             mask = keep[rows]
             arrays = tuple(a[mask].reshape(len(rows), kept) for a in arrays)
         groups.append((rows, *arrays, np.full(len(rows), width - kept)))
     return detectors, errors, groups
+
+
+def _by_length(lengths) -> dict[int, np.ndarray]:
+    """The indices of each distinct value of lengths, in order of first appearance."""
+    lengths = np.asarray(lengths)
+    return {n: np.flatnonzero(lengths == n) for n in dict.fromkeys(lengths.tolist())}
 
 
 def _model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -331,13 +320,18 @@ def _amplitude_form(f: float, c0: float, c1: float, c2: float) -> tuple[float, .
 
 
 def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
-               n_excluded: np.ndarray) -> list[_Fit]:
+               n_excluded: np.ndarray) -> tuple:
     """Variable projection on (rows, n) fringe arrays, one state per row.
 
     f is the only nonlinear parameter: each trial f gets its exact linear
     fit, and f moves by Gauss-Newton steps.  Rows that stop leave the
     active set, and the rest iterate on.  The arithmetic of each row is
     independent of the other rows.
+
+    Returns the block before the A + 2B > 0 check as (params, cov,
+    converged, iterations, residual_norm, n_points, n_excluded): (rows, 4)
+    (A, f, p, B) with A, f >= 0 and p in [0, pi), (rows, 4, 4)
+    covariances, per-row arrays, and the rows' common length n.
     """
     w = 1.0 / (sigma * sigma)
     rows, n = x.shape
@@ -387,9 +381,7 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     # the covariance is the (pseudo-)inverse of J^T W J at the optimum,
     # rescaled by the reduced chi-square (n >= 8 points)
     cov = np.linalg.pinv(hess) * (chi2 / (n - 4))[:, None, None]
-    return [_Fit(params=params[i], covariance=cov[i], converged=bool(converged[i]),
-                 iterations=int(iterations[i]), residual_norm=math.sqrt(chi2[i]),
-                 n_points=n, n_excluded=int(n_excluded[i])) for i in range(rows)]
+    return params, cov, converged, iterations, np.sqrt(chi2), n, n_excluded
 
 
 # the linear map of (A, f, p, B) -> (A, f, p + pi/2, 1 - A - B)
@@ -399,58 +391,57 @@ _MIRROR = np.array([[1.0, 0.0, 0.0, 0.0],
                     [-1.0, 0.0, 0.0, -1.0]])
 
 
-def _mirror(fit: _Fit) -> _Fit:
-    """The fit of the complementary fringe 1 - r, in closed form.
+def _mirror(params: np.ndarray, cov: np.ndarray, *rest) -> tuple:
+    """The fitted block of the complementary fringes 1 - r, in closed form.
 
     1 - A sin^2(f x + p) - B = A sin^2(f x + p + pi/2) + (1 - A - B) is an
-    exact reparameterization, so the covariance is transported with its
-    linear map; the residuals only change sign, so every other field stays.
+    exact reparameterization, so the covariances are transported with its
+    linear map; the residuals only change sign, so every other array stays.
     """
-    a, f, p, b = fit.params
-    params = np.array([a, f, math.fmod(p + 0.5 * math.pi, math.pi), 1.0 - a - b])
-    return replace(fit, params=params, covariance=_MIRROR @ fit.covariance @ _MIRROR.T)
+    a, f, p, b = params.T
+    mirrored = np.stack([a, f, np.fmod(p + 0.5 * math.pi, math.pi), 1.0 - a - b], axis=-1)
+    return (mirrored, _MIRROR @ cov @ _MIRROR.T, *rest)
 
 
-def _outcome(fit: _Fit) -> FitResult | InvalidFitError:
-    """The FitResult of a fitted row, or its InvalidFitError (A + 2B <= 0)."""
-    a, f, p, b = (float(q) for q in fit.params)
-    try:
-        visibility = _visibility(a, b, fit.covariance)
-    except InvalidFitError as err:
-        return err
-    return FitResult(
-        amplitude=a, frequency=f, phase=p, offset=b, covariance=fit.covariance,
-        visibility=visibility, converged=fit.converged, iterations=fit.iterations,
-        residual_norm=fit.residual_norm, n_points=fit.n_points,
-        low_signal=a <= 2.0 * math.sqrt(max(fit.covariance[0, 0], 0.0)),
-        n_excluded=fit.n_excluded)
+def _visibilities(params: np.ndarray,
+                  cov: np.ndarray) -> list[VisibilityValue | InvalidFitError]:
+    """Each row's visibility A/(A+2B), with the sigma propagated from the
+    (A, B) block of its covariance, or its InvalidFitError (A + 2B <= 0)."""
+    denom = params[:, 0] + 2.0 * params[:, 3]
+    valid = denom > 0.0
+    a, b, d = params[valid, 0], params[valid, 3], denom[valid]
+    grad = np.stack([2.0 * b / (d * d), -2.0 * a / (d * d)], axis=-1)
+    sigma = propagate(grad, cov[valid][:, 0::3, 0::3])
+    # fit noise can push B a hair negative on bright data; the fringe
+    # contrast itself is still bounded
+    visibilities = map(VisibilityValue, np.clip(a / d, 0.0, 1.0).tolist(), sigma.tolist())
+    return [next(visibilities) if ok
+            else InvalidFitError(f"A + 2B must be positive, got {q!r}")
+            for ok, q in zip(valid.tolist(), denom.tolist())]
 
 
-def _fit_groups(groups) -> Iterator[tuple[int, _Fit]]:
-    """(row, fit) for each row of groups of (rows, x, y, sigma, n_excluded),
+def _outcomes(params: np.ndarray, cov: np.ndarray, converged: np.ndarray,
+              iterations: np.ndarray, residual_norm: np.ndarray, n_points: int,
+              n_excluded: np.ndarray) -> list[FitResult | InvalidFitError]:
+    """The FitResult of each row of a fitted block, or its InvalidFitError."""
+    low_signal = params[:, 0] <= 2.0 * np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
+    rows = zip(_visibilities(params, cov), params.tolist(), cov, converged.tolist(),
+               iterations.tolist(), residual_norm.tolist(), low_signal.tolist(),
+               n_excluded.tolist())
+    return [visibility if isinstance(visibility, InvalidFitError) else FitResult(
+                *p, covariance=c, visibility=visibility, converged=conv, iterations=its,
+                residual_norm=r, n_points=n_points, low_signal=low, n_excluded=excl)
+            for visibility, p, c, conv, its, r, low, excl in rows]
+
+
+def _fit_groups(groups) -> Iterator[tuple[list[int], tuple]]:
+    """(rows, fitted block) for groups of (rows, x, y, sigma, n_excluded),
     fitted FIT_BLOCK_ROWS rows at a time."""
     for rows, x, y, sigma, n_excluded in groups:
         for start in range(0, len(rows), FIT_BLOCK_ROWS):
             block = slice(start, start + FIT_BLOCK_ROWS)
-            yield from zip(rows[block].tolist(),
-                           _fit_block(x[block], y[block], sigma[block], n_excluded[block]))
-
-
-def _fit_rows(fringes: Sequence[NormalizedFringe]) -> list[_Fit | FitInputError]:
-    """fit_sinusoids before the A + 2B > 0 check."""
-    results: list = [None] * len(fringes)
-    by_length: dict[int, list[int]] = {}
-    for i, fringe in enumerate(fringes):
-        if fringe.n_points < 8:
-            results[i] = FitInputError(f"need at least 8 points, got {fringe.n_points}")
-        else:
-            by_length.setdefault(fringe.n_points, []).append(i)
-    groups = [(np.array(rows), *(np.stack([getattr(fringes[i], name) for i in rows])
-                                 for name in ("phase", "ratio", "sigma")),
-               np.array([fringes[i].n_excluded for i in rows])) for rows in by_length.values()]
-    for i, fit in _fit_groups(groups):
-        results[i] = fit
-    return results
+            yield rows[block].tolist(), _fit_block(x[block], y[block], sigma[block],
+                                                   n_excluded[block])
 
 
 def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
@@ -471,8 +462,17 @@ def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
     or InvalidFitError (A + 2B <= 0) of that fringe, returned rather than
     raised so one bad fringe does not cost the others their fits.
     """
-    return [fit if isinstance(fit, FitInputError) else _outcome(fit)
-            for fit in _fit_rows(fringes)]
+    results: list = [FitInputError(f"need at least 8 points, got {fringe.n_points}")
+                     if fringe.n_points < 8 else None for fringe in fringes]
+    groups = [(rows, *(np.stack([getattr(fringes[i], name) for i in rows])
+                       for name in ("phase", "ratio", "sigma")),
+               np.array([fringes[i].n_excluded for i in rows]))
+              for n, rows in _by_length([fringe.n_points for fringe in fringes]).items()
+              if n >= 8]
+    for rows, block in _fit_groups(groups):
+        for i, outcome in zip(rows, _outcomes(*block)):
+            results[i] = outcome
+    return results
 
 
 def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
@@ -497,9 +497,9 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
               for a in np.broadcast_arrays(phase, counts_d1, counts_d2))
     detectors, errors, groups = _normalize_rows(*_sorted_by_phase(*arrays))
     outcomes: list = [(err, err) for err in errors]
-    for i, fit in _fit_groups(groups):
-        fitted, mirrored = _outcome(fit), _outcome(_mirror(fit))
-        outcomes[i] = (fitted, mirrored) if detectors[i] == 1 else (mirrored, fitted)
+    for rows, block in _fit_groups(groups):
+        for i, fitted, mirrored in zip(rows, _outcomes(*block), _outcomes(*_mirror(*block))):
+            outcomes[i] = (fitted, mirrored) if detectors[i] == 1 else (mirrored, fitted)
     return outcomes
 
 
@@ -527,10 +527,7 @@ def fit_interferograms(
     interferograms = iter(interferograms)
     while block := list(itertools.islice(interferograms, FIT_BLOCK_ROWS)):
         outcomes: list = [None] * len(block)
-        by_length: dict[int, list[int]] = {}
-        for i, ig in enumerate(block):
-            by_length.setdefault(len(ig.phase_rad), []).append(i)
-        for rows in by_length.values():
+        for rows in _by_length([len(ig.phase_rad) for ig in block]).values():
             stacked = (np.stack([np.asarray(getattr(block[i], name), dtype=float)
                                  for i in rows])
                        for name in ("phase_rad", "counts_d1", "counts_d2"))
@@ -539,37 +536,36 @@ def fit_interferograms(
         yield from outcomes
 
 
-def _visibility(a: float, b: float, cov: np.ndarray) -> VisibilityValue:
-    denom = a + 2.0 * b
-    if denom <= 0.0:
-        raise InvalidFitError(f"A + 2B must be positive, got {denom!r}")
-    value = a / denom
-    grad = np.array([2.0 * b / (denom * denom), -2.0 * a / (denom * denom)])
-    cov_ab = np.array([[cov[0, 0], cov[0, 3]], [cov[3, 0], cov[3, 3]]])
-    sigma = propagate(grad, cov_ab)
-    # fit noise can push B a hair negative on bright data; the fringe
-    # contrast itself is still bounded
-    return VisibilityValue(value=min(max(value, 0.0), 1.0), sigma=sigma)
-
-
 def visibility_from_fit(fit: FitResult) -> VisibilityValue:
-    """Visibility A/(A+2B) with the sigma propagated from the (A, B) block."""
-    return _visibility(fit.amplitude, fit.offset, fit.covariance)
+    """Visibility A/(A+2B) with the sigma propagated from the (A, B) block;
+    InvalidFitError for A + 2B <= 0.  This is the one-row case of the fit's
+    own visibility."""
+    params = np.array([[fit.amplitude, fit.frequency, fit.phase, fit.offset]])
+    [visibility] = _visibilities(params, fit.covariance[None])
+    if isinstance(visibility, InvalidFitError):
+        raise visibility
+    return visibility
 
 
-def propagate(gradient: np.ndarray, covariance: np.ndarray) -> float:
-    """First-order uncertainty sqrt(g^T C g).
+def propagate(gradient: np.ndarray, covariance: np.ndarray) -> float | np.ndarray:
+    """First-order uncertainty sqrt(g^T C g) of a gradient of length k, or of
+    each of a stack of (..., k) gradients with its (..., k, k) covariance.
 
-    Tiny negative quadratic forms (numerical) are clamped to zero with a
-    warning rather than raised.
+    Tiny negative quadratic forms (numerical) are clamped to zero, with one
+    warning that lists them, rather than raised.  The forms are computed on
+    a C-contiguous copy of the covariances, so a stacked row gets the same
+    bits as its own call.
     """
     g = np.asarray(gradient, dtype=float)
-    c = np.asarray(covariance, dtype=float)
-    if c.shape != (g.shape[0], g.shape[0]):
-        raise ValueError(f"gradient of length {g.shape[0]} needs a matching square "
-                         f"covariance, got shape {c.shape}")
-    q = float(g @ c @ g)
-    if q < 0.0:
-        warnings.warn(f"clamping negative quadratic form {q!r} to zero", stacklevel=2)
-        q = 0.0
-    return math.sqrt(q)
+    c = np.ascontiguousarray(covariance, dtype=float)
+    if c.shape != g.shape + g.shape[-1:]:
+        raise ValueError(f"gradient of shape {g.shape} needs covariance of shape "
+                         f"{g.shape + g.shape[-1:]}, got shape {c.shape}")
+    q = (g[..., None, :] @ c @ g[..., :, None])[..., 0, 0]
+    negative = q < 0.0
+    if np.any(negative):
+        forms = ", ".join(map(repr, q[negative].tolist()))
+        warnings.warn(f"clamping negative quadratic form {forms} to zero", stacklevel=2)
+        q = np.where(negative, 0.0, q)
+    sigma = np.sqrt(q)
+    return float(sigma) if g.ndim == 1 else sigma

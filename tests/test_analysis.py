@@ -7,6 +7,7 @@ import pytest
 from darkport.analysis import (
     DETECTION_SIGMA,
     RunRecord,
+    TooFewFitsError,
     bound_from_campaign,
     campaign_records,
     delta_v_statistics,
@@ -76,6 +77,16 @@ def test_non_physical_points_are_excluded_with_warning():
         gr = gamma_ratio_distribution(recs)
     assert gr.n_excluded == 1
     assert gr.n_values == 2
+
+
+def test_gamma_ratio_needs_two_usable_values():
+    # detector 2's pair is non-physical, which leaves one value: it has no
+    # scatter, so no stderr to flag a deviation against
+    rec = record(0, 0.042, 1.0, 0.040, 0.040)
+    assert delta_v_statistics([rec]).n_values == 2
+    with pytest.warns(UserWarning, match="excluding non-physical point"), \
+            pytest.raises(TooFewFitsError, match="need at least 2 Gamma-ratio values, got 1"):
+        gamma_ratio_distribution([rec])
 
 
 def test_noncommutative_flag_triggers_on_shifted_mean():

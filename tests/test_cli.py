@@ -455,6 +455,23 @@ def test_no_usable_fits_is_soft_failure(tmp_path, capsys, command):
     assert "too few usable fits" in capsys.readouterr().err
 
 
+# a loop with no fringe at all: in the one run, one detector's Gamma ratio
+# is non-physical, which leaves a single value with no scatter
+_ONE_GAMMA_VALUE = {"apparatus": {"visibility_v": 0.0}, "campaign": {"n_runs": 1}}
+
+
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
+def test_single_gamma_value_is_too_few_not_a_detection(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, _ONE_GAMMA_VALUE)
+    with pytest.warns(UserWarning, match="excluding non-physical point"):
+        rc = main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert "need at least 2 Gamma-ratio values, got 1" in err
+    assert "noncommutative" not in out and "min_detectable_epsilon" not in out
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("thickness", ["-1", "0", "nan", "inf"])
 def test_index_rejects_bad_thickness(tmp_path, capsys, thickness):
     spectrum = tmp_path / "phase.csv"

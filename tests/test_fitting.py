@@ -10,11 +10,12 @@ from darkport.fitting import (
     FitResult,
     InvalidFitError,
     NormalizedFringe,
-    _fit_rows,
-    _fitted_detector,
+    _fit_block,
+    _fitted_detectors,
     _jacobian,
     _mirror,
     _model,
+    _one_row,
     _solve_rows,
     fit_interferograms,
     fit_sinusoid,
@@ -264,6 +265,23 @@ def test_propagate_examples():
         propagate(np.array([1.0, 2.0]), np.eye(3))
     with pytest.warns(UserWarning):
         assert propagate(np.array([1.0]), np.array([[-1e-12]])) == 0.0
+    # a stack of gradients: each row as its own call, one warning for the
+    # negative form, which alone is clamped
+    rng = np.random.default_rng(12)
+    grads = rng.normal(size=(6, 3))
+    m = rng.normal(size=(6, 3, 3))
+    covs = m @ m.swapaxes(1, 2)
+    stacked = propagate(grads, covs)
+    assert stacked.shape == (6,)
+    assert stacked.tolist() == [propagate(g, c) for g, c in zip(grads, covs)]
+    with pytest.raises(ValueError):
+        propagate(grads, covs[:, :2, :2])
+    covs[2] = -1e-12 * np.eye(3)
+    with pytest.warns(UserWarning, match="clamping negative quadratic form") as record:
+        clamped = propagate(grads, covs)
+    assert len(record) == 1
+    assert clamped[2] == 0.0
+    assert np.delete(clamped, 2).tolist() == np.delete(stacked, 2).tolist()
 
 
 def test_fit_sigma_tracks_residual_scatter():
@@ -417,20 +435,24 @@ def test_fits_reach_the_least_chi_square_on_a_dense_frequency_grid():
 def test_mirror_is_the_complementary_fringe_in_closed_form():
     ig = simulate_interferogram(ExperimentConfig().build_pair()[1], ScanConfig(), seed=(3, 1))
     fringe = normalize(ig, detector=1)
-    fit = _fit_rows([fringe])[0]
-    mirrored = _mirror(fit)
-    a, f, p, b = fit.params
-    assert mirrored.params.tolist() == [a, f, math.fmod(p + 0.5 * math.pi, math.pi), 1.0 - a - b]
+    fit = _fit_block(fringe.phase[None], fringe.ratio[None], fringe.sigma[None],
+                     np.array([fringe.n_excluded]))
+    mirrored = _mirror(*fit)
+    (params, cov, *rest), (mirrored_params, mirrored_cov, *mirrored_rest) = fit, mirrored
+    a, f, p, b = params[0]
+    assert mirrored_params[0].tolist() == [a, f, math.fmod(p + 0.5 * math.pi, math.pi),
+                                           1.0 - a - b]
     t = np.eye(4)
     t[3] = [-1.0, 0.0, 0.0, -1.0]
-    assert np.array_equal(mirrored.covariance, t @ fit.covariance @ t.T)
-    for name in ("converged", "iterations", "residual_norm", "n_points", "n_excluded"):
-        assert getattr(mirrored, name) == getattr(fit, name)
-    assert np.allclose(_model(fringe.phase, mirrored.params), 1.0 - _model(fringe.phase, fit.params),
+    assert np.array_equal(mirrored_cov[0], t @ cov[0] @ t.T)
+    # converged, iterations, residual_norm, n_points, n_excluded
+    for got, want in zip(mirrored_rest, rest, strict=True):
+        assert np.array_equal(got, want)
+    assert np.allclose(_model(fringe.phase, mirrored_params[0]), 1.0 - _model(fringe.phase, params[0]),
                        rtol=0.0, atol=1e-15)
-    twice = _mirror(mirrored)
-    assert np.allclose(twice.params, fit.params, rtol=1e-15, atol=1e-15)
-    assert np.allclose(twice.covariance, fit.covariance, rtol=1e-12, atol=0.0)
+    twice = _mirror(*mirrored)
+    assert np.allclose(twice[0], params, rtol=1e-15, atol=1e-15)
+    assert np.allclose(twice[1], cov, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("counts", [20000.0, 200.0, 20.0])
@@ -441,7 +463,7 @@ def test_mirrored_fit_matches_an_independent_fit_of_the_other_detector(counts):
     pair = ExperimentConfig().build_pair()
     scan = ScanConfig(mean_counts_per_step=counts)
     igs = [simulate_interferogram(pair[k % 2], scan, seed=(17, k)) for k in range(100)]
-    others = [3 - _fitted_detector(ig) for ig in igs]
+    others = [3 - int(_fitted_detectors(*_one_row(ig)[1:])[0]) for ig in igs]
     assert 20 < others.count(1) < 80  # both detectors get mirrored
     compared = 0
     for ig, other, fits in zip(igs, others, fit_interferograms(igs)):
@@ -470,7 +492,7 @@ def test_invalid_fitted_detector_can_have_a_valid_mirror():
                                     turns + 4.0 * math.pi / 3.0]))
     bright = np.isclose(np.cos(phase), -1.0)
     ig = Interferogram(phase, np.where(bright, 10 ** 6, 0), np.where(bright, 0, 1))
-    assert _fitted_detector(ig) == 1
+    assert _fitted_detectors(*_one_row(ig)[1:])[0] == 1
     with pytest.raises(InvalidFitError):
         fit_sinusoid(normalize(ig, detector=1))
     [(d1, d2)] = fit_interferograms([ig])

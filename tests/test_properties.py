@@ -23,12 +23,13 @@ from darkport.fitting import (
     FitInputError,
     FitResult,
     InvalidFitError,
-    _fit_rows,
+    _fit_block,
     _mirror,
-    _outcome,
+    _outcomes,
     fit_interferograms,
     fit_sinusoid,
     normalize,
+    visibility_from_fit,
 )
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
 from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram, simulate_run
@@ -100,7 +101,9 @@ def _reference(ig):
         fitted = fit_sinusoid(fringe)
     except InvalidFitError as err:
         fitted = err
-    pair = (fitted, _outcome(_mirror(_fit_rows([fringe])[0])))
+    block = _fit_block(fringe.phase[None], fringe.ratio[None], fringe.sigma[None],
+                       np.array([fringe.n_excluded]))
+    pair = (fitted, _outcomes(*_mirror(*block))[0])
     return pair if chosen == 1 else pair[::-1]
 
 
@@ -135,6 +138,19 @@ def test_pool_covers_every_outcome():
                 if isinstance(fit, FitResult)]
     assert all(got == want for got, want in excluded)
     assert any(got > 0 for got, _ in excluded)
+
+
+def test_visibility_from_fit_is_the_fit_visibility_bit_for_bit():
+    # the one-row visibility and the block's, on fitted and mirrored sides
+    checked = [0, 0]
+    for pair in fit_interferograms(POOL):
+        for side, fit in enumerate(pair):
+            if isinstance(fit, FitResult):
+                got = visibility_from_fit(fit)
+                assert (got.value.hex(), got.sigma.hex()) == (
+                    fit.visibility.value.hex(), fit.visibility.sigma.hex())
+                checked[side] += 1
+    assert min(checked) >= 10
 
 
 @PROPERTY
