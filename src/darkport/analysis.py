@@ -8,7 +8,6 @@ further than 5 standard errors from 1 raises the non-commutativity flag.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import photonsim
 from .config import ConfigError, ExperimentConfig
-from .fitting import FIT_BLOCK_ROWS, FitOutcome, FitResult, fit_counts, fit_interferograms
+from .fitting import FIT_BLOCK_ROWS, FitResult, fit_counts, fit_interferograms
 from .interferometer import (
     NonPhysicalVisibilityError,
     SagnacModel,
@@ -157,11 +156,6 @@ def _visibility_or_none(fit) -> VisibilityValue | None:
     return None
 
 
-def _record(run_index: int, reference: tuple[FitOutcome, FitOutcome],
-            toggled: tuple[FitOutcome, FitOutcome]) -> RunRecord:
-    return RunRecord(run_index, *map(_visibility_or_none, reference + toggled))
-
-
 def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
     """Fit every interferogram of every run; failures leave None slots.
 
@@ -178,7 +172,34 @@ def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
 
     fits = fit_interferograms(interferograms())
     # consecutive (d1, d2) pairs are one run's reference and toggled fits
-    return [_record(indices[k], nim, both) for k, (nim, both) in enumerate(zip(fits, fits))]
+    return [RunRecord(indices[k], *map(_visibility_or_none, nim + both))
+            for k, (nim, both) in enumerate(zip(fits, fits))]
+
+
+def _slot_fits(model: SagnacModel, slot: int, scan: ScanConfig, master_seed: int,
+               indices: Sequence[int]) -> list[tuple[VisibilityValue | None, ...]]:
+    """The (d1, d2) visibilities of one configuration's slot in the given runs.
+
+    Run idx draws from seed (master_seed, idx, slot); the rows go through
+    photonsim.draw_counts and fitting.fit_counts FIT_BLOCK_ROWS at a time,
+    as (rows, n_steps) count blocks with no Interferogram per run.  A row
+    depends only on the model's expected rates, the scan and its seed.
+    """
+    phase = scan.phases()
+    fits = []
+    for start in range(0, len(indices), FIT_BLOCK_ROWS):
+        block = indices[start:start + FIT_BLOCK_ROWS]
+        d1, d2 = photonsim.draw_counts([model] * len(block), scan,
+                                       [(master_seed, idx, slot) for idx in block])
+        fits.extend(tuple(map(_visibility_or_none, pair)) for pair in fit_counts(phase, d1, d2))
+    return fits
+
+
+def _paired_records(indices: Iterable[int], reference_fits: list,
+                    toggled_fits: list) -> list[RunRecord]:
+    """One record per run: its reference (slot 0) then toggled (slot 1) fits."""
+    return [RunRecord(idx, *ref, *tog)
+            for idx, ref, tog in zip(indices, reference_fits, toggled_fits, strict=True)]
 
 
 def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanConfig,
@@ -189,20 +210,14 @@ def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanCon
     (master_seed, idx, 0) and (master_seed, idx, 1), exactly as simulate_run
     with seed (master_seed, idx) does, so the records equal
     records_from_runs of those runs, and any split of the indices over
-    calls or processes gives the same records.  The runs go through
-    photonsim.draw_counts and fitting.fit_counts FIT_BLOCK_ROWS // 2 at a
-    time, as (rows, n_steps) count blocks with no Interferogram per run.
+    calls or processes gives the same records.  Each slot is simulated and
+    fitted on its own, FIT_BLOCK_ROWS runs per block (_slot_fits), and the
+    two slots are then zipped run by run.
     """
     photonsim.check_pair(reference, toggled)
-    phase = scan.phases()
-    indices = iter(indices)
-    records = []
-    while block := list(itertools.islice(indices, FIT_BLOCK_ROWS // 2)):
-        seeds = [(master_seed, idx, slot) for idx in block for slot in (0, 1)]
-        d1, d2 = photonsim.draw_counts([reference, toggled] * len(block), scan, seeds)
-        fits = iter(fit_counts(phase, d1, d2))
-        records.extend(_record(idx, nim, both) for idx, nim, both in zip(block, fits, fits))
-    return records
+    indices = list(indices)
+    return _paired_records(indices, *(_slot_fits(model, slot, scan, master_seed, indices)
+                                      for slot, model in enumerate((reference, toggled))))
 
 
 def _pooled_pairs(records: Iterable[RunRecord]) -> list[tuple[VisibilityValue, VisibilityValue]]:
@@ -323,12 +338,27 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
     visibility chain can actually see, |Gamma_toggled|/Gamma_reference
     (visibilities only measure |Gamma|), against the empirical scatter of a
     simulated campaign at that epsilon; epsilon = 0 therefore gives exactly 0.
+    min_detectable_epsilon is the detecting epsilon (significance at least
+    DETECTION_SIGMA) of smallest magnitude, the first in grid order on a tie.
+
+    Each epsilon's records are campaign_records of its pair, but a slot's
+    fits are computed once per call for each distinct (expected rates,
+    slot): the scan, seeds and runs are the same at every epsilon, so a
+    configuration that epsilon does not touch (the reference in the
+    default roles), a repeated epsilon or -0.0 reuses them bit for bit.
     """
+    runs = range(config.n_runs)
+    fits: dict[tuple[bytes, int], list] = {}
+
+    def slot_fits(model: SagnacModel, slot: int) -> list:
+        key = (np.stack(photonsim.expected_rates(model, config.scan)).tobytes(), slot)
+        if key not in fits:
+            fits[key] = _slot_fits(model, slot, config.scan, config.master_seed, runs)
+        return fits[key]
+
     points = []
-    min_eps = None
     for eps in epsilon_grid:
-        cfg = config.with_epsilon(float(eps))
-        reference, toggled = cfg.build_pair()
+        reference, toggled = config.with_epsilon(float(eps)).build_pair()
         g_ref = gamma_of_model(reference)
         g_tog = gamma_of_model(toggled)
         if g_ref <= 0.0:
@@ -336,8 +366,9 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
                               f"at epsilon {eps!r}")
         shift = g_ref - g_tog
         visible_deviation = abs(1.0 - abs(g_tog) / g_ref)
-        stats = gamma_ratio_distribution(campaign_records(
-            reference, toggled, cfg.scan, cfg.master_seed, range(cfg.n_runs)))
+        photonsim.check_pair(reference, toggled)
+        stats = gamma_ratio_distribution(_paired_records(
+            runs, slot_fits(reference, 0), slot_fits(toggled, 1)))
         if visible_deviation == 0.0:
             significance = 0.0
         elif stats.stderr > 0.0:
@@ -346,6 +377,6 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
             significance = math.inf
         points.append(SweepPoint(epsilon=float(eps), gamma_shift=shift,
                                  significance=significance))
-        if min_eps is None and significance >= DETECTION_SIGMA:
-            min_eps = float(eps)
-    return SweepResult(points=tuple(points), min_detectable_epsilon=min_eps)
+    detecting = [p.epsilon for p in points if p.significance >= DETECTION_SIGMA]
+    return SweepResult(points=tuple(points), min_detectable_epsilon=min(detecting, key=abs,
+                                                                        default=None))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from darkport import analysis, photonsim
 from darkport.analysis import (
     DETECTION_SIGMA,
     RunRecord,
@@ -15,9 +16,10 @@ from darkport.analysis import (
     records_from_runs,
     sensitivity_sweep,
 )
-from darkport.interferometer import VisibilityValue, gamma_ratio, theta_bound
+from darkport.interferometer import PhaseElement, VisibilityValue, gamma_ratio, theta_bound
 from darkport.config import ExperimentConfig
-from darkport.photonsim import ScanConfig, simulate_campaign
+from darkport.photonsim import ScanConfig, expected_rates, simulate_campaign
+from darkport.quaternion import PhaseVector
 
 
 def lc_only(**kwargs):
@@ -218,6 +220,62 @@ def test_sensitivity_sweep_shape_and_threshold():
                             rel_tol=1e-12, abs_tol=1e-300)
     assert res.min_detectable_epsilon == 0.02
     assert res.points[2].significance >= 5.0
+
+
+def test_min_detectable_epsilon_is_the_smallest_detecting_magnitude():
+    cfg = dataclasses.replace(ExperimentConfig(), n_runs=20)
+    res = sensitivity_sweep((0.1, 0.05, 0.0), cfg)
+    assert [p.significance >= DETECTION_SIGMA for p in res.points] == [True, True, False]
+    assert res.min_detectable_epsilon == 0.05
+    # equal magnitudes: the first in grid order
+    assert sensitivity_sweep((0.1, -0.05, 0.05), cfg).min_detectable_epsilon == -0.05
+    assert sensitivity_sweep((0.1, 0.05, -0.05), cfg).min_detectable_epsilon == 0.05
+
+
+# the swapped-roles, lossy-LC config of test_cli.py's
+# test_sweep_simulates_the_campaign_pair: epsilon moves the reference loop
+SWAPPED_LOSSY_LC = ExperimentConfig(
+    elements=(PhaseElement("lc", PhaseVector(math.pi, 0.0, 0.0), 0.5),
+              PhaseElement("nim", PhaseVector(-math.pi, 0.0, 0.0), 0.36055512754639896)),
+    reference="both", toggled="nim")
+
+
+def _stats_bits(stats):
+    return (stats.values.tobytes(), stats.point_sigmas.tobytes(), stats.n_excluded,
+            *(getattr(stats, name).hex() for name in ("mean", "std", "stderr",
+                                                      "mean_point_sigma")))
+
+
+@pytest.mark.parametrize("base", [ExperimentConfig(), SWAPPED_LOSSY_LC],
+                         ids=["default_roles", "swapped_lossy_lc"])
+def test_sweep_reuses_fits_bit_for_bit(monkeypatch, base):
+    cfg = dataclasses.replace(base, n_runs=6, master_seed=41)
+    grid = (0.0, 0.02, -0.0, 0.02, 0.05)
+    swept, rows = [], []
+    gamma_ratio_of, draw_counts = analysis.gamma_ratio_distribution, photonsim.draw_counts
+
+    def recording_stats(records):
+        swept.append(gamma_ratio_of(records))
+        return swept[-1]
+
+    def counting(models, *args, **kwargs):
+        rows.append(len(models))
+        return draw_counts(models, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "gamma_ratio_distribution", recording_stats)
+    monkeypatch.setattr(photonsim, "draw_counts", counting)
+    sensitivity_sweep(grid, cfg)
+    monkeypatch.undo()
+    alone = [gamma_ratio_distribution(campaign_records(
+        *cfg.with_epsilon(eps).build_pair(), cfg.scan, cfg.master_seed, range(cfg.n_runs)))
+        for eps in grid]
+    assert [_stats_bits(s) for s in swept] == [_stats_bits(s) for s in alone]
+    # one slot's rows are drawn once per distinct (expected rates, slot): the
+    # loop without the LC once, the LC loop at epsilon 0, 0.02 and 0.05
+    keys = {(np.stack(expected_rates(model, cfg.scan)).tobytes(), slot)
+            for eps in grid for slot, model in enumerate(cfg.with_epsilon(eps).build_pair())}
+    assert len(keys) == 4
+    assert sum(rows) == cfg.n_runs * len(keys)
 
 
 def test_sweep_epsilon_zero_shift_is_exact():

@@ -268,14 +268,16 @@ def test_sweep_simulates_the_campaign_pair(tmp_path, capsys, monkeypatch):
     simulated = []
     draw_counts = photonsim.draw_counts
 
-    def recording(models, *args, **kwargs):
-        # rows alternate reference and toggled, one pair per run
-        simulated.extend(zip(models[::2], models[1::2]))
-        return draw_counts(models, *args, **kwargs)
+    def recording(models, scan, seeds, **kwargs):
+        # each drawn row's model and seed (master_seed, run, slot)
+        simulated.extend(zip(models, seeds, strict=True))
+        return draw_counts(models, scan, seeds, **kwargs)
 
     monkeypatch.setattr(photonsim, "draw_counts", recording)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert simulated == [load_config(cfg).build_pair()] * 2
+    reference, toggled = load_config(cfg).build_pair()
+    assert simulated == [(reference, (0, 0, 0)), (reference, (0, 1, 0)),
+                         (toggled, (0, 0, 1)), (toggled, (0, 1, 1))]
 
 
 def test_sweep_rejects_epsilon_that_darkens_the_reference(tmp_path, capsys):
@@ -521,7 +523,8 @@ def test_fit_reads_counts_beyond_int64(tmp_path, capsys):
 
 
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):
-    # default campaign and sweep: (1 + 7 epsilons) x 200 runs x 2 configurations
+    # default campaign and sweep, 200 runs each: the campaign's 2 configurations,
+    # then the sweep's reference once and its toggled one at each of 7 epsilons
     calls = {"normalize": 0, "rows": 0}
     normalize, fit_block = fitting._normalize_rows, fitting._fit_block
 
@@ -537,4 +540,4 @@ def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypa
     monkeypatch.setattr(fitting, "_fit_block", counted_fit_block)
     assert main(["campaign", "--out", str(tmp_path / "campaign")]) == 0
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
-    assert calls == {"normalize": 3200, "rows": 3200}
+    assert calls == {"normalize": 2000, "rows": 2000}
