@@ -20,12 +20,12 @@ print(f"scan: {cfg.scan.n_steps} steps, "
 print()
 
 fits = {}
-for ig in (run.nim, run.both):
+for name, ig, model in (("nim", run.nim, model_nim), ("both", run.both, model_both)):
     fit = fit_sinusoid(normalize(ig))
-    fits[ig.label] = fit
+    fits[name] = fit
     v = fit.visibility
-    print(f"{ig.label:>4}: V = {v.value:.5f} +/- {v.sigma:.5f}  "
-          f"(analytic {analytic_visibility(model_nim if ig.label == 'nim' else model_both):.5f}, "
+    print(f"{name:>4}: V = {v.value:.5f} +/- {v.sigma:.5f}  "
+          f"(analytic {analytic_visibility(model):.5f}, "
           f"{fit.iterations} iterations)")
 
 ratio = gamma_ratio(fits["both"].visibility, fits["nim"].visibility)

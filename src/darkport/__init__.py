@@ -31,7 +31,6 @@ from .interferometer import (
     gamma_of_model,
     gamma_ratio,
     loop_defect,
-    mz_signal,
     mz_visibility_from_ports,
     mz_visibility_theta,
     propagate_state,

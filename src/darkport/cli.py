@@ -64,8 +64,7 @@ def cmd_simulate(args) -> int:
     out = _ensure_out_dir(args, cfg)
     models = {name: cfg.build_model(name) for name in sorted(cfg.configurations)}
     for idx, (name, model) in enumerate(models.items()):
-        ig = photonsim.simulate_interferogram(model, scan, label=name,
-                                              seed=(scan.rng_seed, idx))
+        ig = photonsim.simulate_interferogram(model, scan, seed=(scan.rng_seed, idx))
         path = os.path.join(out, f"interferogram_{name}.csv")
         reports.write_interferogram_csv(path, ig)
         v = photonsim.analytic_visibility(model)

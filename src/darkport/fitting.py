@@ -119,10 +119,6 @@ class FitResult:
 
     sigma_amplitude, sigma_frequency, sigma_phase, sigma_offset = map(_sigma, range(4))
 
-    def model(self, x: np.ndarray) -> np.ndarray:
-        params = np.array([self.amplitude, self.frequency, self.phase, self.offset])
-        return _model(np.asarray(x, dtype=float), params)
-
 
 # a fit's result, or the error that stopped it
 FitOutcome = FitResult | FitInputError | InvalidFitError

@@ -46,7 +46,6 @@ __all__ = [
     "dark_port_prob",
     "loop_defect",
     "mz_visibility_from_ports",
-    "mz_signal",
     "gamma_of_model",
     "gamma_ratio",
     "theta_bound",
@@ -100,8 +99,9 @@ class SagnacModel:
         if not 0.0 <= self.visibility_v <= 1.0:
             raise ValueError(f"visibility_v must lie in [0, 1], got {self.visibility_v!r}")
         if not self.reflection.is_unit:
-            raise ValueError(
-                f"reflection must be a unit quaternion, got norm {self.reflection.norm()!r}")
+            r = self.reflection
+            raise ValueError(f"reflection must be a unit quaternion, "
+                             f"got norm {math.hypot(r.w, r.x, r.y, r.z)!r}")
         if not self.reflection.is_imaginary:
             # pi/2-type reflection: exp(u*pi/2) = u for a unit imaginary u.
             # A real component breaks beamsplitter unitarity.
@@ -197,25 +197,14 @@ def _loop_products(elements: Iterable[PhaseElement]) -> tuple[Quaternion, Quater
     return cw, ccw
 
 
-def _select(model: SagnacModel, active: Iterable[str] | None) -> tuple[PhaseElement, ...]:
-    if active is None:
-        return tuple(model.elements)
-    wanted = set(active)
-    known = {e.label for e in model.elements}
-    unknown = wanted - known
-    if unknown:
-        raise ValueError(f"unknown element labels {sorted(unknown)!r}; model has {sorted(known)!r}")
-    return tuple(e for e in model.elements if e.label in wanted)
-
-
-def loop_defect(model: SagnacModel, active: Iterable[str] | None = None) -> float:
-    """|r*P_cw - P_ccw*r| for the selected elements' phase products.
+def loop_defect(model: SagnacModel) -> float:
+    """|r*P_cw - P_ccw*r| for the loop's phase products.
 
     The two-element case is generalized_defect(alpha, beta, r); with a
     single element it is the commutator norm of that phase with the
     reflection, and with none it is zero.
     """
-    cw, ccw = _loop_products(_select(model, active))
+    cw, ccw = _loop_products(model.elements)
     r = model.reflection
     return norm(mul(r, cw) - mul(ccw, r))
 
@@ -265,21 +254,15 @@ def mz_visibility_from_ports(p: PortProbabilities) -> float:
     return 2.0 * math.sqrt(p.p_bright * p.p_dark)
 
 
-def mz_signal(phi: float, visibility: float) -> float:
-    """Normalized Mach-Zehnder count rate 1/2 + (V/2) cos(phi) at one port."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    return 0.5 + 0.5 * visibility * math.cos(phi)
+def gamma_of_model(model: SagnacModel) -> float:
+    """Commutativity factor Gamma = 1 - defect^2 / 2 of the model's loop.
 
-
-def gamma_of_model(model: SagnacModel, active: Iterable[str] | None = None) -> float:
-    """Commutativity factor Gamma = 1 - defect^2 / 2 for the active elements.
-
-    ``active`` selects element labels (liquid crystal on/off, metamaterial
-    in/out); None activates everything.  Gamma is 1 exactly when the active
-    phases and the reflection all commute, and ranges down to -1.
+    A toggle configuration (liquid crystal on/off, metamaterial in/out) is
+    the model of just its elements, as ExperimentConfig.build_model builds
+    it.  Gamma is 1 exactly when the loop's phases and the reflection all
+    commute, and ranges down to -1.
     """
-    d = loop_defect(model, active)
+    d = loop_defect(model)
     return 1.0 - 0.5 * d * d
 
 

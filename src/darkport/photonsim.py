@@ -37,13 +37,18 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# numpy's Poisson sampler rejects a mean above this (lam value too large)
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ScanConfig:
     """Phase scan of the Mach-Zehnder stage.
 
     mean_counts_per_step is the expected heralded detections per step at
-    unit transmission; element losses scale it down.
+    unit transmission; element losses scale it down.  It must be positive
+    and at most numpy's Poisson limit (about 9.2234e18), which then bounds
+    every detector mean.
     """
 
     n_steps: int = 100
@@ -59,8 +64,8 @@ class ScanConfig:
             raise ValueError("phase_start and phase_end must be finite")
         if abs(self.phase_end - self.phase_start) < TWO_PI - 1e-9:
             raise ValueError("phase span must cover at least one full fringe (2 pi)")
-        if not 0.0 < self.mean_counts_per_step < math.inf:
-            raise ValueError(f"mean_counts_per_step must be positive and finite, "
+        if not 0.0 < self.mean_counts_per_step <= _POISSON_LAM_MAX:
+            raise ValueError(f"mean_counts_per_step must lie in (0, {_POISSON_LAM_MAX!r}], "
                              f"got {self.mean_counts_per_step!r}")
         if not 0 <= int(self.rng_seed) < 2 ** 64:
             raise ValueError(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed!r}")
@@ -73,15 +78,13 @@ class ScanConfig:
 class Interferogram:
     """Counts at the two detectors versus stage phase.
 
-    Counts are integer-valued Poisson draws; in noiseless diagnostic mode
-    they are the float expected values instead (the arrays keep whichever
-    dtype they were generated with).
+    Simulated counts are int64 Poisson draws; counts read from a CSV may
+    be floats (the arrays keep whichever dtype they were given).
     """
 
     phase_rad: np.ndarray
     counts_d1: np.ndarray
     counts_d2: np.ndarray
-    label: str = ""
     seed: tuple = ()
 
     def __post_init__(self) -> None:
@@ -136,31 +139,23 @@ def draw_counts(
     models: Sequence[SagnacModel],
     scan: ScanConfig,
     seeds: Sequence,
-    *,
-    noiseless: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts at the two detectors, one row per (model, seed) pair.
 
-    Returns two (rows, n_steps) arrays.  Row k is drawn from its own
+    Returns two (rows, n_steps) int64 arrays.  Row k is drawn from its own
     Generator on SeedSequence(seeds[k]) (an int or tuple of ints), detector
     1 first, so it depends on nothing but its model, the scan and its seed.
-    expected_rates runs once per distinct model object.  With ``noiseless``
-    the rows are the float expected values instead of int64 draws.
+    expected_rates runs once per distinct model object.
     """
     rates: dict[int, np.ndarray] = {}
     for model in models:
         if id(model) not in rates:
             rates[id(model)] = np.stack(expected_rates(model, scan))
-    counts = np.empty((len(models), 2, scan.n_steps),
-                      dtype=float if noiseless else np.int64)
+    counts = np.empty((len(models), 2, scan.n_steps), dtype=np.int64)
     for k, (model, seed) in enumerate(zip(models, seeds, strict=True)):
-        lam = rates[id(model)]
-        if noiseless:
-            counts[k] = lam
-        else:
-            # one call draws d1 then d2, as two calls on the same stream would
-            rng = np.random.default_rng(np.random.SeedSequence(_as_entropy(seed)))
-            counts[k] = rng.poisson(lam)
+        # one call draws d1 then d2, as two calls on the same stream would
+        rng = np.random.default_rng(np.random.SeedSequence(_as_entropy(seed)))
+        counts[k] = rng.poisson(rates[id(model)])
     return counts[:, 0], counts[:, 1]
 
 
@@ -168,22 +163,17 @@ def simulate_interferogram(
     model: SagnacModel,
     scan: ScanConfig,
     *,
-    label: str = "",
     seed=None,
-    noiseless: bool = False,
 ) -> Interferogram:
     """Draw one interferogram; deterministic given the seed.
 
     ``seed`` (an int or tuple of ints) overrides scan.rng_seed; run and
-    campaign helpers use tuples to give every draw its own stream.  With
-    ``noiseless`` the Poisson step is skipped and the expected values are
-    returned, which is the diagnostic mode used to check fit convergence
-    against the analytic visibility.
+    campaign helpers use tuples to give every draw its own stream.
     """
     entropy = _as_entropy(scan.rng_seed if seed is None else seed)
-    d1, d2 = draw_counts([model], scan, [entropy], noiseless=noiseless)
+    d1, d2 = draw_counts([model], scan, [entropy])
     return Interferogram(phase_rad=scan.phases(), counts_d1=d1[0], counts_d2=d2[0],
-                         label=label, seed=entropy)
+                         seed=entropy)
 
 
 def check_pair(model_nim: SagnacModel, model_both: SagnacModel) -> None:
@@ -205,8 +195,6 @@ def simulate_run(
     *,
     run_index: int = 0,
     seed=None,
-    labels: tuple[str, str] = ("nim", "both"),
-    noiseless: bool = False,
 ) -> RunPair:
     """Simulate one toggle run: reference configuration, then toggled.
 
@@ -217,10 +205,10 @@ def simulate_run(
     check_pair(model_nim, model_both)
     entropy = _as_entropy(scan.rng_seed if seed is None else seed)
     seeds = (entropy + (0,), entropy + (1,))
-    d1, d2 = draw_counts([model_nim, model_both], scan, seeds, noiseless=noiseless)
+    d1, d2 = draw_counts([model_nim, model_both], scan, seeds)
     phase = scan.phases()
     nim, both = (Interferogram(phase_rad=phase, counts_d1=d1[k], counts_d2=d2[k],
-                               label=labels[k], seed=seeds[k]) for k in (0, 1))
+                               seed=seeds[k]) for k in (0, 1))
     return RunPair(run_index=run_index, nim=nim, both=both)
 
 
@@ -229,9 +217,6 @@ def simulate_campaign(
     scan: ScanConfig,
     n_runs: int,
     master_seed: int,
-    *,
-    labels: tuple[str, str] = ("nim", "both"),
-    noiseless: bool = False,
 ) -> list[RunPair]:
     """n_runs independent toggle runs, seeded as (master_seed, run_index).
 
@@ -243,6 +228,6 @@ def simulate_campaign(
     model_nim, model_both = models
     return [
         simulate_run(model_nim, model_both, scan, run_index=idx,
-                     seed=(int(master_seed), idx), labels=labels, noiseless=noiseless)
+                     seed=(int(master_seed), idx))
         for idx in range(n_runs)
     ]

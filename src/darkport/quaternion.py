@@ -63,7 +63,9 @@ class Quaternion:
 
     @property
     def is_unit(self) -> bool:
-        return abs(self.norm() - 1.0) <= UNIT_TOL
+        # a component above 2 already rules a unit out, and could overflow norm()
+        return (max(abs(self.w), abs(self.x), abs(self.y), abs(self.z)) <= 2.0
+                and abs(self.norm() - 1.0) <= UNIT_TOL)
 
     @property
     def is_imaginary(self) -> bool:
@@ -98,7 +100,7 @@ class PhaseVector:
 
     @property
     def magnitude(self) -> float:
-        return math.sqrt(self.phi1 ** 2 + self.phi2 ** 2 + self.phi3 ** 2)
+        return math.hypot(self.phi1, self.phi2, self.phi3)
 
     @property
     def is_complex(self) -> bool:

@@ -141,7 +141,7 @@ def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
     return data
 
 
-def read_interferogram_csv(path, label: str = "") -> Interferogram:
+def read_interferogram_csv(path) -> Interferogram:
     data = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
     counts = data[:, 1:]
     if np.any(counts < 0):
@@ -150,7 +150,7 @@ def read_interferogram_csv(path, label: str = "") -> Interferogram:
     if np.all(counts == np.round(counts)) and np.all(counts <= 2.0 ** 53):
         counts = counts.astype(np.int64)
     return Interferogram(phase_rad=data[:, 0], counts_d1=counts[:, 0],
-                         counts_d2=counts[:, 1], label=label)
+                         counts_d2=counts[:, 1])
 
 
 def write_histogram_csv(path, rows: Iterable[tuple[float, int]]) -> None:

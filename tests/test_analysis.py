@@ -18,7 +18,13 @@ from darkport.analysis import (
 )
 from darkport.interferometer import PhaseElement, VisibilityValue, gamma_ratio, theta_bound
 from darkport.config import ExperimentConfig
-from darkport.photonsim import ScanConfig, expected_rates, simulate_campaign
+from darkport.photonsim import (
+    Interferogram,
+    RunPair,
+    ScanConfig,
+    expected_rates,
+    simulate_campaign,
+)
 from darkport.quaternion import PhaseVector
 
 
@@ -178,8 +184,9 @@ def test_null_campaigns_stay_unflagged_across_seeds():
 def test_lc_systematic_noiseless_is_exactly_zero():
     cfg = lc_only()
     models = cfg.build_pair()
-    runs = simulate_campaign(models, cfg.scan, 3, 0, labels=("off", "on"),
-                             noiseless=True)
+    phases = cfg.scan.phases()
+    off, on = (Interferogram(phases, *expected_rates(m, cfg.scan)) for m in models)
+    runs = [RunPair(run_index=idx, nim=off, both=on) for idx in range(3)]
     stats = delta_v_statistics(records_from_runs(runs))
     assert stats.mean == 0.0
     assert stats.std == 0.0
@@ -190,7 +197,7 @@ def test_lc_systematic_matches_counting_statistics():
     # so Delta_LC spreads as sqrt(2) * 0.002 ~ 0.003
     cfg = lc_only(scan=ScanConfig(mean_counts_per_step=5000.0))
     models = cfg.build_pair()
-    runs = simulate_campaign(models, cfg.scan, 60, 71, labels=("off", "on"))
+    runs = simulate_campaign(models, cfg.scan, 60, 71)
     stats = delta_v_statistics(records_from_runs(runs))
     assert abs(stats.mean) < 3.0 * stats.stderr
     assert 0.002 < stats.std < 0.004
@@ -199,7 +206,7 @@ def test_lc_systematic_matches_counting_statistics():
 def test_lc_systematic_sees_injected_epsilon():
     cfg = lc_only().with_epsilon(0.3)
     models = cfg.build_pair()
-    runs = simulate_campaign(models, cfg.scan, 5, 1, labels=("off", "on"))
+    runs = simulate_campaign(models, cfg.scan, 5, 1)
     stats = delta_v_statistics(records_from_runs(runs))
     # Gamma drops to 1 - 2 sin^2(0.3): the on-visibility jumps far above noise
     assert stats.mean > 0.5

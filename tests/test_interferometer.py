@@ -14,13 +14,13 @@ from darkport.interferometer import (
     gamma_of_model,
     gamma_ratio,
     loop_defect,
-    mz_signal,
     mz_visibility_from_ports,
     mz_visibility_theta,
     propagate_state,
     sagnac_probs_theta,
     theta_bound,
 )
+from darkport.config import ConfigError, ExperimentConfig
 from darkport.quaternion import I, J, K, PhaseVector, Quaternion, qexp
 
 V_SAGNAC = 0.9992774  # operating point used throughout
@@ -140,19 +140,22 @@ def test_loop_defect_small_cases():
 
 
 def test_gamma_of_model_active_subsets():
+    # each subset of the elements is the model build_model makes of it
     eps = 0.02
-    model = SagnacModel(visibility_v=V_SAGNAC, elements=(
-        PhaseElement("lc", PhaseVector(0.0, eps, 0.0)),
-        PhaseElement("nim", PhaseVector(-math.pi, 0.0, 0.0)),
-    ))
-    assert gamma_of_model(model, active=()) == 1.0
-    assert gamma_of_model(model, active=("nim",)) == 1.0
+    cfg = ExperimentConfig(
+        visibility_v=V_SAGNAC,
+        elements=(PhaseElement("lc", PhaseVector(0.0, eps, 0.0)),
+                  PhaseElement("nim", PhaseVector(-math.pi, 0.0, 0.0))),
+        configurations={"none": (), "nim": ("nim",), "lc": ("lc",), "both": ("lc", "nim"),
+                        "oops": ("oops",)})
+    assert gamma_of_model(cfg.build_model("none")) == 1.0
+    assert gamma_of_model(cfg.build_model("nim")) == 1.0
     # lc alone or lc+nim: defect 2 sin(eps), Gamma = 1 - 2 sin^2(eps)
     want = 1.0 - 2.0 * math.sin(eps) ** 2
-    assert math.isclose(gamma_of_model(model, active=("lc",)), want, rel_tol=1e-12)
-    assert math.isclose(gamma_of_model(model), want, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        gamma_of_model(model, active=("oops",))
+    assert math.isclose(gamma_of_model(cfg.build_model("lc")), want, rel_tol=1e-12)
+    assert math.isclose(gamma_of_model(cfg.build_model("both")), want, rel_tol=1e-12)
+    with pytest.raises(ConfigError):
+        cfg.build_model("oops")
 
 
 def test_gamma_ratio_reference_point():
@@ -213,14 +216,6 @@ def test_theta_bound_inverts_cosine():
     for theta_deg in (0.5, 2.0, 10.0):
         ratio = math.cos(math.radians(theta_deg))
         assert math.isclose(theta_bound(ratio).central_deg, theta_deg, rel_tol=1e-12)
-
-
-def test_mz_signal():
-    assert mz_signal(0.0, 1.0) == 1.0
-    assert math.isclose(mz_signal(math.pi, 1.0), 0.0, abs_tol=1e-15)
-    assert mz_signal(1.2, 0.0) == 0.5
-    with pytest.raises(ValueError):
-        mz_signal(0.0, 1.2)
 
 
 def test_theta_parameterization_is_bit_identical():
