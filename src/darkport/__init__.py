@@ -53,10 +53,8 @@ from .fitting import (
     InvalidFitError,
     NormalizedFringe,
     fit_sinusoid,
-    fit_sinusoids,
     normalize,
     propagate,
-    visibility_from_fit,
 )
 from .analysis import (
     BoundReport,

@@ -119,7 +119,9 @@ def cmd_campaign(args) -> int:
         chunk = max(1, cfg.n_runs // (4 * args.jobs))
         parts = [range(start, min(start + chunk, cfg.n_runs))
                  for start in range(0, cfg.n_runs, chunk)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once; output does not depend on their number
+        workers = min(args.jobs, len(parts), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for part in pool.map(run, parts) for rec in part]
     else:
         records = run(range(cfg.n_runs))

@@ -9,10 +9,11 @@ rescaled by the reduced chi-square so the reported sigmas stay honest when
 the noise model is off.  Of an interferogram's two detector fringes, which
 sum to 1 at every step, only one is fitted; the other's fit is its exact
 mirror (fit_interferograms).  Counts are sorted, normalized and fitted as
-(rows, n_steps) blocks (fit_counts), and normalize is the one-row case.  A
-fitted block stays arrays through the mirror map, the A + 2B > 0 check and
-the visibility with its propagated sigma; only then is each row's
-FitResult or InvalidFitError built.
+(rows, n_steps) blocks (fit_counts), one block per kept length, and
+normalize is the one-row case; callers stream FIT_BLOCK_ROWS rows at a
+time.  A fitted block stays arrays through the mirror map, the A + 2B > 0
+check and the visibility with its propagated sigma; only then is each
+row's FitResult or InvalidFitError built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,20 +35,19 @@ __all__ = [
     "FitResult",
     "normalize",
     "fit_sinusoid",
-    "fit_sinusoids",
     "fit_counts",
     "fit_interferograms",
-    "visibility_from_fit",
     "propagate",
 ]
 
 MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
-# Rows fitted together.  A block's work arrays are a few tens of kB at 32
-# rows of 100 points.  A block iterates until its slowest row stops, so
-# larger blocks spend less time per fit on hard, low-count fringes, but
-# they raise the peak memory of a campaign or sweep by megabytes at
-# several hundred rows.
+# Rows fitted together: fit_interferograms and analysis._slot_fits pass
+# fit_counts this many at a time.  A block's work arrays are a few tens of
+# kB at 32 rows of 100 points.  A block iterates until its slowest row
+# stops, so larger blocks spend less time per fit on hard, low-count
+# fringes, but they raise the peak memory of a campaign or sweep by
+# megabytes at several hundred rows.
 FIT_BLOCK_ROWS = 32
 
 
@@ -80,10 +80,13 @@ class NormalizedFringe:
         n = self.phase.shape[0]
         if self.ratio.shape != (n,) or self.sigma.shape != (n,):
             raise ValueError("phase, ratio, and sigma must have identical length")
-        if np.any(self.ratio < 0.0) or np.any(self.ratio > 1.0):
+        # written so that NaN fails each check
+        if not np.all(np.isfinite(self.phase)):
+            raise ValueError("phases must be finite")
+        if not np.all((self.ratio >= 0.0) & (self.ratio <= 1.0)):
             raise ValueError("ratios must lie in [0, 1]")
-        if np.any(self.sigma <= 0.0):
-            raise ValueError("sigmas must be positive")
+        if not np.all((self.sigma > 0.0) & (self.sigma < math.inf)):
+            raise ValueError("sigmas must be positive and finite")
 
     @property
     def n_points(self) -> int:
@@ -430,51 +433,24 @@ def _outcomes(params: np.ndarray, cov: np.ndarray, converged: np.ndarray,
             for visibility, p, c, conv, its, r, low, excl in rows]
 
 
-def _fit_groups(groups) -> Iterator[tuple[list[int], tuple]]:
-    """(rows, fitted block) for groups of (rows, x, y, sigma, n_excluded),
-    fitted FIT_BLOCK_ROWS rows at a time."""
-    for rows, x, y, sigma, n_excluded in groups:
-        for start in range(0, len(rows), FIT_BLOCK_ROWS):
-            block = slice(start, start + FIT_BLOCK_ROWS)
-            yield rows[block].tolist(), _fit_block(x[block], y[block], sigma[block],
-                                                   n_excluded[block])
+def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
+    """Weighted variable-projection fit of one fringe.
 
-
-def fit_sinusoids(fringes: Sequence[NormalizedFringe]) -> list[FitOutcome]:
-    """Weighted variable-projection fits of many fringes, one result per fringe.
-
-    Each fit searches f from the strongest bin of the discrete spectrum
+    The fit searches f from the strongest bin of the discrete spectrum
     below the Nyquist bin; every trial f (an iteration) gets its exact
     linear fit.  It stops when an accepted step reduces the weighted squared
     residual by less than 1e-10 relative, or at once when an accepted f
     falls below the band the scan resolves (FFT bin 1 up to half a bin
     below the Nyquist frequency).  converged is False after 200
     iterations, for an f outside that band, or when the fit at its upper
-    edge has a smaller chi-square.  Fringes are grouped by length and
-    fitted FIT_BLOCK_ROWS at a time; a fringe's result does not depend on
-    which others share its block.
-
-    Each entry is a FitResult, or the FitInputError (fewer than 8 points)
-    or InvalidFitError (A + 2B <= 0) of that fringe, returned rather than
-    raised so one bad fringe does not cost the others their fits.
+    edge has a smaller chi-square.  Raises FitInputError for fewer than 8
+    points and InvalidFitError for A + 2B <= 0.
     """
-    results: list = [FitInputError(f"need at least 8 points, got {fringe.n_points}")
-                     if fringe.n_points < 8 else None for fringe in fringes]
-    groups = [(rows, *(np.stack([getattr(fringes[i], name) for i in rows])
-                       for name in ("phase", "ratio", "sigma")),
-               np.array([fringes[i].n_excluded for i in rows]))
-              for n, rows in _by_length([fringe.n_points for fringe in fringes]).items()
-              if n >= 8]
-    for rows, block in _fit_groups(groups):
-        for i, outcome in zip(rows, _outcomes(*block)):
-            results[i] = outcome
-    return results
-
-
-def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
-    """fit_sinusoids for one fringe; its FitInputError or InvalidFitError is raised."""
-    result = fit_sinusoids([fringe])[0]
-    if isinstance(result, ValueError):
+    if fringe.n_points < 8:
+        raise FitInputError(f"need at least 8 points, got {fringe.n_points}")
+    [result] = _outcomes(*_fit_block(fringe.phase[None], fringe.ratio[None],
+                                     fringe.sigma[None], np.array([fringe.n_excluded])))
+    if isinstance(result, InvalidFitError):
         raise result
     return result
 
@@ -485,15 +461,16 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
 
     The arguments are (rows, n_steps) arrays, or broadcast to that shape
     (a scan's one phase grid serves every row).  Rows are sorted,
-    normalized and checked together, then fitted FIT_BLOCK_ROWS at a time
-    in groups of equal kept length; a row's outcomes do not depend on the
-    other rows.
+    normalized and checked together, then each group of equal kept length
+    is fitted as one block, however many rows it has; a row's outcomes do
+    not depend on the other rows.
     """
     arrays = (np.ascontiguousarray(a, dtype=float)
               for a in np.broadcast_arrays(phase, counts_d1, counts_d2))
     detectors, errors, groups = _normalize_rows(*_sorted_by_phase(*arrays))
     outcomes: list = [(err, err) for err in errors]
-    for rows, block in _fit_groups(groups):
+    for rows, x, y, sigma, n_excluded in groups:
+        block = _fit_block(x, y, sigma, n_excluded)
         for i, fitted, mirrored in zip(rows, _outcomes(*block), _outcomes(*_mirror(*block))):
             outcomes[i] = (fitted, mirrored) if detectors[i] == 1 else (mirrored, fitted)
     return outcomes
@@ -530,17 +507,6 @@ def fit_interferograms(
             for i, pair in zip(rows, fit_counts(*stacked)):
                 outcomes[i] = pair
         yield from outcomes
-
-
-def visibility_from_fit(fit: FitResult) -> VisibilityValue:
-    """Visibility A/(A+2B) with the sigma propagated from the (A, B) block;
-    InvalidFitError for A + 2B <= 0.  This is the one-row case of the fit's
-    own visibility."""
-    params = np.array([[fit.amplitude, fit.frequency, fit.phase, fit.offset]])
-    [visibility] = _visibilities(params, fit.covariance[None])
-    if isinstance(visibility, InvalidFitError):
-        raise visibility
-    return visibility
 
 
 def propagate(gradient: np.ndarray, covariance: np.ndarray) -> float | np.ndarray:

@@ -171,7 +171,8 @@ class ThetaBound:
 
 def _require_unit(q: Quaternion, name: str) -> None:
     if not q.is_unit:
-        raise ValueError(f"{name} must be a unit quaternion (|{name}| = {q.norm()!r})")
+        raise ValueError(f"{name} must be a unit quaternion "
+                         f"(|{name}| = {math.hypot(q.w, q.x, q.y, q.z)!r})")
 
 
 def dark_port_prob_ideal(alpha: Quaternion, beta: Quaternion, r: Quaternion) -> float:

@@ -85,7 +85,6 @@ class Interferogram:
     phase_rad: np.ndarray
     counts_d1: np.ndarray
     counts_d2: np.ndarray
-    seed: tuple = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase_rad", np.asarray(self.phase_rad, dtype=float))
@@ -97,7 +96,6 @@ class Interferogram:
         for name, c in (("counts_d1", self.counts_d1), ("counts_d2", self.counts_d2)):
             if not np.all(np.isfinite(np.asarray(c, dtype=float))) or np.any(c < 0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        object.__setattr__(self, "seed", tuple(self.seed))
 
     @property
     def n_steps(self) -> int:
@@ -170,10 +168,8 @@ def simulate_interferogram(
     ``seed`` (an int or tuple of ints) overrides scan.rng_seed; run and
     campaign helpers use tuples to give every draw its own stream.
     """
-    entropy = _as_entropy(scan.rng_seed if seed is None else seed)
-    d1, d2 = draw_counts([model], scan, [entropy])
-    return Interferogram(phase_rad=scan.phases(), counts_d1=d1[0], counts_d2=d2[0],
-                         seed=entropy)
+    d1, d2 = draw_counts([model], scan, [scan.rng_seed if seed is None else seed])
+    return Interferogram(phase_rad=scan.phases(), counts_d1=d1[0], counts_d2=d2[0])
 
 
 def check_pair(model_nim: SagnacModel, model_both: SagnacModel) -> None:
@@ -207,8 +203,8 @@ def simulate_run(
     seeds = (entropy + (0,), entropy + (1,))
     d1, d2 = draw_counts([model_nim, model_both], scan, seeds)
     phase = scan.phases()
-    nim, both = (Interferogram(phase_rad=phase, counts_d1=d1[k], counts_d2=d2[k],
-                               seed=seeds[k]) for k in (0, 1))
+    nim, both = (Interferogram(phase_rad=phase, counts_d1=d1[k], counts_d2=d2[k])
+                 for k in (0, 1))
     return RunPair(run_index=run_index, nim=nim, both=both)
 
 

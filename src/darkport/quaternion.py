@@ -155,5 +155,6 @@ def generalized_defect(a: Quaternion, b: Quaternion, r: Quaternion) -> float:
     commutator_norm(a, b).
     """
     if not r.is_unit:
-        raise ValueError(f"reflection must be a unit quaternion, got norm {r.norm()!r}")
+        raise ValueError("reflection must be a unit quaternion, "
+                         f"got norm {math.hypot(r.w, r.x, r.y, r.z)!r}")
     return norm(mul(mul(r, a), b) - mul(mul(b, a), r))

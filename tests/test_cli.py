@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from darkport import fitting, photonsim
+from darkport import cli, fitting, photonsim
 from darkport.cli import load_config, main
 from darkport.reports import read_interferogram_csv, write_interferogram_csv
 
@@ -459,6 +459,38 @@ def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "bound_report.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [None, 64])
+def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsys,
+                                                                  monkeypatch, cpus):
+    # a pool that records its size and maps serially, so no process is started
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if cpus is not None:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cfg = write_config(tmp_path, {"campaign": {"n_runs": 6, "master_seed": 7}})
+    assert main(["campaign", "--config", cfg, "--jobs", "100000",
+                 "--out", str(tmp_path / "out")]) == 0
+    # 6 runs in parts of one run each
+    [n] = workers
+    assert 1 <= n <= min(os.cpu_count() or 1, 6)
+    if cpus is not None:
+        assert n == 6
 
 
 @pytest.mark.parametrize("phases", [[1.0] * 30, [0.5 * k / 29 for k in range(30)]],

@@ -16,18 +16,19 @@ from darkport.fitting import (
     _mirror,
     _model,
     _one_row,
+    _outcomes,
     _solve_rows,
+    fit_counts,
     fit_interferograms,
     fit_sinusoid,
-    fit_sinusoids,
     normalize,
     propagate,
-    visibility_from_fit,
 )
 from darkport.interferometer import SagnacModel
 from darkport.photonsim import (
     Interferogram,
     ScanConfig,
+    expected_rates,
     simulate_campaign,
     simulate_interferogram,
 )
@@ -144,7 +145,7 @@ def test_fringes_the_scan_does_not_resolve_are_not_converged():
     _, alternation, nyquist_fringe = make_fringe((0.4, nyquist, 0.3, 0.3))
     assert np.allclose(alternation[::2], alternation[0]) and np.allclose(alternation[1::2],
                                                                        alternation[1])
-    fits = fit_sinusoids([drift, nyquist_fringe])
+    fits = [fit_sinusoid(fringe) for fringe in (drift, nyquist_fringe)]
     for fit in fits:
         assert isinstance(fit, FitResult)
         assert not fit.converged
@@ -227,15 +228,31 @@ def test_normalized_fringe_validation():
         NormalizedFringe(phase=x, ratio=np.full(10, 0.5), sigma=np.zeros(10))
     with pytest.raises(ValueError):
         NormalizedFringe(phase=x, ratio=np.full(9, 0.5), sigma=np.full(10, 0.1))
+    # NaN fails every comparison, so each check must be written to catch it
+    nan = np.full(10, np.nan)
+    with pytest.raises(ValueError, match="phases must be finite"):
+        NormalizedFringe(phase=nan, ratio=np.full(10, 0.5), sigma=np.full(10, 0.1))
+    with pytest.raises(ValueError, match="ratios"):
+        NormalizedFringe(phase=x, ratio=nan, sigma=np.full(10, 0.1))
+    with pytest.raises(ValueError, match="sigmas"):
+        NormalizedFringe(phase=x, ratio=np.full(10, 0.5), sigma=nan)
+    with pytest.raises(ValueError, match="sigmas"):
+        NormalizedFringe(phase=x, ratio=np.full(10, 0.5), sigma=np.full(10, np.inf))
+    with pytest.raises(ValueError, match="phases must be finite"):
+        NormalizedFringe(phase=np.append(x[:-1], np.inf), ratio=np.full(10, 0.5),
+                         sigma=np.full(10, 0.1))
 
 
-def test_visibility_from_fit_examples():
+def test_fit_visibility_examples():
     _, _, fringe = make_fringe((0.076, 1.0, 0.3, 0.462))
     fit = fit_sinusoid(fringe)
-    v = visibility_from_fit(fit)
+    v = fit.visibility
     assert math.isclose(v.value, 0.076 / (0.076 + 2 * 0.462), rel_tol=1e-6)
     assert v.sigma > 0.0
-    assert v == fit.visibility
+    # the sigma is propagated from the (A, B) block of the covariance
+    d = fit.amplitude + 2.0 * fit.offset
+    grad = np.array([2.0 * fit.offset, -2.0 * fit.amplitude]) / (d * d)
+    assert math.isclose(v.sigma, propagate(grad, fit.covariance[0::3, 0::3]), rel_tol=1e-12)
 
 
 def test_visibility_extremes():
@@ -249,11 +266,12 @@ def test_visibility_extremes():
 
 def test_visibility_rejects_zero_denominator():
     _, _, fringe = make_fringe((0.076, 1.0, 0.3, 0.462))
-    fit = fit_sinusoid(fringe)
-    from dataclasses import replace
-    broken = replace(fit, amplitude=0.0, offset=0.0)
-    with pytest.raises(InvalidFitError):
-        visibility_from_fit(broken)
+    params, cov, *rest = _fit_block(fringe.phase[None], fringe.ratio[None],
+                                    fringe.sigma[None], np.array([fringe.n_excluded]))
+    params[0, [0, 3]] = 0.0
+    [broken] = _outcomes(params, cov, *rest)
+    assert isinstance(broken, InvalidFitError)
+    assert str(broken) == "A + 2B must be positive, got 0.0"
 
 
 def test_propagate_examples():
@@ -332,58 +350,101 @@ def _same_fit(a, b):
                for name in FitResult.__dataclass_fields__)
 
 
-def _hard_fringes():
+def _hard_interferogram():
     """At 0.65 counts a step, detector 1 is not converged (its f drifts
     below the band) and detector 2 fits A + 2B < 0."""
     model = ExperimentConfig().build_pair()[0]
-    ig = simulate_interferogram(model, ScanConfig(mean_counts_per_step=5.0), seed=(5, 67))
-    return normalize(ig, detector=1), normalize(ig, detector=2)
+    return simulate_interferogram(model, ScanConfig(mean_counts_per_step=5.0), seed=(5, 67))
 
 
-def _mixed_fringes():
-    """Bright default-scan fringes with every fourth a hard low-count fit, whose
-    steps are often rejected; a shorter, a flat and an exact fringe in between."""
+def _bright_counts():
+    """(phase, d1, d2) of FIT_BLOCK_ROWS + 5 bright default-scan rows, every
+    fourth a hard low-count fit whose steps are often rejected."""
     bright = (SagnacModel(visibility_v=0.9992774), ScanConfig())
     faint = (ExperimentConfig().build_pair()[0], ScanConfig(mean_counts_per_step=200.0))
-    fringes = [normalize(simulate_interferogram(*(faint if k % 4 == 1 else bright),
-                                                seed=(71, k)), detector=1 + k % 2)
-               for k in range(FIT_BLOCK_ROWS + 5)]
-    fringes.insert(3, make_fringe((0.2, 1.3, 0.7, 0.3), n=60)[2])
-    fringes.insert(9, NormalizedFringe(phase=np.linspace(0, 4 * math.pi, 100),
-                                       ratio=np.full(100, 0.5), sigma=np.full(100, 1e-3)))
-    fringes.insert(20, make_fringe((0.076, 1.0, 0.3, 0.462))[2])
-    return fringes
+    igs = [simulate_interferogram(*(faint if k % 4 == 1 else bright), seed=(71, k))
+           for k in range(FIT_BLOCK_ROWS + 5)]
+    return (igs[0].phase_rad, *(np.stack([getattr(ig, name) for ig in igs]).astype(float)
+                                for name in ("counts_d1", "counts_d2")))
+
+
+def _failing_counts(phase, d1, d2):
+    """(d1, d2) rows that do not fit: fewer than 8 points with counts, counts
+    spanning less than one fringe, and _hard_interferogram."""
+    fail1, fail2 = d1[:2].copy(), d2[:2].copy()
+    fail1[0, 5:] = fail2[0, 5:] = 0.0
+    fail1[1, phase >= 1.5 * math.pi] = fail2[1, phase >= 1.5 * math.pi] = 0.0
+    hard = _hard_interferogram()
+    return np.vstack([fail1, hard.counts_d1[None]]), np.vstack([fail2, hard.counts_d2[None]])
+
+
+def _fit_or_error(fringe):
+    try:
+        return fit_sinusoid(fringe)
+    except ValueError as err:
+        return err
 
 
 def test_fit_is_identical_alone_and_in_a_mixed_block():
-    fringes = _mixed_fringes()
-    together = fit_sinusoids(fringes)
-    assert len(together) == len(fringes)
-    for fringe, result in zip(fringes, together):
-        assert _same_fit(fit_sinusoids([fringe])[0], result)
-        assert _same_fit(fit_sinusoid(fringe), result)
-    assert fit_sinusoids([]) == []
+    phase, d1, d2 = _bright_counts()
+    # a flat row, an exact row of expected rates, rows with zero-total steps
+    # (two shorter kept lengths), then the failing rows, spread through the block
+    exact = expected_rates(SagnacModel(visibility_v=0.9992774), ScanConfig())
+    gaps1, gaps2 = d1[2:4].copy(), d2[2:4].copy()
+    gaps1[0, 10:20] = gaps2[0, 10:20] = 0.0
+    gaps1[1, ::7] = gaps2[1, ::7] = 0.0
+    fail1, fail2 = _failing_counts(phase, d1, d2)
+    extra1 = np.vstack([np.full(100, 30.0), exact[0], gaps1, fail1])
+    extra2 = np.vstack([np.full(100, 30.0), exact[1], gaps2, fail2])
+    at = [3, 6, 9, 14, 20, 26, 30]
+    d1, d2 = np.insert(d1, at, extra1, axis=0), np.insert(d2, at, extra2, axis=0)
+    assert len(d1) > FIT_BLOCK_ROWS
+
+    together = fit_counts(phase, d1, d2)
+    assert len(together) == len(d1)
+    for k, pair in enumerate(together):
+        [alone] = fit_counts(phase, d1[k:k + 1], d2[k:k + 1])
+        assert all(map(_same_fit, alone, pair))
+        # the fitted detector's entry is fit_sinusoid of its normalized fringe
+        ig = Interferogram(phase, d1[k], d2[k])
+        detector = int(_fitted_detectors(*_one_row(ig)[1:])[0])
+        try:
+            fringe = normalize(ig, detector=detector)
+        except FitInputError as err:
+            assert all(_same_fit(err, outcome) for outcome in pair)
+            continue
+        assert _same_fit(_fit_or_error(fringe), pair[detector - 1])
+    outcomes = [outcome for pair in together for outcome in pair]
+    messages = [str(o) for o in outcomes if isinstance(o, FitInputError)]
+    assert sum("need at least 8 points" in m for m in messages) == 2
+    assert sum("span at least one full fringe" in m for m in messages) == 2
+    assert sum(isinstance(o, InvalidFitError) for o in outcomes) == 1
+    assert any(isinstance(o, FitResult) and not o.converged for o in outcomes)
+    assert {100, 90, 85} <= {o.n_points for o in outcomes if isinstance(o, FitResult)}
+    assert fit_counts(phase, np.zeros((0, 100)), np.zeros((0, 100))) == []
 
 
 def test_failing_rows_leave_their_neighbours_unchanged():
-    capped, invalid = _hard_fringes()
-    fit = fit_sinusoids([capped])[0]
-    assert not fit.converged
+    hard = _hard_interferogram()
+    capped = fit_sinusoid(normalize(hard, detector=1))
+    assert not capped.converged
     with pytest.raises(InvalidFitError):
-        fit_sinusoid(invalid)
+        fit_sinusoid(normalize(hard, detector=2))
     short = NormalizedFringe(phase=np.arange(5.0), ratio=np.full(5, 0.5), sigma=np.full(5, 0.1))
-    with pytest.raises(FitInputError):
+    with pytest.raises(FitInputError, match="need at least 8 points, got 5"):
         fit_sinusoid(short)
 
-    good = _mixed_fringes()
-    alone = fit_sinusoids(good)
-    mixed = good[:4] + [capped, invalid, short] + good[4:]
-    results = fit_sinusoids(mixed)
-    assert isinstance(results[5], InvalidFitError)
-    assert isinstance(results[6], FitInputError)
-    assert _same_fit(results[4], fit)
-    for expected, got in zip(alone, results[:4] + results[7:]):
-        assert _same_fit(expected, got)
+    phase, d1, d2 = _bright_counts()
+    alone = fit_counts(phase, d1, d2)
+    fail1, fail2 = _failing_counts(phase, d1, d2)
+    mixed = fit_counts(phase, np.insert(d1, 4, fail1, axis=0), np.insert(d2, 4, fail2, axis=0))
+    assert all(isinstance(outcome, FitInputError) for pair in mixed[4:6] for outcome in pair)
+    [hard_alone] = fit_counts(phase, hard.counts_d1[None], hard.counts_d2[None])
+    assert all(map(_same_fit, mixed[6], hard_alone))
+    not_converged, invalid = mixed[6]
+    assert not not_converged.converged and isinstance(invalid, InvalidFitError)
+    for expected, got in zip(alone, mixed[:4] + mixed[7:], strict=True):
+        assert all(map(_same_fit, expected, got))
 
 
 def test_singular_solve_costs_only_its_own_row():
@@ -420,7 +481,8 @@ def test_fits_reach_the_least_chi_square_on_a_dense_frequency_grid():
     fringes = [normalize(ig, detector=d) for run in runs for ig in (run.nim, run.both)
                for d in (1, 2)]
     assert len(fringes) == 100
-    for fringe, fit in zip(fringes, fit_sinusoids(fringes)):
+    for fringe in fringes:
+        fit = fit_sinusoid(fringe)
         n = fringe.n_points
         bin_width = math.pi * (n - 1) / (n * (fringe.phase[-1] - fringe.phase[0]))
         # 40 points a bin from bin 1 up to half a bin below the Nyquist bin
@@ -468,7 +530,7 @@ def test_mirrored_fit_matches_an_independent_fit_of_the_other_detector(counts):
     assert 20 < others.count(1) < 80  # both detectors get mirrored
     compared = 0
     for ig, other, fits in zip(igs, others, fit_interferograms(igs)):
-        got, want = fits[other - 1], fit_sinusoids([normalize(ig, detector=other)])[0]
+        got, want = fits[other - 1], _fit_or_error(normalize(ig, detector=other))
         assert type(got) is type(want)
         if not isinstance(got, FitResult):
             continue

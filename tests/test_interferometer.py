@@ -95,6 +95,12 @@ def test_dark_port_prob_ideal_extremes():
         dark_port_prob_ideal(Quaternion(0.0, 2.0, 0.0, 0.0), J, I)
 
 
+def test_dark_port_prob_ideal_rejects_huge_phase_without_overflow():
+    # norm() would overflow on 1e200 squared; the message still names the norm
+    with pytest.raises(ValueError, match=r"\|alpha\| = 1e\+200"):
+        dark_port_prob_ideal(Quaternion(0.0, 1e200, 0.0, 0.0), I, I)
+
+
 def test_maximally_noncommuting_model_floods_dark_port():
     model = SagnacModel(visibility_v=1.0, reflection=I, elements=(
         PhaseElement("a", PhaseVector(0.0, math.pi / 2, 0.0)),

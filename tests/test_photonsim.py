@@ -57,9 +57,12 @@ def test_same_seed_reproduces_counts():
 def test_run_streams_are_independent():
     scan = ScanConfig()
     cfg = ExperimentConfig()
-    run = simulate_run(*cfg.build_pair(), scan, seed=7)
-    assert run.nim.seed == (7, 0)
-    assert run.both.seed == (7, 1)
+    models = cfg.build_pair()
+    run = simulate_run(*models, scan, seed=7)
+    # slot k draws from the run seed extended by k, and from nothing else
+    for model, ig, seed in zip(models, (run.nim, run.both), ((7, 0), (7, 1))):
+        d1, d2 = draw_counts([model], scan, [seed])
+        assert np.array_equal(ig.counts_d1, d1[0]) and np.array_equal(ig.counts_d2, d2[0])
     assert not np.array_equal(run.nim.counts_d1, run.both.counts_d1)
 
 
@@ -207,6 +210,8 @@ def test_campaign_rejects_zero_runs():
 
 def test_labels_and_seed_are_recorded():
     cfg = ExperimentConfig()
-    run = simulate_run(*cfg.build_pair(), cfg.scan, run_index=4, seed=(3, 4))
+    models = cfg.build_pair()
+    run = simulate_run(*models, cfg.scan, run_index=4, seed=(3, 4))
     assert run.run_index == 4
-    assert run.nim.seed == (3, 4, 0)
+    d1, d2 = draw_counts(models[:1], cfg.scan, [(3, 4, 0)])
+    assert np.array_equal(run.nim.counts_d1, d1[0]) and np.array_equal(run.nim.counts_d2, d2[0])

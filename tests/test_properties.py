@@ -26,10 +26,10 @@ from darkport.fitting import (
     _fit_block,
     _mirror,
     _outcomes,
+    _visibilities,
     fit_interferograms,
     fit_sinusoid,
     normalize,
-    visibility_from_fit,
 )
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
 from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram, simulate_run
@@ -140,13 +140,14 @@ def test_pool_covers_every_outcome():
     assert any(got > 0 for got, _ in excluded)
 
 
-def test_visibility_from_fit_is_the_fit_visibility_bit_for_bit():
+def test_one_row_visibility_is_the_fit_visibility_bit_for_bit():
     # the one-row visibility and the block's, on fitted and mirrored sides
     checked = [0, 0]
     for pair in fit_interferograms(POOL):
         for side, fit in enumerate(pair):
             if isinstance(fit, FitResult):
-                got = visibility_from_fit(fit)
+                params = np.array([[fit.amplitude, fit.frequency, fit.phase, fit.offset]])
+                [got] = _visibilities(params, fit.covariance[None])
                 assert (got.value.hex(), got.sigma.hex()) == (
                     fit.visibility.value.hex(), fit.visibility.sigma.hex())
                 checked[side] += 1

@@ -160,6 +160,12 @@ def test_generalized_defect_rejects_non_unit_reflection():
         generalized_defect(I, J, Quaternion(0.0, 2.0, 0.0, 0.0))
 
 
+def test_generalized_defect_rejects_huge_reflection_without_overflow():
+    # norm() would overflow on 1e200 squared; the message still names the norm
+    with pytest.raises(ValueError, match=r"got norm 1e\+200"):
+        generalized_defect(I, I, Quaternion(0.0, 1e200, 0.0, 0.0))
+
+
 def test_generalized_defect_invariant_under_overall_sign():
     rng = np.random.default_rng(18)
     for _ in range(50):
