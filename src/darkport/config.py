@@ -206,6 +206,8 @@ def load_config(path: str | None) -> ExperimentConfig:
             raw = json.load(fh, object_pairs_hook=_reject_duplicates)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
     _check_keys(raw, SCHEMA, path)

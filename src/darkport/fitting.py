@@ -465,9 +465,12 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
     is fitted as one block, however many rows it has; a row's outcomes do
     not depend on the other rows.
     """
-    arrays = (np.ascontiguousarray(a, dtype=float)
-              for a in np.broadcast_arrays(phase, counts_d1, counts_d2))
-    detectors, errors, groups = _normalize_rows(*_sorted_by_phase(*arrays))
+    arrays = np.broadcast_arrays(phase, counts_d1, counts_d2)
+    if arrays[0].ndim != 2:
+        raise ValueError(f"fit_counts needs (rows, n_steps) arrays, got shape "
+                         f"{arrays[0].shape}")
+    detectors, errors, groups = _normalize_rows(*_sorted_by_phase(
+        *(np.ascontiguousarray(a, dtype=float) for a in arrays)))
     outcomes: list = [(err, err) for err in errors]
     for rows, x, y, sigma, n_excluded in groups:
         block = _fit_block(x, y, sigma, n_excluded)

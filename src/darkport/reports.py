@@ -4,6 +4,10 @@ Identical inputs must produce byte-identical files, so floats are always
 formatted with 17 significant digits (enough to round-trip a double) and
 JSON keys are emitted sorted.  Non-finite floats become JSON strings to
 keep the output parseable everywhere.
+
+CSV input must be UTF-8.  Each field is parsed as Python ``float`` parses
+it (so ``1_0``, `` 7 `` and ``nan`` read as float() reads them), and a
+field that is not a finite number is an error naming its line.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,44 +49,75 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_fragment(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if x == 0.0 and math.copysign(1.0, x) < 0.0:
-            return "-0.0"  # "-0" would read back as the integer 0, which has no sign
-        return format_float(x) if math.isfinite(x) else f'"{format_float(x)}"'
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_fragment(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        body = ",".join(f"{_json_fragment(str(k))}:{_json_fragment(v)}" for k, v in items)
-        return "{" + body + "}"
-    if isinstance(obj, np.ndarray):
-        return _json_fragment(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_fragment(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPES = {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
+
+
+def _encode_str(text: str) -> str:
+    return '"' + _ESCAPE.sub(lambda m: _ESCAPES[m.group()], text) + '"'
+
+
+def _encode_int(n) -> str:
+    return str(int(n))
+
+
+def _encode_float(x) -> str:
+    text = format(float(x), ".17g")
+    if text == "-0":
+        return "-0.0"  # "-0" would read back as the integer 0, which has no sign
+    return f'"{text}"' if text[-1] in "nf" else text  # nan, inf and -inf
+
+
+def _encode_dict(obj: dict) -> str:
+    return "{" + ",".join(f"{_encode_str(str(k))}:{_encode(v)}"
+                          for k, v in sorted(obj.items())) + "}"
+
+
+def _encode_list(obj) -> str:
+    return "[" + ",".join(map(_encode, obj)) + "]"
+
+
+def _dataclass_encoder(cls):
+    """A dataclass as the dict of its fields."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return lambda obj: _encode_dict({name: getattr(obj, name) for name in names})
+
+
+# one encoder per type, looked up by type(obj) first, so a bool never gets
+# int's; another type takes the encoder of its nearest base class along its
+# MRO (np.float64 a float's, np.bool_ and set none) and is added on first use
+_ENCODERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: _encode_int,
+    np.integer: _encode_int,
+    float: _encode_float,
+    np.floating: _encode_float,
+    str: _encode_str,
+    dict: _encode_dict,
+    list: _encode_list,
+    tuple: _encode_list,
+    np.ndarray: lambda obj: _encode(obj.tolist()),
+}
+
+
+def _encode(obj) -> str:
+    cls = type(obj)
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:
+        if dataclasses.is_dataclass(cls):
+            encoder = _dataclass_encoder(cls)
+        else:
+            encoder = next((_ENCODERS[base] for base in cls.__mro__ if base in _ENCODERS),
+                           None)
+            if encoder is None:
+                raise TypeError(f"cannot serialize {cls.__name__} to JSON")
+        _ENCODERS[cls] = encoder
+    return encoder(obj)
 
 
 def dumps_json(obj) -> str:
-    return _json_fragment(obj) + "\n"
+    return _encode(obj) + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -104,8 +140,10 @@ def write_interferogram_csv(path, ig: Interferogram) -> None:
 
 
 def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
-    """The data rows as a float array; every field must be a finite number."""
-    rows, linenos = [], []
+    """The data rows as a float array; every field must be a finite number.
+
+    Blank lines are skipped but counted in the line numbers of errors.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -117,37 +155,52 @@ def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
                 raise CsvFormatError(
                     f"{path}: line 1: expected header {','.join(expected_header)!r}, "
                     f"got {','.join(header)!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: expected {len(expected_header)} "
-                        f"fields, got {len(row)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as err:
-                    raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
-                linenos.append(lineno)
+            records = list(reader)
+    except UnicodeDecodeError as err:
+        raise CsvFormatError(f"{path}: not UTF-8: {err}") from err
     except OSError as err:
         raise CsvFormatError(f"{path}: {err}") from err
+    rows = [row for row in records if row]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise CsvFormatError(f"{path}: line {linenos[int(np.argmin(finite))]}: "
-                             f"non-finite value")
+    width = len(expected_header)
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError("wrong field count")
+        data = np.array(rows, dtype=float)  # float() on each field
+    except ValueError:
+        _raise_first_bad_line(path, records, width)
+        raise
+    if not np.isfinite(data).all():
+        bad = int(np.argmin(np.isfinite(data).all(axis=1)))
+        linenos = [lineno for lineno, row in enumerate(records, start=2) if row]
+        raise CsvFormatError(f"{path}: line {linenos[bad]}: non-finite value")
     return data
+
+
+def _raise_first_bad_line(path, records: list[list[str]], width: int) -> None:
+    """Raise the error of the first data line with the wrong field count or
+    a field that float() refuses."""
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise CsvFormatError(f"{path}: line {lineno}: expected {width} fields, "
+                                 f"got {len(row)}")
+        for field in row:
+            try:
+                float(field)
+            except ValueError as err:
+                raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
 
 
 def read_interferogram_csv(path) -> Interferogram:
     data = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
     counts = data[:, 1:]
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise CsvFormatError(f"{path}: negative counts")
     # integer counts become int64 only up to 2**53, where every float is exact
-    if np.all(counts == np.round(counts)) and np.all(counts <= 2.0 ** 53):
+    if ((counts == counts.round()) & (counts <= 2.0 ** 53)).all():
         counts = counts.astype(np.int64)
     return Interferogram(phase_rad=data[:, 0], counts_d1=counts[:, 0],
                          counts_d2=counts[:, 1])

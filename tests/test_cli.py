@@ -358,6 +358,23 @@ def test_missing_and_malformed_csv(tmp_path, capsys):
     assert main(["index", str(tmp_path / "nope.csv")]) == 3
 
 
+@pytest.mark.parametrize("command, name, head, code", [
+    ("fit", "bad.csv", b"phase_rad,counts_d1,counts_d2\n0.0,1,2\n0.5,\xff,2\n", 3),
+    ("index", "bad.csv", b"wavelength_nm,phase_rad\n750,-2.39\n790,\xff\n", 3),
+    ("--config", "bad.json", b'{"campaign": {"n_runs": 3, "master_seed": "\xff"}}', 2),
+], ids=["fit", "index", "config"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command, name,
+                                                  head, code):
+    path = tmp_path / name
+    path.write_bytes(head)
+    argv = (["campaign", "--config", str(path)] if command == "--config"
+            else [command, str(path)])
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
+    assert "internal error" not in err
+
+
 def test_fit_zero_counts_is_soft_failure(tmp_path, capsys):
     path = tmp_path / "dead.csv"
     rows = "\n".join(f"{0.1 * k},0,0" for k in range(20))
@@ -461,11 +478,12 @@ def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "bound_report.json").exists()
 
 
-@pytest.mark.parametrize("cpus", [None, 64])
+@pytest.mark.parametrize("cpus", [None, 2, 64])
 def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsys,
                                                                   monkeypatch, cpus):
-    # a pool that records its size and maps serially, so no process is started
-    workers = []
+    # a pool that records its size and its parts and maps serially, so no
+    # process is started
+    workers, parts = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -477,20 +495,24 @@ def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsy
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, part_list):
+            parts.extend(part_list)
+            return map(fn, parts)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     if cpus is not None:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    cfg = write_config(tmp_path, {"campaign": {"n_runs": 6, "master_seed": 7}})
+    cfg = write_config(tmp_path, {"campaign": {"n_runs": 24, "master_seed": 7}})
     assert main(["campaign", "--config", cfg, "--jobs", "100000",
                  "--out", str(tmp_path / "out")]) == 0
-    # 6 runs in parts of one run each
     [n] = workers
-    assert 1 <= n <= min(os.cpu_count() or 1, 6)
-    if cpus is not None:
-        assert n == 6
+    assert 1 <= n <= min(os.cpu_count() or 1, 24)
+    # the parts cover the runs in order, about four for each worker started
+    assert [i for part in parts for i in part] == list(range(24))
+    if cpus == 2:
+        assert n == 2 and [len(part) for part in parts] == [3] * 8
+    if cpus == 64:
+        assert n == 24 and [len(part) for part in parts] == [1] * 24
 
 
 @pytest.mark.parametrize("phases", [[1.0] * 30, [0.5 * k / 29 for k in range(30)]],

@@ -424,6 +424,14 @@ def test_fit_is_identical_alone_and_in_a_mixed_block():
     assert fit_counts(phase, np.zeros((0, 100)), np.zeros((0, 100))) == []
 
 
+@pytest.mark.parametrize("shape", [(100,), (2, 3, 100)], ids=["1d", "3d"])
+def test_fit_counts_rejects_arrays_that_are_not_rows_of_steps(shape):
+    phase = np.broadcast_to(np.linspace(0.0, 4.0 * math.pi, 100), shape)
+    counts = np.full(shape, 50.0)
+    with pytest.raises(ValueError, match=r"\(rows, n_steps\)"):
+        fit_counts(phase, counts, counts)
+
+
 def test_failing_rows_leave_their_neighbours_unchanged():
     hard = _hard_interferogram()
     capped = fit_sinusoid(normalize(hard, detector=1))

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from darkport.photonsim import ScanConfig, simulate_interferogram
-from darkport.interferometer import SagnacModel
+from darkport.interferometer import SagnacModel, VisibilityValue
 from darkport.reports import (
     CsvFormatError,
     dumps_json,
@@ -38,6 +39,47 @@ def test_dumps_json_handles_numpy_scalars_and_arrays():
     assert '"n":3' in text
 
 
+def test_dumps_json_escapes_strings_and_keys():
+    text = dumps_json({'k"\\\n\x00\x1f': 'v"\\\n\x00\x1f\x7f'})
+    assert text == ('{"k\\"\\\\\\u000a\\u0000\\u001f":'
+                    '"v\\"\\\\\\u000a\\u0000\\u001f\x7f"}\n')
+    # non-ASCII characters are written raw, not escaped
+    assert dumps_json(["é∆😀", {"ü": 1}]) == '["é∆😀",{"ü":1}]\n'
+
+
+def test_dumps_json_numbers():
+    values = [-0.0, 0.0, 0.1, 1.0, float("nan"), float("inf"), float("-inf"),
+              True, 1, False, 0, None]
+    assert dumps_json(values) == ('[-0.0,0,0.10000000000000001,1,"nan","inf","-inf",'
+                                  'true,1,false,0,null]\n')
+    assert dumps_json([np.int64(-3), np.float64(0.1), np.float64(-0.0)]) == \
+        '[-3,0.10000000000000001,-0.0]\n'
+    assert dumps_json(np.array([[1.0, 2.5], [-0.0, np.nan]])) == '[[1,2.5],[-0.0,"nan"]]\n'
+
+
+@dataclasses.dataclass(frozen=True)
+class _Entry:
+    name: str
+    visibility: VisibilityValue
+    pair: tuple
+
+
+def test_dumps_json_containers():
+    assert dumps_json((1, "x", (2.5,))) == '[1,"x",[2.5]]\n'
+    entry = _Entry("o", VisibilityValue(0.5, 0.01), (1, 2.0))
+    assert dumps_json(entry) == \
+        '{"name":"o","pair":[1,2],"visibility":{"sigma":0.01,"value":0.5}}\n'
+    # keys are sorted as given, then written as strings
+    assert dumps_json({2: "b", 10: "a", 1: "c"}) == '{"1":"c","2":"b","10":"a"}\n'
+    assert dumps_json({"b": 1, "B": 2, "a": 3}) == '{"B":2,"a":3,"b":1}\n'
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, [frozenset()], {"k": object()}])
+def test_dumps_json_rejects_unknown_types(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_json(value)
+
+
 def test_interferogram_csv_round_trip(tmp_path):
     ig = simulate_interferogram(SagnacModel(visibility_v=0.9992774),
                                 ScanConfig(rng_seed=9))
@@ -66,6 +108,29 @@ def test_read_interferogram_rejects_garbage(tmp_path):
     path.write_text("phase_rad,counts_d1,counts_d2\n")
     with pytest.raises(CsvFormatError):
         read_interferogram_csv(path)
+    # line numbers count blank lines
+    path.write_text("phase_rad,counts_d1,counts_d2\n0.0,1,2\n\n0.5,1e,2\n")
+    with pytest.raises(CsvFormatError) as exc:
+        read_interferogram_csv(path)
+    assert str(exc.value) == f"{path}: line 4: could not convert string to float: '1e'"
+    path.write_text("phase_rad,counts_d1,counts_d2\n0.0,1,2\n0.5,1,2,3\n")
+    with pytest.raises(CsvFormatError) as exc:
+        read_interferogram_csv(path)
+    assert str(exc.value) == f"{path}: line 3: expected 3 fields, got 4"
+    path.write_text("phase_rad,counts_d1,counts_d2\n0.0,1,2\n\n\n0.5,1,inf\n")
+    with pytest.raises(CsvFormatError) as exc:
+        read_interferogram_csv(path)
+    assert str(exc.value) == f"{path}: line 5: non-finite value"
+
+
+def test_read_interferogram_parses_fields_as_python_float(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text('phase_rad,counts_d1,counts_d2\n0.25,1_0," 7 "\n"0.5",+3, 4\n')
+    ig = read_interferogram_csv(path)
+    assert ig.phase_rad.tolist() == [0.25, 0.5]
+    assert ig.counts_d1.tolist() == [10, 3]
+    assert ig.counts_d2.tolist() == [7, 4]
+    assert ig.counts_d1.dtype == np.int64
 
 
 def test_read_phase_spectrum(tmp_path):
