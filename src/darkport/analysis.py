@@ -189,8 +189,7 @@ def _slot_fits(model: SagnacModel, slot: int, scan: ScanConfig, master_seed: int
     fits = []
     for start in range(0, len(indices), FIT_BLOCK_ROWS):
         block = indices[start:start + FIT_BLOCK_ROWS]
-        d1, d2 = photonsim.draw_counts([model] * len(block), scan,
-                                       [(master_seed, idx, slot) for idx in block])
+        d1, d2 = photonsim.draw_counts(model, scan, [(master_seed, idx, slot) for idx in block])
         fits.extend(tuple(map(_visibility_or_none, pair)) for pair in fit_counts(phase, d1, d2))
     return fits
 
@@ -227,15 +226,20 @@ def _pooled_pairs(records: Iterable[RunRecord]) -> list[tuple[VisibilityValue, V
     return pairs
 
 
+def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float]:
+    """Mean, sample standard deviation and standard error of the mean of
+    at least 2 values (what names them in the TooFewFitsError)."""
+    if len(values) < 2:
+        raise TooFewFitsError(f"need at least 2 {what} values, got {len(values)}")
+    std = float(np.std(values, ddof=1))
+    return float(np.mean(values)), std, std / math.sqrt(values.size)
+
+
 def delta_v_statistics(records: Sequence[RunRecord]) -> DeltaVStats:
     """Delta V mean, sample std, and standard error, pooled over detectors."""
-    pairs = _pooled_pairs(records)
-    if len(pairs) < 2:
-        raise TooFewFitsError(f"need at least 2 Delta V values, got {len(pairs)}")
-    values = np.array([v_both.value - v_nim.value for v_both, v_nim in pairs])
-    std = float(np.std(values, ddof=1))
-    return DeltaVStats(values=values, mean=float(np.mean(values)), std=std,
-                       stderr=std / math.sqrt(len(values)))
+    values = np.array([v_both.value - v_nim.value for v_both, v_nim in _pooled_pairs(records)])
+    mean, std, stderr = _mean_std_stderr(values, "Delta V")
+    return DeltaVStats(values=values, mean=mean, std=std, stderr=stderr)
 
 
 def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
@@ -257,15 +261,11 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
             continue
         values.append(ratio.value)
         sigmas.append(ratio.sigma)
-    if len(values) < 2:
-        raise TooFewFitsError(f"need at least 2 Gamma-ratio values, got {len(values)}")
     arr = np.array(values)
     point_sigmas = np.array(sigmas)
-    std = float(np.std(arr, ddof=1))
-    return GammaRatioStats(values=arr, point_sigmas=point_sigmas,
-                           mean=float(np.mean(arr)), std=std,
-                           stderr=std / math.sqrt(arr.size),
-                           mean_point_sigma=float(np.mean(point_sigmas)),
+    mean, std, stderr = _mean_std_stderr(arr, "Gamma-ratio")
+    return GammaRatioStats(values=arr, point_sigmas=point_sigmas, mean=mean, std=std,
+                           stderr=stderr, mean_point_sigma=float(np.mean(point_sigmas)),
                            n_excluded=n_excluded)
 
 

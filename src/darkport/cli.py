@@ -17,12 +17,7 @@ import sys
 
 from . import analysis, fitting, metaoptics, photonsim, reports
 from .config import ConfigError, ExperimentConfig, load_config
-from .interferometer import (
-    NonPhysicalVisibilityError,
-    VisibilityValue,
-    gamma_ratio,
-    theta_bound,
-)
+from .interferometer import VisibilityValue, gamma_ratio, theta_bound
 
 __all__ = ["main"]
 
@@ -51,6 +46,16 @@ def _ensure_out_dir(args, cfg: ExperimentConfig | None = None) -> str:
     out = args.out or (cfg.out_dir if cfg is not None else ".")
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _emit_json(args, name: str, label: str, payload) -> None:
+    """Write payload to <out>/<name> and print "<label>: <path>", or to stdout."""
+    if args.out:
+        path = os.path.join(_ensure_out_dir(args), name)
+        reports.write_json(path, payload)
+        print(f"{label}: {path}")
+    else:
+        sys.stdout.write(reports.dumps_json(payload))
 
 
 def _seeded_config(args) -> ExperimentConfig:
@@ -100,14 +105,7 @@ def cmd_fit(args) -> int:
                for k, (path, (d1, d2)) in enumerate(zip(args.csv, fits))]
     soft = any("error" in fit or not fit["converged"]
                for entry in entries for fit in entry["fits"].values())
-    report = {"files": entries}
-    if args.out:
-        out = _ensure_out_dir(args)
-        path = os.path.join(out, "fit_report.json")
-        reports.write_json(path, report)
-        print(f"fit report: {path}")
-    else:
-        sys.stdout.write(reports.dumps_json(report))
+    _emit_json(args, "fit_report.json", "fit report", {"files": entries})
     return EXIT_SOFT_FIT if soft else EXIT_OK
 
 
@@ -115,8 +113,8 @@ def cmd_campaign(args) -> int:
     cfg = _seeded_config(args)
     run = functools.partial(analysis.campaign_records, *cfg.build_pair(), cfg.scan,
                             cfg.master_seed)
-    if args.jobs > 1:
-        cap = min(args.jobs, os.cpu_count() or 1)
+    cap = min(args.jobs, os.cpu_count() or 1)
+    if cap > 1:
         chunk = max(1, cfg.n_runs // (4 * cap))
         parts = [range(start, min(start + chunk, cfg.n_runs))
                  for start in range(0, cfg.n_runs, chunk)]
@@ -127,12 +125,7 @@ def cmd_campaign(args) -> int:
     else:
         records = run(range(cfg.n_runs))
 
-    try:
-        report = analysis.bound_from_campaign(records, bins=cfg.bins)
-    except analysis.TooFewFitsError as err:
-        print(f"campaign produced too few usable fits: {err}", file=sys.stderr)
-        return EXIT_SOFT_FIT
-
+    report = analysis.bound_from_campaign(records, bins=cfg.bins)
     out = _ensure_out_dir(args, cfg)
     json_path = os.path.join(out, "bound_report.json")
     payload = {
@@ -143,10 +136,8 @@ def cmd_campaign(args) -> int:
         "report": report,
     }
     reports.write_json(json_path, payload)
-    reports.write_histogram_csv(os.path.join(out, "delta_v_hist.csv"),
-                                report.delta_v_hist)
-    reports.write_histogram_csv(os.path.join(out, "gamma_ratio_hist.csv"),
-                                report.gamma_ratio_hist)
+    for name in ("delta_v_hist", "gamma_ratio_hist"):
+        reports.write_histogram_csv(os.path.join(out, f"{name}.csv"), getattr(report, name))
 
     ff = reports.format_float
     print(f"delta_v: mean={ff(report.delta_v_mean)} std={ff(report.delta_v_std)} "
@@ -170,11 +161,7 @@ def cmd_campaign(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _seeded_config(args)
-    try:
-        result = analysis.sensitivity_sweep(cfg.epsilon_grid, cfg)
-    except analysis.TooFewFitsError as err:
-        print(f"sweep produced too few usable fits: {err}", file=sys.stderr)
-        return EXIT_SOFT_FIT
+    result = analysis.sensitivity_sweep(cfg.epsilon_grid, cfg)
     out = _ensure_out_dir(args, cfg)
     path = os.path.join(out, "sweep.csv")
     reports.write_sweep_csv(path, result.points)
@@ -192,7 +179,11 @@ def cmd_index(args) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     spectrum = reports.read_phase_spectrum_csv(args.spectrum)
-    result = metaoptics.index_spectrum(spectrum, slab)
+    try:
+        result = metaoptics.index_spectrum(spectrum, slab)
+    except ValueError as err:
+        raise reports.CsvFormatError(
+            f"{args.spectrum}: {err} with thickness_nm {args.thickness_nm!r}") from err
     out = _ensure_out_dir(args)
     path = os.path.join(out, "index.csv")
     reports.write_index_csv(path, result)
@@ -207,20 +198,18 @@ def cmd_bound(args) -> int:
     if args.ratio is not None:
         if args.v_nim is not None or args.v_both is not None:
             raise ConfigError("give either --ratio or the visibility pair, not both")
-        ratio, sigma = args.ratio, args.sigma
-    else:
-        if args.v_nim is None or args.v_both is None:
-            raise ConfigError("need --ratio or both --v-nim and --v-both")
-        try:
+    elif args.v_nim is None or args.v_both is None:
+        raise ConfigError("need --ratio or both --v-nim and --v-both")
+    try:
+        if args.ratio is not None:
+            ratio, sigma = args.ratio, args.sigma
+        else:
             uncertain = gamma_ratio(
                 VisibilityValue(args.v_both, args.v_both_sigma),
                 VisibilityValue(args.v_nim, args.v_nim_sigma))
-        except (NonPhysicalVisibilityError, ValueError) as err:
-            raise ConfigError(str(err)) from err
-        ratio, sigma = uncertain.value, uncertain.sigma
-    try:
+            ratio, sigma = uncertain.value, uncertain.sigma
         theta = theta_bound(ratio, sigma)
-    except ValueError as err:
+    except ValueError as err:  # NonPhysicalVisibilityError among them
         raise ConfigError(str(err)) from err
     payload = {
         "ratio": ratio,
@@ -228,14 +217,13 @@ def cmd_bound(args) -> int:
         "theta_central_deg": theta.central_deg,
         "theta_conservative_deg": theta.conservative_deg,
     }
-    if args.out:
-        out = _ensure_out_dir(args)
-        path = os.path.join(out, "bound.json")
-        reports.write_json(path, payload)
-        print(f"bound: {path}")
-    else:
-        sys.stdout.write(reports.dumps_json(payload))
+    _emit_json(args, "bound.json", "bound", payload)
     return EXIT_OK
+
+
+def _add_config_and_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=_seed_type, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,33 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write one interferogram CSV per configuration")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=_seed_type, default=None)
-    p.add_argument("--out", default=None)
+    _add_config_and_seed(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit interferogram CSVs and report visibilities")
     p.add_argument("csv", nargs="+")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("campaign", help="run the toggle campaign and emit the bound report")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=_seed_type, default=None)
+    _add_config_and_seed(p)
     p.add_argument("--jobs", type=_jobs_type, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("sweep", help="sensitivity sweep over injected epsilon")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=_seed_type, default=None)
-    p.add_argument("--out", default=None)
+    _add_config_and_seed(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("index", help="convert a phase spectrum CSV to a refractive index CSV")
     p.add_argument("spectrum")
     p.add_argument("--thickness-nm", type=float, default=metaoptics.DEFAULT_THICKNESS_NM)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("bound", help="convert a Gamma ratio or visibility pair to a theta bound")
@@ -281,9 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-nim-sigma", type=float, default=0.0)
     p.add_argument("--v-both", type=float, default=None)
     p.add_argument("--v-both-sigma", type=float, default=0.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 
+    # added last, so --out ends the option list of every command's --help
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -300,6 +282,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except analysis.TooFewFitsError as err:
+        print(f"{args.command} produced too few usable fits: {err}", file=sys.stderr)
+        return EXIT_SOFT_FIT
     except Exception as err:  # noqa: BLE001 - invariant violations become exit 5
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -141,7 +141,8 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
-    _, [error], groups = _normalize_rows(*_one_row(ig), detector=detector)
+    phase, d1, d2 = _one_row(ig)
+    [error], groups = _normalize_rows(phase, d1 if detector == 1 else d2, d1 + d2)
     if error is not None:
         raise error
     [(_, phase, ratio, sigma, n_excluded)] = groups
@@ -182,16 +183,13 @@ def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.where(c1 >= c2, 1, 2)
 
 
-def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                    detector: int | None = None):
-    """normalize on each row of phase-sorted (rows, n) float arrays.
+def _normalize_rows(phase: np.ndarray, counts: np.ndarray, total: np.ndarray):
+    """normalize on each row of phase-sorted (rows, n) float arrays: counts over total.
 
-    Returns (detector, errors, groups): the detector normalized in each row
-    (the given one, or _fitted_detectors when detector is None), each row's
-    FitInputError or None, and the usable rows grouped by kept length as
-    (rows, phase, ratio, sigma, n_excluded) with (len(rows), kept) arrays.
+    Returns (errors, groups): each row's FitInputError or None, and the
+    usable rows grouped by kept length as (rows, phase, ratio, sigma,
+    n_excluded) with (len(rows), kept) arrays.
     """
-    total = d1 + d2
     keep = total > 0
     width = total.shape[-1]
     n_usable = np.count_nonzero(keep, axis=-1)
@@ -199,10 +197,9 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     for i in np.flatnonzero(n_usable < 8):
         errors[i] = FitInputError(
             f"need at least 8 points with nonzero total counts, got {n_usable[i]}")
-    detectors = np.full(len(total), detector or 1)
     usable = np.flatnonzero(n_usable >= 8)
     if usable.size == 0:
-        return detectors, errors, []
+        return errors, []
     first = np.argmax(keep[usable], axis=-1)
     last = width - 1 - np.argmax(keep[usable, ::-1], axis=-1)
     span = phase[usable, last] - phase[usable, first]
@@ -211,10 +208,8 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
         errors[i] = FitInputError(
             f"points with counts must span at least one full fringe (2 pi), got {float(s)!r}")
     usable = usable[~short]
-    if detector is None:
-        detectors[usable] = _fitted_detectors(d1[usable], d2[usable])
     n = np.where(keep, total, 1.0)
-    r = np.where(detectors[:, None] == 1, d1, d2) / n
+    r = counts / n
     sigma = np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))
     groups = []
     for kept, rows in _by_length(n_usable[usable]).items():
@@ -224,7 +219,7 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray,
             mask = keep[rows]
             arrays = tuple(a[mask].reshape(len(rows), kept) for a in arrays)
         groups.append((rows, *arrays, np.full(len(rows), width - kept)))
-    return detectors, errors, groups
+    return errors, groups
 
 
 def _by_length(lengths) -> dict[int, np.ndarray]:
@@ -469,8 +464,9 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
     if arrays[0].ndim != 2:
         raise ValueError(f"fit_counts needs (rows, n_steps) arrays, got shape "
                          f"{arrays[0].shape}")
-    detectors, errors, groups = _normalize_rows(*_sorted_by_phase(
-        *(np.ascontiguousarray(a, dtype=float) for a in arrays)))
+    phase, d1, d2 = _sorted_by_phase(*(np.ascontiguousarray(a, dtype=float) for a in arrays))
+    detectors = _fitted_detectors(d1, d2)
+    errors, groups = _normalize_rows(phase, np.where(detectors[:, None] == 1, d1, d2), d1 + d2)
     outcomes: list = [(err, err) for err in errors]
     for rows, x, y, sigma, n_excluded in groups:
         block = _fit_block(x, y, sigma, n_excluded)

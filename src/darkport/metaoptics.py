@@ -68,9 +68,10 @@ class IndexSpectrum:
     ambiguous: np.ndarray
 
 
-def phase_to_index(delta_phi: float, wavelength_nm: float, slab: SlabSpec) -> float:
-    """Effective index from the single-pass relative phase."""
-    if not wavelength_nm > 0.0:
+def phase_to_index(delta_phi: float | np.ndarray, wavelength_nm: float | np.ndarray,
+                   slab: SlabSpec) -> float | np.ndarray:
+    """Effective index from the single-pass relative phase; arrays work elementwise."""
+    if not np.all(wavelength_nm > 0.0):
         raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm!r}")
     return 1.0 + delta_phi * wavelength_nm / (TWO_PI * slab.thickness_nm)
 
@@ -88,17 +89,22 @@ def index_spectrum(spectrum: PhaseSpectrum, slab: SlabSpec) -> IndexSpectrum:
     Each phase is moved onto the 2 pi branch nearest its unwrapped
     neighbor.  A corrected jump of magnitude pi sits exactly between two
     branches; such points (and everything unwrapped through them) cannot
-    be trusted, so they are flagged.
+    be trusted, so they are flagged.  Raises ValueError naming the first
+    wavelength whose index is not finite.
     """
     wl = spectrum.wavelength_nm
     raw = spectrum.phase_rad
     unwrapped = np.array(raw, dtype=float)
     ambiguous = np.zeros(raw.shape, dtype=bool)
-    for i in range(1, raw.shape[0]):
-        jump = raw[i] - unwrapped[i - 1]
-        corrected = jump - TWO_PI * np.round(jump / TWO_PI)
-        if abs(corrected) >= math.pi * (1.0 - 1e-9):
-            ambiguous[i] = True
-        unwrapped[i] = unwrapped[i - 1] + corrected
-    n = 1.0 + unwrapped * wl / (TWO_PI * slab.thickness_nm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, raw.shape[0]):
+            jump = raw[i] - unwrapped[i - 1]
+            corrected = jump - TWO_PI * np.round(jump / TWO_PI)
+            if abs(corrected) >= math.pi * (1.0 - 1e-9):
+                ambiguous[i] = True
+            unwrapped[i] = unwrapped[i - 1] + corrected
+        n = phase_to_index(unwrapped, wl, slab)
+    bad = ~np.isfinite(n)
+    if bad.any():
+        raise ValueError(f"index is not finite at {float(wl[np.argmax(bad)])!r} nm")
     return IndexSpectrum(wavelength_nm=wl.copy(), n=n, ambiguous=ambiguous)

@@ -6,10 +6,10 @@ means follow the Mach-Zehnder fringe fed by the Sagnac ports.  Every
 interferogram is drawn from its own seed path, so a campaign is
 reproducible run by run regardless of execution order or grouping.
 
-draw_counts is the one drawer: it computes each distinct model's rates
+draw_counts is the one drawer: it computes one configuration's rates
 once and draws a (rows, n_steps) count block, row by row, each row from
-its own SeedSequence.  simulate_interferogram and simulate_run are its
-one- and two-row cases.
+its own SeedSequence.  simulate_interferogram is its one-row case, and
+simulate_run draws each of its two slots that way.
 """
 
 from __future__ import annotations
@@ -134,26 +134,22 @@ def _as_entropy(seed) -> tuple:
 
 
 def draw_counts(
-    models: Sequence[SagnacModel],
+    model: SagnacModel,
     scan: ScanConfig,
     seeds: Sequence,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts at the two detectors, one row per (model, seed) pair.
+    """Counts at the two detectors of one configuration, one row per seed.
 
     Returns two (rows, n_steps) int64 arrays.  Row k is drawn from its own
     Generator on SeedSequence(seeds[k]) (an int or tuple of ints), detector
-    1 first, so it depends on nothing but its model, the scan and its seed.
-    expected_rates runs once per distinct model object.
+    1 first, so it depends on nothing but the model, the scan and its seed.
     """
-    rates: dict[int, np.ndarray] = {}
-    for model in models:
-        if id(model) not in rates:
-            rates[id(model)] = np.stack(expected_rates(model, scan))
-    counts = np.empty((len(models), 2, scan.n_steps), dtype=np.int64)
-    for k, (model, seed) in enumerate(zip(models, seeds, strict=True)):
+    rates = np.stack(expected_rates(model, scan))
+    counts = np.empty((len(seeds), 2, scan.n_steps), dtype=np.int64)
+    for k, seed in enumerate(seeds):
         # one call draws d1 then d2, as two calls on the same stream would
         rng = np.random.default_rng(np.random.SeedSequence(_as_entropy(seed)))
-        counts[k] = rng.poisson(rates[id(model)])
+        counts[k] = rng.poisson(rates)
     return counts[:, 0], counts[:, 1]
 
 
@@ -168,7 +164,7 @@ def simulate_interferogram(
     ``seed`` (an int or tuple of ints) overrides scan.rng_seed; run and
     campaign helpers use tuples to give every draw its own stream.
     """
-    d1, d2 = draw_counts([model], scan, [scan.rng_seed if seed is None else seed])
+    d1, d2 = draw_counts(model, scan, [scan.rng_seed if seed is None else seed])
     return Interferogram(phase_rad=scan.phases(), counts_d1=d1[0], counts_d2=d2[0])
 
 
@@ -200,11 +196,8 @@ def simulate_run(
     """
     check_pair(model_nim, model_both)
     entropy = _as_entropy(scan.rng_seed if seed is None else seed)
-    seeds = (entropy + (0,), entropy + (1,))
-    d1, d2 = draw_counts([model_nim, model_both], scan, seeds)
-    phase = scan.phases()
-    nim, both = (Interferogram(phase_rad=phase, counts_d1=d1[k], counts_d2=d2[k])
-                 for k in (0, 1))
+    nim, both = (simulate_interferogram(model, scan, seed=entropy + (slot,))
+                 for slot, model in enumerate((model_nim, model_both)))
     return RunPair(run_index=run_index, nim=nim, both=both)
 
 

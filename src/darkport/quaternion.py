@@ -55,17 +55,11 @@ class Quaternion:
     def scaled(self, s: float) -> "Quaternion":
         return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
 
-    def conj(self) -> "Quaternion":
-        return conj(self)
-
-    def norm(self) -> float:
-        return norm(self)
-
     @property
     def is_unit(self) -> bool:
         # a component above 2 already rules a unit out, and could overflow norm()
         return (max(abs(self.w), abs(self.x), abs(self.y), abs(self.z)) <= 2.0
-                and abs(self.norm() - 1.0) <= UNIT_TOL)
+                and abs(norm(self) - 1.0) <= UNIT_TOL)
 
     @property
     def is_imaginary(self) -> bool:

@@ -158,6 +158,8 @@ def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
             records = list(reader)
     except UnicodeDecodeError as err:
         raise CsvFormatError(f"{path}: not UTF-8: {err}") from err
+    except csv.Error as err:  # such as a field longer than csv.field_size_limit()
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {err}") from err
     except OSError as err:
         raise CsvFormatError(f"{path}: {err}") from err
     rows = [row for row in records if row]

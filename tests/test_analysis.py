@@ -265,9 +265,9 @@ def test_sweep_reuses_fits_bit_for_bit(monkeypatch, base):
         swept.append(gamma_ratio_of(records))
         return swept[-1]
 
-    def counting(models, *args, **kwargs):
-        rows.append(len(models))
-        return draw_counts(models, *args, **kwargs)
+    def counting(model, scan, seeds):
+        rows.append(len(seeds))
+        return draw_counts(model, scan, seeds)
 
     monkeypatch.setattr(analysis, "gamma_ratio_distribution", recording_stats)
     monkeypatch.setattr(photonsim, "draw_counts", counting)

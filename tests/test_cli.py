@@ -268,10 +268,10 @@ def test_sweep_simulates_the_campaign_pair(tmp_path, capsys, monkeypatch):
     simulated = []
     draw_counts = photonsim.draw_counts
 
-    def recording(models, scan, seeds):
+    def recording(model, scan, seeds):
         # each drawn row's model and seed (master_seed, run, slot)
-        simulated.extend(zip(models, seeds, strict=True))
-        return draw_counts(models, scan, seeds)
+        simulated.extend((model, seed) for seed in seeds)
+        return draw_counts(model, scan, seeds)
 
     monkeypatch.setattr(photonsim, "draw_counts", recording)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -478,11 +478,11 @@ def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "bound_report.json").exists()
 
 
-@pytest.mark.parametrize("cpus", [None, 2, 64])
+@pytest.mark.parametrize("cpus", [None, 2, 64, 1])
 def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsys,
                                                                   monkeypatch, cpus):
     # a pool that records its size and its parts and maps serially, so no
-    # process is started
+    # process is started; on one CPU, --jobs 4 must not build it at all
     workers, parts = [], []
 
     class RecordingPool:
@@ -503,8 +503,12 @@ def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsy
     if cpus is not None:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg = write_config(tmp_path, {"campaign": {"n_runs": 24, "master_seed": 7}})
-    assert main(["campaign", "--config", cfg, "--jobs", "100000",
+    jobs = 4 if cpus == 1 else 100000
+    assert main(["campaign", "--config", cfg, "--jobs", str(jobs),
                  "--out", str(tmp_path / "out")]) == 0
+    if min(jobs, cpus or os.cpu_count() or 1) == 1:
+        assert workers == [] and parts == []
+        return
     [n] = workers
     assert 1 <= n <= min(os.cpu_count() or 1, 24)
     # the parts cover the runs in order, about four for each worker started
@@ -542,8 +546,11 @@ _DARK_LC = {
 @pytest.mark.parametrize("command", ["campaign", "sweep"])
 def test_no_usable_fits_is_soft_failure(tmp_path, capsys, command):
     cfg = write_config(tmp_path, _DARK_LC)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "too few usable fits" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    values = {"campaign": "Delta V", "sweep": "Gamma-ratio"}[command]
+    assert capsys.readouterr().err == (f"{command} produced too few usable fits: "
+                                       f"need at least 2 {values} values, got 0\n")
+    assert not (tmp_path / "out").exists()
 
 
 # a loop with no fringe at all: in the one run, one detector's Gamma ratio
@@ -571,6 +578,37 @@ def test_index_rejects_bad_thickness(tmp_path, capsys, thickness):
     assert rc == 2
     assert "thickness_nm must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "index.csv").exists()
+
+
+@pytest.mark.parametrize("thickness, rows", [
+    ("1e-320", "500,1.0\n600,1.2\n"),
+    ("285", "500,1e308\n501,-1e308\n"),
+], ids=["thin_slab", "huge_phases"])
+def test_index_that_is_not_finite_is_input_error(tmp_path, capsys, thickness, rows):
+    spectrum = tmp_path / "phase.csv"
+    spectrum.write_text("wavelength_nm,phase_rad\n" + rows)
+    rc = main(["index", str(spectrum), f"--thickness-nm={thickness}",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == (f"input error: {spectrum}: index is not finite at 500.0 nm "
+                   f"with thickness_nm {float(thickness)!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, head, row", [
+    ("fit", "phase_rad,counts_d1,counts_d2", '0.0,"{}",5'),
+    ("index", "wavelength_nm,phase_rad", '500,"{}"'),
+], ids=["fit", "index"])
+def test_field_beyond_the_csv_field_limit_is_input_error(tmp_path, capsys, command,
+                                                         head, row):
+    # a 200,000-digit field, longer than csv.field_size_limit() (131,072)
+    path = tmp_path / "long.csv"
+    path.write_text(f"{head}\n{row.format('1' * 200_000)}\n")
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: line 2: field larger than field limit")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])

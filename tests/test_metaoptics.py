@@ -118,6 +118,28 @@ def test_index_spectrum_flags_half_branch_jumps():
     assert not spec.ambiguous[0] and not spec.ambiguous[1]
 
 
+def test_phase_to_index_of_arrays_is_elementwise():
+    slab = SlabSpec()
+    wl = np.array([700.0, 750.0, 790.0])
+    phase = np.array([-1.0, -2.5, -math.pi])
+    n = phase_to_index(phase, wl, slab)
+    assert n.tolist() == [phase_to_index(p, w, slab) for p, w in zip(phase.tolist(), wl.tolist())]
+    with pytest.raises(ValueError):
+        phase_to_index(phase, np.array([700.0, 0.0, 790.0]), slab)
+
+
+@pytest.mark.parametrize("thickness, wl, phase, at", [
+    (1e-320, [500.0, 600.0], [1.0, 1.2], 500.0),
+    (285.0, [500.0, 501.0], [1e308, -1e308], 500.0),
+    (1e-320, [500.0, 501.0, 502.0], [0.0, 1.0, 2.0], 501.0),
+], ids=["thin_slab", "huge_phases", "zero_phase_first"])
+def test_index_spectrum_rejects_an_index_that_is_not_finite(thickness, wl, phase, at):
+    # no numpy RuntimeWarning either: the test configuration makes it an error
+    spectrum = PhaseSpectrum(np.array(wl), np.array(phase))
+    with pytest.raises(ValueError, match=f"index is not finite at {at!r} nm"):
+        index_spectrum(spectrum, SlabSpec(thickness_nm=thickness))
+
+
 def test_index_spectrum_single_point():
     slab = SlabSpec()
     spec = index_spectrum(PhaseSpectrum(np.array([790.0]), np.array([-math.pi])), slab)

@@ -61,7 +61,7 @@ def test_run_streams_are_independent():
     run = simulate_run(*models, scan, seed=7)
     # slot k draws from the run seed extended by k, and from nothing else
     for model, ig, seed in zip(models, (run.nim, run.both), ((7, 0), (7, 1))):
-        d1, d2 = draw_counts([model], scan, [seed])
+        d1, d2 = draw_counts(model, scan, [seed])
         assert np.array_equal(ig.counts_d1, d1[0]) and np.array_equal(ig.counts_d2, d2[0])
     assert not np.array_equal(run.nim.counts_d1, run.both.counts_d1)
 
@@ -86,18 +86,18 @@ def test_block_rows_are_the_seeded_interferograms(counts):
     ref, tog = ExperimentConfig().with_epsilon(0.3).build_pair()
     assert not np.array_equal(expected_rates(ref, scan), expected_rates(tog, scan))
     runs = [4, 0, 17]
-    models = [ref, tog] * len(runs)
-    seeds = [(11, idx, slot) for idx in runs for slot in (0, 1)]
-    d1, d2 = draw_counts(models, scan, seeds)
-    assert d1.shape == d2.shape == (len(seeds), scan.n_steps)
-    for k, (model, seed) in enumerate(zip(models, seeds)):
-        ig = simulate_interferogram(model, scan, seed=seed)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        lam1, lam2 = expected_rates(model, scan)
-        for got, alone, stream in ((d1[k], ig.counts_d1, rng.poisson(lam1)),
-                                   (d2[k], ig.counts_d2, rng.poisson(lam2))):
-            assert got.dtype == alone.dtype == stream.dtype == np.int64
-            assert got.tobytes() == alone.tobytes() == stream.tobytes()
+    for slot, model in enumerate((ref, tog)):
+        seeds = [(11, idx, slot) for idx in runs]
+        d1, d2 = draw_counts(model, scan, seeds)
+        assert d1.shape == d2.shape == (len(seeds), scan.n_steps)
+        for k, seed in enumerate(seeds):
+            ig = simulate_interferogram(model, scan, seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            lam1, lam2 = expected_rates(model, scan)
+            for got, alone, stream in ((d1[k], ig.counts_d1, rng.poisson(lam1)),
+                                       (d2[k], ig.counts_d2, rng.poisson(lam2))):
+                assert got.dtype == alone.dtype == stream.dtype == np.int64
+                assert got.tobytes() == alone.tobytes() == stream.tobytes()
 
 
 def test_noiseless_counts_conserve_flux():
@@ -213,5 +213,5 @@ def test_labels_and_seed_are_recorded():
     models = cfg.build_pair()
     run = simulate_run(*models, cfg.scan, run_index=4, seed=(3, 4))
     assert run.run_index == 4
-    d1, d2 = draw_counts(models[:1], cfg.scan, [(3, 4, 0)])
+    d1, d2 = draw_counts(models[0], cfg.scan, [(3, 4, 0)])
     assert np.array_equal(run.nim.counts_d1, d1[0]) and np.array_equal(run.nim.counts_d2, d2[0])
