@@ -114,12 +114,12 @@ def cmd_campaign(args) -> int:
     run = functools.partial(analysis.campaign_records, *cfg.build_pair(), cfg.scan,
                             cfg.master_seed)
     cap = min(args.jobs, os.cpu_count() or 1)
-    if cap > 1:
-        chunk = max(1, cfg.n_runs // (4 * cap))
-        parts = [range(start, min(start + chunk, cfg.n_runs))
-                 for start in range(0, cfg.n_runs, chunk)]
-        # the pool starts all its workers at once; output does not depend on their number
-        workers = min(cap, len(parts))
+    chunk = max(1, cfg.n_runs // (4 * cap))
+    parts = [range(start, min(start + chunk, cfg.n_runs))
+             for start in range(0, cfg.n_runs, chunk)]
+    # the pool starts all its workers at once; output does not depend on their number
+    workers = min(cap, len(parts))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for part in pool.map(run, parts) for rec in part]
     else:

@@ -10,10 +10,15 @@ the noise model is off.  Of an interferogram's two detector fringes, which
 sum to 1 at every step, only one is fitted; the other's fit is its exact
 mirror (fit_interferograms).  Counts are sorted, normalized and fitted as
 (rows, n_steps) blocks (fit_counts), one block per kept length, and
-normalize is the one-row case; callers stream FIT_BLOCK_ROWS rows at a
-time.  A fitted block stays arrays through the mirror map, the A + 2B > 0
-check and the visibility with its propagated sigma; only then is each
-row's FitResult or InvalidFitError built.
+normalize is the one-row case.  A block of any size iterates as a pool of
+FIT_BLOCK_ROWS slots: a row that stops hands its slot to the next waiting
+row, so every pass is full until the waiting rows run out, and only the
+last rows' tail runs part-empty; the covariances are then computed
+FIT_BLOCK_ROWS rows at a time.  fit_interferograms streams its input
+4 * FIT_BLOCK_ROWS interferograms at a time, so the tail is paid once per
+such chunk.  A fitted block stays arrays through the mirror map, the
+A + 2B > 0 check and the visibility with its propagated sigma; only then
+is each row's FitResult or InvalidFitError built.
 """
 
 from __future__ import annotations
@@ -42,13 +47,13 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
-# Rows fitted together: fit_interferograms and analysis._slot_fits pass
-# fit_counts this many at a time.  A block's work arrays are a few tens of
-# kB at 32 rows of 100 points.  A block iterates until its slowest row
-# stops, so larger blocks spend less time per fit on hard, low-count
-# fringes, but they raise the peak memory of a campaign or sweep by
-# megabytes at several hundred rows.
-FIT_BLOCK_ROWS = 32
+# Rows that iterate at once: the capacity of _fit_block's pool, and the
+# rows per chunk of its covariance stage, so no step works on more rows
+# than this however many rows a block has.  A pass has a fixed numpy call
+# overhead, so a wider pool makes fewer passes; at 64 rows of 100 points
+# a pass's work arrays take about 0.6 MB.  64 slots ran the lab_fit
+# benchmark about 5% faster than 32.
+FIT_BLOCK_ROWS = 64
 
 
 class FitInputError(ValueError):
@@ -318,9 +323,12 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     """Variable projection on (rows, n) fringe arrays, one state per row.
 
     f is the only nonlinear parameter: each trial f gets its exact linear
-    fit, and f moves by Gauss-Newton steps.  Rows that stop leave the
-    active set, and the rest iterate on.  The arithmetic of each row is
-    independent of the other rows.
+    fit, and f moves by Gauss-Newton steps.  The rows run through a pool of
+    FIT_BLOCK_ROWS slots: they enter in order, a row that stops leaves the
+    pool, and the next waiting row takes its slot in the same pass with its
+    start f and first projection.  The arithmetic of each row is
+    independent of the other rows, so a row's fit does not depend on which
+    rows share its passes.
 
     Returns the block before the A + 2B > 0 check as (params, cov,
     converged, iterations, residual_norm, n_points, n_excluded): (rows, 4)
@@ -337,20 +345,32 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     dx = (x[:, -1] - x[:, 0]) / (n - 1)
     lowest = math.pi / (n * dx)
     highest = lowest * (0.5 * (n - 1))
-    spectrum = np.abs(np.fft.rfft(y - np.mean(y, axis=-1, keepdims=True), axis=-1))
-    f = lowest * (np.argmax(spectrum[:, 1:(n + 1) // 2], axis=-1) + 1)
-    coef, chi2, step = _project(x, w, y, f)
+    f, chi2, step, coef = np.empty(rows), np.empty(rows), np.empty(rows), np.empty((rows, 3))
     converged = np.zeros(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=np.int64)
     # a step is at most one bin, as the chi-square has a local minimum about
     # every bin, and is halved at each rejected trial
     scale = np.ones(rows)
-    active = np.arange(rows)
-    for _ in range(MAX_ITERATIONS):
+    # the iterating rows, and the count of rows that have entered the pool
+    active = np.empty(0, dtype=np.intp)
+    entered = 0
+    while entered < rows or active.size:
+        entering = np.arange(entered, min(rows, entered + FIT_BLOCK_ROWS - active.size))
+        entered += entering.size
+        if entering.size:
+            start = y[entering]
+            spectrum = np.abs(np.fft.rfft(start - np.mean(start, axis=-1, keepdims=True), axis=-1))
+            f[entering] = lowest[entering] * (np.argmax(spectrum[:, 1:(n + 1) // 2], axis=-1) + 1)
         iterations[active] += 1
         width = lowest[active]
         trial = f[active] + scale[active] * np.clip(step[active], -width, width)
-        coef_trial, chi2_trial, step_trial = _project(x[active], w[active], y[active], trial)
+        # one projection per pass: the active rows at their trial f, and the
+        # entering rows at their start f, which gives their start state
+        pool = np.concatenate([active, entering])
+        projected = _project(x[pool], w[pool], y[pool], np.concatenate([trial, f[entering]]))
+        k = active.size
+        coef[entering], chi2[entering], step[entering] = (a[k:] for a in projected)
+        coef_trial, chi2_trial, step_trial = (a[:k] for a in projected)
         accept = chi2_trial <= chi2[active]
         reduction = chi2[active] - chi2_trial
         moved = active[accept]
@@ -361,20 +381,23 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
         converged[active[done]] = True
         # below the band the chi-square falls on toward f = 0, where A grows
         # without bound, and the fit can only end unconverged: stop it now
-        active = active[~(done | (np.abs(f[active]) < width))]
-        if active.size == 0:
-            break
+        stop = done | (np.abs(f[active]) < width) | (iterations[active] == MAX_ITERATIONS)
+        active = np.concatenate([active[~stop], entering])
 
     params = np.array([_amplitude_form(f[i], *coef[i]) for i in range(rows)])
     # a fit outside the band, or one that the band's upper edge beats (the
     # data alternate near the Nyquist frequency), is not a resolved fringe
-    converged &= ((params[:, 1] >= lowest) & (params[:, 1] < highest)
-                  & (chi2 <= _project(x, w, y, highest)[1]))
-    jac = _jacobian(x, params)
-    hess = (jac * w[..., None]).swapaxes(-1, -2) @ jac
-    # the covariance is the (pseudo-)inverse of J^T W J at the optimum,
-    # rescaled by the reduced chi-square (n >= 8 points)
-    cov = np.linalg.pinv(hess) * (chi2 / (n - 4))[:, None, None]
+    converged &= (params[:, 1] >= lowest) & (params[:, 1] < highest)
+    cov = np.empty((rows, 4, 4))
+    for at in range(0, rows, FIT_BLOCK_ROWS):
+        chunk = slice(at, at + FIT_BLOCK_ROWS)
+        converged[chunk] &= chi2[chunk] <= _project(x[chunk], w[chunk], y[chunk],
+                                                    highest[chunk])[1]
+        jac = _jacobian(x[chunk], params[chunk])
+        hess = (jac * w[chunk, :, None]).swapaxes(-1, -2) @ jac
+        # the covariance is the (pseudo-)inverse of J^T W J at the optimum,
+        # rescaled by the reduced chi-square (n >= 8 points)
+        cov[chunk] = np.linalg.pinv(hess) * (chi2[chunk] / (n - 4))[:, None, None]
     return params, cov, converged, iterations, np.sqrt(chi2), n, n_excluded
 
 
@@ -491,13 +514,13 @@ def fit_interferograms(
 
     The fitted entry is fit_sinusoid(normalize(ig, detector)) exactly; an
     interferogram that normalize refuses gets its FitInputError on both
-    sides.  The input is consumed FIT_BLOCK_ROWS interferograms (one block
-    of fringes) at a time, in order, so a generator is never held in
-    memory whole; each block's scans of equal length go to fit_counts
+    sides.  The input is consumed 4 * FIT_BLOCK_ROWS interferograms (four
+    pools' worth) at a time, in order, so a generator is never held in
+    memory whole; each chunk's scans of equal length go to fit_counts
     together.
     """
     interferograms = iter(interferograms)
-    while block := list(itertools.islice(interferograms, FIT_BLOCK_ROWS)):
+    while block := list(itertools.islice(interferograms, 4 * FIT_BLOCK_ROWS)):
         outcomes: list = [None] * len(block)
         for rows in _by_length([len(ig.phase_rad) for ig in block]).values():
             stacked = (np.stack([np.asarray(getattr(block[i], name), dtype=float)

@@ -89,8 +89,10 @@ def index_spectrum(spectrum: PhaseSpectrum, slab: SlabSpec) -> IndexSpectrum:
     Each phase is moved onto the 2 pi branch nearest its unwrapped
     neighbor.  A corrected jump of magnitude pi sits exactly between two
     branches; such points (and everything unwrapped through them) cannot
-    be trusted, so they are flagged.  Raises ValueError naming the first
-    wavelength whose index is not finite.
+    be trusted, so they are flagged.  So is a jump too large for its
+    rounding error to stay inside the branch, as the correction of one
+    beyond about 1e16 rad keeps no information.  Raises ValueError naming
+    the first wavelength whose index is not finite.
     """
     wl = spectrum.wavelength_nm
     raw = spectrum.phase_rad
@@ -100,7 +102,7 @@ def index_spectrum(spectrum: PhaseSpectrum, slab: SlabSpec) -> IndexSpectrum:
         for i in range(1, raw.shape[0]):
             jump = raw[i] - unwrapped[i - 1]
             corrected = jump - TWO_PI * np.round(jump / TWO_PI)
-            if abs(corrected) >= math.pi * (1.0 - 1e-9):
+            if abs(corrected) + np.spacing(abs(jump)) >= math.pi * (1.0 - 1e-9):
                 ambiguous[i] = True
             unwrapped[i] = unwrapped[i - 1] + corrected
         n = phase_to_index(unwrapped, wl, slab)

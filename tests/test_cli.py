@@ -478,11 +478,10 @@ def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "bound_report.json").exists()
 
 
-@pytest.mark.parametrize("cpus", [None, 2, 64, 1])
-def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsys,
-                                                                  monkeypatch, cpus):
-    # a pool that records its size and its parts and maps serially, so no
-    # process is started; on one CPU, --jobs 4 must not build it at all
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """(workers, parts): a stand-in pool records its size and its parts and
+    maps serially, so no process is started."""
     workers, parts = [], []
 
     class RecordingPool:
@@ -500,6 +499,15 @@ def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsy
             return map(fn, parts)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return workers, parts
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 64, 1])
+def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsys,
+                                                                  monkeypatch, recording_pool,
+                                                                  cpus):
+    # on one CPU, --jobs 4 must not build the pool at all
+    workers, parts = recording_pool
     if cpus is not None:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg = write_config(tmp_path, {"campaign": {"n_runs": 24, "master_seed": 7}})
@@ -517,6 +525,22 @@ def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsy
         assert n == 2 and [len(part) for part in parts] == [3] * 8
     if cpus == 64:
         assert n == 24 and [len(part) for part in parts] == [1] * 24
+
+
+def test_campaign_of_one_part_starts_no_pool(tmp_path, capsys, monkeypatch, recording_pool):
+    # one run makes one part, so --jobs 2 on two cores has nothing to share
+    workers, parts = recording_pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = write_config(tmp_path, {"campaign": {"n_runs": 1, "master_seed": 7}})
+    outputs = []
+    for jobs in ("2", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["campaign", "--config", cfg, "--jobs", jobs, "--out", str(out)])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out.replace(str(out), "OUT"), captured.err,
+                        sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+    assert workers == [] and parts == []
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("phases", [[1.0] * 30, [0.5 * k / 29 for k in range(30)]],

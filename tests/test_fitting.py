@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkport import fitting
 from darkport.config import ExperimentConfig
 from darkport.fitting import (
     FIT_BLOCK_ROWS,
@@ -28,6 +29,7 @@ from darkport.interferometer import SagnacModel
 from darkport.photonsim import (
     Interferogram,
     ScanConfig,
+    draw_counts,
     expected_rates,
     simulate_campaign,
     simulate_interferogram,
@@ -453,6 +455,85 @@ def test_failing_rows_leave_their_neighbours_unchanged():
     assert not not_converged.converged and isinstance(invalid, InvalidFitError)
     for expected, got in zip(alone, mixed[:4] + mixed[7:], strict=True):
         assert all(map(_same_fit, expected, got))
+
+
+def _pool_counts():
+    """(phase, d1, d2) of 3 * FIT_BLOCK_ROWS + 41 rows in two kept lengths.
+
+    Rows 0 .. 2 * FIT_BLOCK_ROWS - 1 are faint full scans.  The rest lose
+    the steps where _hard_interferogram has no counts, and that row itself
+    sits FIT_BLOCK_ROWS + 20 rows into this second group, so it enters the
+    pool only after rows of its group have stopped and handed on their
+    slots.
+    """
+    hard = _hard_interferogram()
+    faint = (ExperimentConfig().build_pair()[0], ScanConfig(mean_counts_per_step=200.0))
+    igs = [simulate_interferogram(*faint, seed=(72, k)) for k in range(3 * FIT_BLOCK_ROWS + 40)]
+    d1, d2 = (np.stack([getattr(ig, name) for ig in igs]).astype(float)
+              for name in ("counts_d1", "counts_d2"))
+    empty = hard.counts_d1 + hard.counts_d2 == 0
+    d1[2 * FIT_BLOCK_ROWS:, empty] = d2[2 * FIT_BLOCK_ROWS:, empty] = 0.0
+    at = 3 * FIT_BLOCK_ROWS + 20
+    return (hard.phase_rad, np.insert(d1, at, hard.counts_d1, axis=0),
+            np.insert(d2, at, hard.counts_d2, axis=0))
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["default", "capped_at_3"])
+def test_pool_refills_leave_every_fit_as_alone(monkeypatch, cap):
+    # rows join the iterating pool as others stop; with a cap of 3
+    # iterations most rows stop at the cap, so slots change hands every pass
+    if cap is not None:
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", cap)
+    widest = []
+    project = fitting._project
+
+    def recorded_project(x, *args):
+        widest.append(len(x))
+        return project(x, *args)
+
+    phase, d1, d2 = _pool_counts()
+    monkeypatch.setattr(fitting, "_project", recorded_project)
+    together = fit_counts(phase, d1, d2)
+    assert len(d1) > 3 * FIT_BLOCK_ROWS
+    assert max(widest) == FIT_BLOCK_ROWS
+    fits = [o for pair in together for o in pair if isinstance(o, FitResult)]
+    assert {o.n_points for o in fits} == {100, 45}
+    assert any(not o.converged for o in fits)
+    assert sum(isinstance(o, InvalidFitError) for pair in together for o in pair) >= 1
+    if cap is not None:
+        assert sum(o.iterations == cap for o in fits) > len(fits) // 2
+    hard = 3 * FIT_BLOCK_ROWS + 20
+    not_converged, invalid = together[hard]
+    assert not not_converged.converged and isinstance(invalid, InvalidFitError)
+    for k, pair in enumerate(together):
+        [alone] = fit_counts(phase, d1[k:k + 1], d2[k:k + 1])
+        assert all(map(_same_fit, alone, pair))
+
+
+def test_pool_tail_is_paid_once_per_chunk(monkeypatch):
+    # 256 interferograms at 200 counts/step: passes stay within the full
+    # pools the iterations need, one tail, and a start and a covariance
+    # pass for each FIT_BLOCK_ROWS rows
+    models = ExperimentConfig().build_pair()
+    scan = ScanConfig(mean_counts_per_step=200.0)
+    igs = []
+    for slot, model in enumerate(models):
+        d1, d2 = draw_counts(model, scan, [(9, k, slot) for k in range(128)])
+        igs += [Interferogram(scan.phases(), *counts) for counts in zip(d1, d2)]
+    passes = []
+    project = fitting._project
+
+    def counted_project(x, *args):
+        passes.append(len(x))
+        return project(x, *args)
+
+    monkeypatch.setattr(fitting, "_project", counted_project)
+    pairs = list(fit_interferograms(igs))
+    iterations = [next(o.iterations for o in pair if isinstance(o, FitResult)) for pair in pairs]
+    chunks = math.ceil(len(igs) / FIT_BLOCK_ROWS)
+    assert len(passes) <= (math.ceil(sum(iterations) / FIT_BLOCK_ROWS) + max(iterations)
+                           + 2 * chunks)
+    assert max(passes) <= FIT_BLOCK_ROWS
 
 
 def test_singular_solve_costs_only_its_own_row():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkport.cli import main
 from darkport.metaoptics import (
     DEFAULT_THICKNESS_NM,
     IndexSpectrum,
@@ -12,6 +13,7 @@ from darkport.metaoptics import (
     index_to_phase,
     phase_to_index,
 )
+from darkport.reports import read_phase_spectrum_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,6 +118,20 @@ def test_index_spectrum_flags_half_branch_jumps():
     spec = index_spectrum(PhaseSpectrum(wl, phase), slab)
     assert bool(spec.ambiguous[2])
     assert not spec.ambiguous[0] and not spec.ambiguous[1]
+
+
+def test_index_flags_jumps_too_large_to_unwrap(tmp_path, capsys):
+    # beyond about 1e16 rad the nearest-branch correction keeps no
+    # information, so each such point is ambiguous, not an index of 1
+    path = tmp_path / "spectrum.csv"
+    path.write_text("wavelength_nm,phase_rad\n500,0\n501,1e17\n502,-1e308\n")
+    spec = index_spectrum(read_phase_spectrum_csv(str(path)), SlabSpec())
+    assert spec.ambiguous.tolist() == [False, True, True]
+    assert main(["index", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: ambiguous unwrapping at 501.0 nm",
+        "warning: ambiguous unwrapping at 502.0 nm",
+    ]
 
 
 def test_phase_to_index_of_arrays_is_elementwise():
