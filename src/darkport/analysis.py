@@ -17,7 +17,7 @@ import numpy as np
 
 from . import photonsim
 from .config import ConfigError, ExperimentConfig
-from .fitting import FIT_BLOCK_ROWS, FitResult, fit_counts, fit_interferograms
+from .fitting import _STREAM_ROWS, FitResult, fit_counts, fit_interferograms
 from .interferometer import (
     NonPhysicalVisibilityError,
     SagnacModel,
@@ -181,18 +181,15 @@ def _slot_fits(model: SagnacModel, slot: int, scan: ScanConfig, master_seed: int
     """The (d1, d2) visibilities of one configuration's slot in the given runs.
 
     Run idx draws from seed (master_seed, idx, slot); the rows go through
-    photonsim.draw_counts and fitting.fit_counts half a fit pool
-    (FIT_BLOCK_ROWS // 2) at a time, as (rows, n_steps) count blocks with
-    no Interferogram per run.  Such a block iterates as one group; a whole
-    pool per draw would double the block's work arrays, which raised a
-    sweep's peak RSS by about 0.9 MB.  A row depends only on the model's
-    expected rates, the scan and its seed.
+    photonsim.draw_counts and fitting.fit_counts as (rows, n_steps) count
+    blocks with no Interferogram per run, _STREAM_ROWS rows at a time as in
+    fitting.fit_interferograms, which bounds the work arrays held at once.
+    A row depends only on the model's expected rates, the scan and its seed.
     """
     phase = scan.phases()
     fits = []
-    rows = FIT_BLOCK_ROWS // 2
-    for start in range(0, len(indices), rows):
-        block = indices[start:start + rows]
+    for start in range(0, len(indices), _STREAM_ROWS):
+        block = indices[start:start + _STREAM_ROWS]
         d1, d2 = photonsim.draw_counts(model, scan, [(master_seed, idx, slot) for idx in block])
         fits.extend(tuple(map(_visibility_or_none, pair)) for pair in fit_counts(phase, d1, d2))
     return fits
@@ -214,8 +211,7 @@ def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanCon
     with seed (master_seed, idx) does, so the records equal
     records_from_runs of those runs, and any split of the indices over
     calls or processes gives the same records.  Each slot is simulated and
-    fitted on its own, FIT_BLOCK_ROWS // 2 runs per block (_slot_fits), and
-    the two slots are then zipped run by run.
+    fitted on its own (_slot_fits), then the two are zipped run by run.
     """
     photonsim.check_pair(reference, toggled)
     indices = list(indices)

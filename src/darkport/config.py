@@ -154,6 +154,10 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"campaign.master_seed must be a 64-bit unsigned "
                               f"integer, got {self.master_seed!r}")
+        # a campaign histogram holds at most one value per detector and run
+        if self.bins != "fd" and self.bins > 2 * self.n_runs:
+            raise ConfigError(f"analysis.bins must be at most 2 * campaign.n_runs = "
+                              f"{2 * self.n_runs}, got {self.bins!r}")
         self.build_pair()
 
     def build_model(self, configuration: str) -> SagnacModel:

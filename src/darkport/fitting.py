@@ -1,24 +1,15 @@
 """Fringe normalization and sinusoid fitting.
 
-The model is A sin^2(f x + p) + B = c0 + c1 cos 2fx + c2 sin 2fx, fitted
-by weighted variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
-413, 1973): the three linear coefficients are solved exactly at each trial
-f, and f alone is searched by Gauss-Newton steps.  Weights come from the
-binomial error of the normalized count ratio, and the covariance is
-rescaled by the reduced chi-square so the reported sigmas stay honest when
-the noise model is off.  Of an interferogram's two detector fringes, which
-sum to 1 at every step, only one is fitted; the other's fit is its exact
-mirror (fit_interferograms).  Counts are sorted, normalized and fitted as
-(rows, n_steps) blocks (fit_counts), one block per kept length, and
-normalize is the one-row case.  A block of any size iterates as a pool of
-FIT_BLOCK_ROWS slots: a row that stops hands its slot to the next waiting
-row, so every pass is full until the waiting rows run out, and only the
-last rows' tail runs part-empty; the covariances are then computed
-FIT_BLOCK_ROWS rows at a time.  fit_interferograms streams its input
-4 * FIT_BLOCK_ROWS interferograms at a time, so the tail is paid once per
-such chunk.  A fitted block stays arrays through the mirror map, the
-A + 2B > 0 check and the visibility with its propagated sigma; only then
-is each row's FitResult or InvalidFitError built.
+The model is A sin^2(f x + p) + B = c0 + c1 cos 2fx + c2 sin 2fx, linear
+in (c0, c1, c2) at a fixed f.  phase_rad is the Mach-Zehnder phase in the
+simulated scan and the CSV format alike, so f = 1/2 is known: fit_counts
+and fit_interferograms, which every command uses, fit each block of rows
+of one kept length by one weighted least-squares solve at that f.
+fit_sinusoid searches f too, one row at a time, by variable projection
+(Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Weights come from
+the binomial error of the count ratio, and the covariance is rescaled by
+the reduced chi-square so the sigmas stay honest when the noise model is
+off.  Of the two detector fringes, which sum to 1, only one is fitted.
 """
 
 from __future__ import annotations
@@ -47,13 +38,12 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
-# Rows that iterate at once: the capacity of _fit_block's pool, and the
-# rows per chunk of its covariance stage, so no step works on more rows
-# than this however many rows a block has.  A pass has a fixed numpy call
-# overhead, so a wider pool makes fewer passes; at 64 rows of 100 points
-# a pass's work arrays take about 0.6 MB.  64 slots ran the lab_fit
-# benchmark about 5% faster than 32.
-FIT_BLOCK_ROWS = 64
+# f of the data paths: the fringe is sin^2(phase_rad / 2 + p)
+_FRINGE_FREQUENCY = 0.5
+# rows per fit_counts call where fit_interferograms and analysis._slot_fits
+# stream their input: one call on 1,600 fit rows raised fit's peak RSS from
+# 42 to 65 MB, and one on a slot's 200 rows a sweep's from 39.4 to 41.7 MB
+_STREAM_ROWS = 64
 
 
 class FitInputError(ValueError):
@@ -79,9 +69,8 @@ class NormalizedFringe:
     n_excluded: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
-        object.__setattr__(self, "ratio", np.asarray(self.ratio, dtype=float))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        for name in ("phase", "ratio", "sigma"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.phase.shape[0]
         if self.ratio.shape != (n,) or self.sigma.shape != (n,):
             raise ValueError("phase, ratio, and sigma must have identical length")
@@ -110,6 +99,8 @@ class FitResult:
     A >= 0, f >= 0, and p in [0, pi) by convention (sin^2 is even and
     pi-periodic, so each fit has one such form); low_signal marks amplitudes
     within 2 sigma of zero.  n_excluded is copied from the fitted fringe.
+    From fit_counts and fit_interferograms, f is the known 1/2 with sigma 0,
+    iterations is 0, and converged is a chi-square test (_fit_block).
     """
 
     amplitude: float
@@ -137,28 +128,22 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
 
     The binomial sigma sqrt(r (1-r) / n) is floored at 1/(n+2) so points
     that happen to land at ratio 0 or 1 keep a finite weight.  The kept
-    points are stable-sorted by phase, because the fit's spectral start
-    assumes an ordered grid; sorted input passes through unchanged.
-    Raises FitInputError for fewer than 8 points with counts, or for
-    points with counts spanning less than one fringe (2 pi), where the
-    frequency is not determined.  This is the one-row case of the block
-    normalization in fit_counts.
+    points are stable-sorted by phase (sorted input passes unchanged), as
+    fit_sinusoid's spectral start assumes an ordered grid.  Raises
+    FitInputError for fewer than 8 points with counts, or for points with
+    counts spanning less than one fringe (2 pi).  This is the one-row case
+    of the block normalization in fit_counts.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
-    phase, d1, d2 = _one_row(ig)
+    phase, d1, d2 = _sorted_by_phase(*(np.asarray(getattr(ig, name), dtype=float)[None]
+                                       for name in ("phase_rad", "counts_d1", "counts_d2")))
     [error], groups = _normalize_rows(phase, d1 if detector == 1 else d2, d1 + d2)
     if error is not None:
         raise error
     [(_, phase, ratio, sigma, n_excluded)] = groups
     return NormalizedFringe(phase=phase[0], ratio=ratio[0], sigma=sigma[0],
                             detector=detector, n_excluded=int(n_excluded[0]))
-
-
-def _one_row(ig) -> tuple[np.ndarray, ...]:
-    """(1, n) float arrays of an interferogram's phase, d1 and d2, sorted by phase."""
-    return _sorted_by_phase(*(np.asarray(getattr(ig, name), dtype=float)[None]
-                              for name in ("phase_rad", "counts_d1", "counts_d2")))
 
 
 def _sorted_by_phase(phase: np.ndarray, d1: np.ndarray,
@@ -171,13 +156,11 @@ def _sorted_by_phase(phase: np.ndarray, d1: np.ndarray,
 
 
 def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """The detector fit_interferograms fits, per row of phase-sorted counts.
-
-    It is the one with more counts; on equal totals, the one with more
-    counts at the first phase-sorted step where the two differ; detector 1
-    when the columns are equal.  The rule swaps with the detectors and does
-    not depend on the order of the steps (the sums run in phase order).
-    """
+    """The detector fit_interferograms fits, per row of phase-sorted counts:
+    the one with more counts; on equal totals, the one with more counts at
+    the first step where the two differ; detector 1 when the columns are
+    equal.  The rule swaps with the detectors and ignores the step order
+    (its sums run in phase order)."""
     c1, c2 = d1.sum(axis=-1), d2.sum(axis=-1)
     differ = d1 != d2
     rows = np.arange(len(d1))
@@ -233,15 +216,8 @@ def _by_length(lengths) -> dict[int, np.ndarray]:
     return {n: np.flatnonzero(lengths == n) for n in dict.fromkeys(lengths.tolist())}
 
 
-def _model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """A sin^2(f x + p) + B; params is (4,) or (..., 4) against x of (..., n)."""
-    a, f, p, b = (params[..., k, None] for k in range(4))
-    s = np.sin(f * x + p)
-    return a * s * s + b
-
-
 def _jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """d model / d (A, f, p, B), shape (..., n, 4)."""
+    """d (A sin^2(f x + p) + B) / d (A, f, p, B), shape (..., n, 4)."""
     a, f, p, b = (params[..., k, None] for k in range(4))
     arg = f * x + p
     s = np.sin(arg)
@@ -253,9 +229,8 @@ def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Batched solve of lhs @ step = rhs; returns (step, solved mask).
 
     A singular matrix fails the whole batched call, so the rows are then
-    solved one at a time and only the singular ones are marked unsolved
-    (their step is zero).  Each row goes through the same stacked call
-    either way, so a row's step does not depend on its neighbours.
+    solved one at a time, each through the same stacked call, and only the
+    singular ones are left unsolved with a zero step.
     """
     try:
         return np.linalg.solve(lhs, rhs[..., None])[..., 0], np.ones(len(lhs), dtype=bool)
@@ -271,16 +246,14 @@ def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return step, solved
 
 
-def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray):
-    """The model c0 + c1 cos 2fx + c2 sin 2fx at a fixed f per row.
+def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: bool = False):
+    """The weighted least-squares (c0, c1, c2) of c0 + c1 cos 2fx + c2 sin 2fx
+    at a fixed f per row, and their weighted squared residual.
 
-    Returns the weighted least-squares (c0, c1, c2) per row, their weighted
-    squared residual, and the Gauss-Newton step on f from there: the f part
-    of the 4x4 Gauss-Newton step, whose normal matrix reduces to the Schur
-    complement of its linear block, the f derivative with the three columns
-    projected out.  The columns are centred to zero weighted mean, which
-    separates c0 and leaves 2x2 solves.  Collinear columns leave c1 = c2 = 0,
-    a valid but worse fit, and a zero step.
+    With step, also the Gauss-Newton step on f from there, taken along the
+    f derivative with the three columns projected out.  The columns are
+    centred to zero weighted mean, which separates c0 and leaves 2x2
+    solves; collinear ones leave c1 = c2 = 0 and a zero step.
     """
     wsum = np.sum(w, axis=-1, keepdims=True)
 
@@ -293,17 +266,19 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray):
         return v - (coef[:, None] @ cols)[:, 0], coef[:, :1], coef[:, 1:]
 
     arg = 2.0 * f[:, None] * x
-    cos, sin = np.cos(arg), np.sin(arg)
+    cos, sin = np.cos(arg), np.sin(arg, out=arg)  # sin takes arg's memory
     cols = np.stack([centred(cos), centred(sin)], axis=1)
     weighted = w[:, None] * cols
     gram = weighted @ cols.swapaxes(1, 2)
     resid, c1, c2 = residual(centred(y))
+    c0 = np.sum(w * (y - c1 * cos - c2 * sin), axis=-1, keepdims=True) / wsum
+    fit = np.concatenate([c0, c1, c2], axis=-1), np.sum(w * resid * resid, axis=-1)
+    if not step:
+        return fit
     deriv = residual(centred(2.0 * x * (c2 * cos - c1 * sin)))[0]
     curvature = np.sum(w * deriv * deriv, axis=-1)
-    step = np.divide(np.sum(w * deriv * resid, axis=-1), curvature,
-                     out=np.zeros_like(curvature), where=curvature > 0.0)
-    c0 = np.sum(w * (y - c1 * cos - c2 * sin), axis=-1, keepdims=True) / wsum
-    return np.concatenate([c0, c1, c2], axis=-1), np.sum(w * resid * resid, axis=-1), step
+    return *fit, np.divide(np.sum(w * deriv * resid, axis=-1), curvature,
+                           out=np.zeros_like(curvature), where=curvature > 0.0)
 
 
 def _amplitude_form(f: float, c0: float, c1: float, c2: float) -> tuple[float, ...]:
@@ -319,105 +294,22 @@ def _amplitude_form(f: float, c0: float, c1: float, c2: float) -> tuple[float, .
 
 
 def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
-               n_excluded: np.ndarray) -> tuple:
-    """Variable projection on (rows, n) fringe arrays, one state per row.
+               n_excluded: np.ndarray) -> tuple[list, list]:
+    """The outcomes of the fit at f = 1/2 of (rows, n) fringe arrays, and of
+    the mirror fringes 1 - y, whose coefficients are (1 - c0, -c1, -c2).
 
-    f is the only nonlinear parameter: each trial f gets its exact linear
-    fit, and f moves by Gauss-Newton steps.  The rows run through a pool of
-    FIT_BLOCK_ROWS slots: they enter in order, a row that stops leaves the
-    pool, and the next waiting row takes its slot in the same pass with its
-    start f and first projection.  The arithmetic of each row is
-    independent of the other rows, so a row's fit does not depend on which
-    rows share its passes.
-
-    Returns the block before the A + 2B > 0 check as (params, cov,
-    converged, iterations, residual_norm, n_points, n_excluded): (rows, 4)
-    (A, f, p, B) with A, f >= 0 and p in [0, pi), (rows, 4, 4)
-    covariances, per-row arrays, and the rows' common length n.
+    Each row's arithmetic is its own, so its fit does not depend on the
+    other rows.  converged is the goodness of fit chi2 <= dof + 5 sqrt(2 dof),
+    with dof = n - 3.
     """
     w = 1.0 / (sigma * sigma)
     rows, n = x.shape
-
-    # the fringe oscillates at 2f, so bin k of the n-point spectrum maps to
-    # f = pi k / (n dx).  The band the scan resolves runs from bin 1 up to
-    # half a bin below the Nyquist frequency, excluded; the search starts
-    # at the strongest bin below the Nyquist bin.
-    dx = (x[:, -1] - x[:, 0]) / (n - 1)
-    lowest = math.pi / (n * dx)
-    highest = lowest * (0.5 * (n - 1))
-    f, chi2, step, coef = np.empty(rows), np.empty(rows), np.empty(rows), np.empty((rows, 3))
-    converged = np.zeros(rows, dtype=bool)
-    iterations = np.zeros(rows, dtype=np.int64)
-    # a step is at most one bin, as the chi-square has a local minimum about
-    # every bin, and is halved at each rejected trial
-    scale = np.ones(rows)
-    # the iterating rows, and the count of rows that have entered the pool
-    active = np.empty(0, dtype=np.intp)
-    entered = 0
-    while entered < rows or active.size:
-        entering = np.arange(entered, min(rows, entered + FIT_BLOCK_ROWS - active.size))
-        entered += entering.size
-        if entering.size:
-            start = y[entering]
-            spectrum = np.abs(np.fft.rfft(start - np.mean(start, axis=-1, keepdims=True), axis=-1))
-            f[entering] = lowest[entering] * (np.argmax(spectrum[:, 1:(n + 1) // 2], axis=-1) + 1)
-        iterations[active] += 1
-        width = lowest[active]
-        trial = f[active] + scale[active] * np.clip(step[active], -width, width)
-        # one projection per pass: the active rows at their trial f, and the
-        # entering rows at their start f, which gives their start state
-        pool = np.concatenate([active, entering])
-        projected = _project(x[pool], w[pool], y[pool], np.concatenate([trial, f[entering]]))
-        k = active.size
-        coef[entering], chi2[entering], step[entering] = (a[k:] for a in projected)
-        coef_trial, chi2_trial, step_trial = (a[:k] for a in projected)
-        accept = chi2_trial <= chi2[active]
-        reduction = chi2[active] - chi2_trial
-        moved = active[accept]
-        f[moved], coef[moved] = trial[accept], coef_trial[accept]
-        chi2[moved], step[moved] = chi2_trial[accept], step_trial[accept]
-        scale[active] = np.where(accept, 1.0, 0.5 * scale[active])
-        done = accept & (reduction <= RELATIVE_TOL * np.maximum(chi2[active], 1e-300))
-        converged[active[done]] = True
-        # below the band the chi-square falls on toward f = 0, where A grows
-        # without bound, and the fit can only end unconverged: stop it now
-        stop = done | (np.abs(f[active]) < width) | (iterations[active] == MAX_ITERATIONS)
-        active = np.concatenate([active[~stop], entering])
-
-    params = np.array([_amplitude_form(f[i], *coef[i]) for i in range(rows)])
-    # a fit outside the band, or one that the band's upper edge beats (the
-    # data alternate near the Nyquist frequency), is not a resolved fringe
-    converged &= (params[:, 1] >= lowest) & (params[:, 1] < highest)
-    cov = np.empty((rows, 4, 4))
-    for at in range(0, rows, FIT_BLOCK_ROWS):
-        chunk = slice(at, at + FIT_BLOCK_ROWS)
-        converged[chunk] &= chi2[chunk] <= _project(x[chunk], w[chunk], y[chunk],
-                                                    highest[chunk])[1]
-        jac = _jacobian(x[chunk], params[chunk])
-        hess = (jac * w[chunk, :, None]).swapaxes(-1, -2) @ jac
-        # the covariance is the (pseudo-)inverse of J^T W J at the optimum,
-        # rescaled by the reduced chi-square (n >= 8 points)
-        cov[chunk] = np.linalg.pinv(hess) * (chi2[chunk] / (n - 4))[:, None, None]
-    return params, cov, converged, iterations, np.sqrt(chi2), n, n_excluded
-
-
-# the linear map of (A, f, p, B) -> (A, f, p + pi/2, 1 - A - B)
-_MIRROR = np.array([[1.0, 0.0, 0.0, 0.0],
-                    [0.0, 1.0, 0.0, 0.0],
-                    [0.0, 0.0, 1.0, 0.0],
-                    [-1.0, 0.0, 0.0, -1.0]])
-
-
-def _mirror(params: np.ndarray, cov: np.ndarray, *rest) -> tuple:
-    """The fitted block of the complementary fringes 1 - r, in closed form.
-
-    1 - A sin^2(f x + p) - B = A sin^2(f x + p + pi/2) + (1 - A - B) is an
-    exact reparameterization, so the covariances are transported with its
-    linear map; the residuals only change sign, so every other array stays.
-    """
-    a, f, p, b = params.T
-    mirrored = np.stack([a, f, np.fmod(p + 0.5 * math.pi, math.pi), 1.0 - a - b], axis=-1)
-    return (mirrored, _MIRROR @ cov @ _MIRROR.T, *rest)
+    f = np.full(rows, _FRINGE_FREQUENCY)
+    coef, chi2 = _project(x, w, y, f)
+    dof = n - 3
+    both = (chi2 <= dof + 5.0 * math.sqrt(2.0 * dof), np.zeros(rows, dtype=np.int64), n_excluded)
+    return tuple(_outcomes(x, w, f, c, chi2, *both, free=False)
+                 for c in (coef, np.array([1.0, 0.0, 0.0]) - coef))
 
 
 def _visibilities(params: np.ndarray,
@@ -437,37 +329,78 @@ def _visibilities(params: np.ndarray,
             for ok, q in zip(valid.tolist(), denom.tolist())]
 
 
-def _outcomes(params: np.ndarray, cov: np.ndarray, converged: np.ndarray,
-              iterations: np.ndarray, residual_norm: np.ndarray, n_points: int,
-              n_excluded: np.ndarray) -> list[FitResult | InvalidFitError]:
-    """The FitResult of each row of a fitted block, or its InvalidFitError."""
+def _outcomes(x: np.ndarray, w: np.ndarray, f: np.ndarray, coef: np.ndarray,
+              chi2: np.ndarray, converged: np.ndarray, iterations: np.ndarray,
+              n_excluded: np.ndarray, free: bool) -> list[FitResult | InvalidFitError]:
+    """The FitResult of each fitted row of (rows, n) arrays, or its InvalidFitError.
+
+    The covariance is pinv(J^T W J) at the fit, rescaled by the reduced
+    chi-square.  A searched (free) f is one of its four parameters; a known
+    f leaves (A, p, B), and its row and column are 0.
+    """
+    params = np.array([_amplitude_form(*row) for row in zip(f.tolist(), *coef.T.tolist())])
+    fitted = np.array([0, 1, 2, 3] if free else [0, 2, 3])
+    jac = np.take(_jacobian(x, params), fitted, axis=-1)
+    hess = (jac * w[..., None]).swapaxes(-1, -2) @ jac
+    cov = np.zeros((len(params), 4, 4))
+    cov[:, fitted[:, None], fitted] = (np.linalg.pinv(hess)
+                                       * (chi2 / (x.shape[-1] - fitted.size))[:, None, None])
     low_signal = params[:, 0] <= 2.0 * np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
     rows = zip(_visibilities(params, cov), params.tolist(), cov, converged.tolist(),
-               iterations.tolist(), residual_norm.tolist(), low_signal.tolist(),
+               iterations.tolist(), np.sqrt(chi2).tolist(), low_signal.tolist(),
                n_excluded.tolist())
     return [visibility if isinstance(visibility, InvalidFitError) else FitResult(
                 *p, covariance=c, visibility=visibility, converged=conv, iterations=its,
-                residual_norm=r, n_points=n_points, low_signal=low, n_excluded=excl)
+                residual_norm=r, n_points=x.shape[-1], low_signal=low, n_excluded=excl)
             for visibility, p, c, conv, its, r, low, excl in rows]
 
 
 def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
-    """Weighted variable-projection fit of one fringe.
+    """Weighted variable-projection fit of one fringe, f included.
 
-    The fit searches f from the strongest bin of the discrete spectrum
-    below the Nyquist bin; every trial f (an iteration) gets its exact
-    linear fit.  It stops when an accepted step reduces the weighted squared
-    residual by less than 1e-10 relative, or at once when an accepted f
-    falls below the band the scan resolves (FFT bin 1 up to half a bin
-    below the Nyquist frequency).  converged is False after 200
-    iterations, for an f outside that band, or when the fit at its upper
+    f starts at the strongest bin of the spectrum below the Nyquist bin and
+    moves by Gauss-Newton steps; each trial f (an iteration) gets its exact
+    linear fit.  Bin k of the n-point spectrum is f = pi k / (n dx), as the
+    fringe oscillates at 2f, and the band the scan resolves runs from bin 1
+    up to half a bin below the Nyquist frequency.  The fit stops when an
+    accepted step lowers the chi-square by less than 1e-10 relative, or
+    once an accepted f falls below the band.  converged is False after 200
+    iterations, for an f outside the band, or when the fit at its upper
     edge has a smaller chi-square.  Raises FitInputError for fewer than 8
     points and InvalidFitError for A + 2B <= 0.
     """
-    if fringe.n_points < 8:
-        raise FitInputError(f"need at least 8 points, got {fringe.n_points}")
-    [result] = _outcomes(*_fit_block(fringe.phase[None], fringe.ratio[None],
-                                     fringe.sigma[None], np.array([fringe.n_excluded])))
+    n = fringe.n_points
+    if n < 8:
+        raise FitInputError(f"need at least 8 points, got {n}")
+    x, y = fringe.phase[None], fringe.ratio[None]
+    w = 1.0 / (fringe.sigma * fringe.sigma)[None]
+    lowest = math.pi / (n * ((x[0, -1] - x[0, 0]) / (n - 1)))
+    highest = lowest * (0.5 * (n - 1))
+    spectrum = np.abs(np.fft.rfft(y - np.mean(y, axis=-1, keepdims=True), axis=-1))
+    f = lowest * (np.argmax(spectrum[:, 1:(n + 1) // 2], axis=-1) + 1)
+    coef, chi2, step = _project(x, w, y, f, step=True)
+    # a step is at most one bin, as the chi-square has a local minimum about
+    # every bin, and is halved at each rejected trial
+    scale, converged = 1.0, False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        trial = f + scale * np.clip(step, -lowest, lowest)
+        projected = _project(x, w, y, trial, step=True)
+        reduction = chi2[0] - projected[1][0]
+        if reduction >= 0.0:
+            f, (coef, chi2, step), scale = trial, projected, 1.0
+            converged = reduction <= RELATIVE_TOL * max(chi2[0], 1e-300)
+        else:
+            scale *= 0.5
+        # below the band the chi-square falls on toward f = 0, where A grows
+        # without bound, and the fit can only end unconverged: stop it now
+        if converged or abs(f[0]) < lowest:
+            break
+    # a fit outside the band, or one that the band's upper edge beats (the
+    # data alternate near the Nyquist frequency), is not a resolved fringe
+    converged = (converged and lowest <= abs(f[0]) < highest
+                 and chi2[0] <= _project(x, w, y, np.array([highest]))[1][0])
+    [result] = _outcomes(x, w, f, coef, chi2, np.array([converged]), np.array([iterations]),
+                         np.array([fringe.n_excluded]), free=True)
     if isinstance(result, InvalidFitError):
         raise result
     return result
@@ -477,11 +410,10 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
                counts_d2: np.ndarray) -> list[tuple[FitOutcome, FitOutcome]]:
     """fit_interferograms on count blocks: the (d1, d2) outcomes of each row.
 
-    The arguments are (rows, n_steps) arrays, or broadcast to that shape
-    (a scan's one phase grid serves every row).  Rows are sorted,
-    normalized and checked together, then each group of equal kept length
-    is fitted as one block, however many rows it has; a row's outcomes do
-    not depend on the other rows.
+    The arguments are (rows, n_steps) arrays, or broadcast to that shape.
+    Rows are sorted, normalized and checked together, then each group of
+    equal kept length is fitted by one solve (_fit_block); a row's outcomes
+    do not depend on the other rows.
     """
     arrays = np.broadcast_arrays(phase, counts_d1, counts_d2)
     if arrays[0].ndim != 2:
@@ -492,39 +424,28 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
     errors, groups = _normalize_rows(phase, np.where(detectors[:, None] == 1, d1, d2), d1 + d2)
     outcomes: list = [(err, err) for err in errors]
     for rows, x, y, sigma, n_excluded in groups:
-        block = _fit_block(x, y, sigma, n_excluded)
-        for i, fitted, mirrored in zip(rows, _outcomes(*block), _outcomes(*_mirror(*block))):
-            outcomes[i] = (fitted, mirrored) if detectors[i] == 1 else (mirrored, fitted)
+        for i, own, other in zip(rows, *_fit_block(x, y, sigma, n_excluded)):
+            outcomes[i] = (own, other) if detectors[i] == 1 else (other, own)
     return outcomes
 
 
-def fit_interferograms(
-    interferograms: Iterable,
-) -> Iterator[tuple[FitOutcome, FitOutcome]]:
+def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, FitOutcome]]:
     """Fit each interferogram once, yielding its (d1, d2) outcomes.
 
-    normalize divides by the per-step total d1 + d2, so one detector's
-    fringe is 1 minus the other's, with the same sigmas.  Only the fringe
-    of _fitted_detectors is fitted; the other detector's result follows
-    from that fit by the exact map _mirror: A, f, the sigmas of A, f and p,
-    converged, iterations, residual_norm, n_points, n_excluded and
-    low_signal are the fitted detector's, p moves by pi/2 and B becomes
-    1 - A - B.  Each detector gets its own A + 2B > 0 check, so an
-    InvalidFitError on one side can come with a valid fit on the other.
-
-    The fitted entry is fit_sinusoid(normalize(ig, detector)) exactly; an
+    The fit is at the known f = 1/2: frequency is 0.5 with sigma 0,
+    iterations is 0, and converged means chi2 <= dof + 5 sqrt(2 dof), with
+    dof = n - 3.  Only the fringe of _fitted_detectors is fitted; the other
+    is 1 minus it with the same sigmas, so its coefficients are
+    (1 - c0, -c1, -c2): p moves by pi/2, B becomes 1 - A - B, and the rest
+    is the fitted detector's, apart from its own A + 2B > 0 check.  An
     interferogram that normalize refuses gets its FitInputError on both
-    sides.  The input is consumed 4 * FIT_BLOCK_ROWS interferograms (four
-    pools' worth) at a time, in order, so a generator is never held in
-    memory whole; each chunk's scans of equal length go to fit_counts
-    together.
+    sides.  The input is read _STREAM_ROWS interferograms at a time.
     """
     interferograms = iter(interferograms)
-    while block := list(itertools.islice(interferograms, 4 * FIT_BLOCK_ROWS)):
+    while block := list(itertools.islice(interferograms, _STREAM_ROWS)):
         outcomes: list = [None] * len(block)
         for rows in _by_length([len(ig.phase_rad) for ig in block]).values():
-            stacked = (np.stack([np.asarray(getattr(block[i], name), dtype=float)
-                                 for i in rows])
+            stacked = (np.stack([getattr(block[i], name) for i in rows])
                        for name in ("phase_rad", "counts_d1", "counts_d2"))
             for i, pair in zip(rows, fit_counts(*stacked)):
                 outcomes[i] = pair
@@ -536,9 +457,8 @@ def propagate(gradient: np.ndarray, covariance: np.ndarray) -> float | np.ndarra
     each of a stack of (..., k) gradients with its (..., k, k) covariance.
 
     Tiny negative quadratic forms (numerical) are clamped to zero, with one
-    warning that lists them, rather than raised.  The forms are computed on
-    a C-contiguous copy of the covariances, so a stacked row gets the same
-    bits as its own call.
+    warning that lists them.  The forms are computed on a C-contiguous copy
+    of the covariances, so a stacked row gets the bits of its own call.
     """
     g = np.asarray(gradient, dtype=float)
     c = np.ascontiguousarray(covariance, dtype=float)

@@ -139,8 +139,9 @@ def write_interferogram_csv(path, ig: Interferogram) -> None:
             fh.write(f"{format_float(phi)},{_format_count(d1)},{_format_count(d2)}\n")
 
 
-def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
-    """The data rows as a float array; every field must be a finite number.
+def _parse_rows(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:
+    """The data rows as a float array, and the records as read (for
+    _raise_at_row); every field must be a finite number.
 
     Blank lines are skipped but counted in the line numbers of errors.
     """
@@ -173,11 +174,16 @@ def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
     except ValueError:
         _raise_first_bad_line(path, records, width)
         raise
-    if not np.isfinite(data).all():
-        bad = int(np.argmin(np.isfinite(data).all(axis=1)))
-        linenos = [lineno for lineno, row in enumerate(records, start=2) if row]
-        raise CsvFormatError(f"{path}: line {linenos[bad]}: non-finite value")
-    return data
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        _raise_at_row(path, records, ~finite, "non-finite value")
+    return data, records
+
+
+def _raise_at_row(path, records: list[list[str]], bad: np.ndarray, message: str) -> None:
+    """Raise message at the line of the first data row that bad marks."""
+    linenos = [lineno for lineno, row in enumerate(records, start=2) if row]
+    raise CsvFormatError(f"{path}: line {linenos[int(np.argmax(bad))]}: {message}")
 
 
 def _raise_first_bad_line(path, records: list[list[str]], width: int) -> None:
@@ -196,11 +202,19 @@ def _raise_first_bad_line(path, records: list[list[str]], width: int) -> None:
                 raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
 
 
+# a larger step total n = d1 + d2 lets the fit's sums of weights (n + 2)^2 overflow
+_MAX_TOTAL = 1e150
+
+
 def read_interferogram_csv(path) -> Interferogram:
-    data = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
+    data, records = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
     counts = data[:, 1:]
     if (counts < 0).any():
         raise CsvFormatError(f"{path}: negative counts")
+    huge = counts[:, 0] > _MAX_TOTAL - counts[:, 1]  # d1 + d2 could overflow
+    if huge.any():
+        _raise_at_row(path, records, huge, f"counts_d1 + counts_d2 above {_MAX_TOTAL!r}, "
+                                            "where the fit's weights overflow")
     # integer counts become int64 only up to 2**53, where every float is exact
     if ((counts == counts.round()) & (counts <= 2.0 ** 53)).all():
         counts = counts.astype(np.int64)
@@ -231,7 +245,7 @@ def write_index_csv(path, spectrum: IndexSpectrum) -> None:
 
 
 def read_phase_spectrum_csv(path) -> PhaseSpectrum:
-    data = _parse_rows(path, ("wavelength_nm", "phase_rad"))
+    data, _ = _parse_rows(path, ("wavelength_nm", "phase_rad"))
     try:
         return PhaseSpectrum(wavelength_nm=data[:, 0], phase_rad=data[:, 1])
     except ValueError as err:

@@ -664,13 +664,59 @@ def test_fit_reads_counts_beyond_int64(tmp_path, capsys):
     write_interferogram_csv(big, photonsim.Interferogram(
         ig.phase_rad, ig.counts_d1 * 1e16, ig.counts_d2 * 1e16))
     capsys.readouterr()
-    assert main(["fit", str(tmp_path / "interferogram_nim.csv"), str(big)]) == 0
+    assert main(["fit", str(tmp_path / "interferogram_nim.csv"), str(big)]) == 4
     small, scaled = (entry["fits"] for entry in json.loads(capsys.readouterr().out)["files"])
     assert read_interferogram_csv(big).counts_d1.max() >= 2.0 ** 63
-    # scaling every count by one factor leaves the weighted fit unchanged
+    # scaling every count by one factor leaves the weighted fit and its
+    # sigmas unchanged, but the scatter is now 1e8 binomial sigmas, so the
+    # chi-square is 1e16 times larger and the fit is not converged
     for det in ("d1", "d2"):
-        assert scaled[det]["converged"] is True
-        assert abs(scaled[det]["visibility"]["value"] - small[det]["visibility"]["value"]) < 1e-6
+        assert small[det]["converged"] is True and scaled[det]["converged"] is False
+        for key in ("value", "sigma"):
+            assert scaled[det]["visibility"][key] == pytest.approx(
+                small[det]["visibility"][key], rel=1e-6)
+        assert scaled[det]["residual_norm"] == pytest.approx(
+            1e8 * small[det]["residual_norm"], rel=1e-6)
+
+
+# totals whose sum d1 + d2, or whose fit weight (n + 2)^2, overflows a float
+@pytest.mark.parametrize(("every", "huge", "largest"), [
+    (True, (1e308, 1e308), (5e149, 5e149)),
+    (False, (0.0, 1e160), (0.0, 1e150)),
+], ids=["both_1e308_at_every_step", "one_detector_1e160_at_one_step"])
+def test_fit_counts_whose_arithmetic_overflows_are_input_error(tmp_path, capsys, every, huge,
+                                                               largest):
+    path = tmp_path / "huge.csv"
+
+    def write(step):
+        rows = [step if every or k == 5 else (50.0, 50.0) for k in range(40)]
+        path.write_text("phase_rad,counts_d1,counts_d2\n" + "".join(
+            f"{0.25 * k!r},{d1!r},{d2!r}\n" for k, (d1, d2) in enumerate(rows)))
+
+    write(huge)
+    assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: line {2 if every else 7}: "
+                          "counts_d1 + counts_d2 above 1e+150")
+    assert not (tmp_path / "out").exists()
+    # a total of 1e150 still fits (exit 4 only for a fit that is not converged)
+    write(largest)
+    assert main(["fit", str(path), "--out", str(tmp_path / "out")]) in (0, 4)
+    fits = json.loads((tmp_path / "out" / "fit_report.json").read_text())["files"][0]["fits"]
+    assert all("error" not in fit for fit in fits.values())
+
+
+def test_bins_above_the_number_of_values_is_config_error(tmp_path, capsys):
+    # a campaign histogram holds at most 2 * n_runs values; larger bin counts
+    # are refused before anything is allocated
+    for bins in (21, 1000000000000000000):
+        cfg = write_config(tmp_path, {"campaign": {"n_runs": 10}, "analysis": {"bins": bins}})
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert (f"analysis.bins must be at most 2 * campaign.n_runs = 20, got {bins}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path, {"campaign": {"n_runs": 10}, "analysis": {"bins": 20}})
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +25,8 @@ from darkport.fitting import (
     FitResult,
     InvalidFitError,
     _fit_block,
-    _mirror,
-    _outcomes,
     _visibilities,
     fit_interferograms,
-    fit_sinusoid,
     normalize,
 )
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
@@ -55,19 +53,28 @@ def _equal_totals():
     return Interferogram(ig.phase_rad, ig.counts_d1, np.roll(ig.counts_d1, 25))
 
 
+def _hard():
+    """Detector 2, the fitted one, reads -1 - 2 cos x (A + 2B = -2) where that
+    lies in [0, 1], wobbling far beyond its binomial sigma, and no counts
+    elsewhere: it fits A + 2B < 0, and its mirror on detector 1 is a valid
+    fit that is not converged."""
+    phase = ScanConfig().phases()
+    ratio = -1.0 - 2.0 * np.cos(phase) + 0.01 * (-1.0) ** np.arange(phase.size)
+    lit = (ratio >= 0.0) & (ratio <= 1.0)
+    d2 = np.where(lit, np.round(1e6 * ratio), 0.0)
+    return Interferogram(phase, np.where(lit, 1e6 - d2, 0.0), d2)
+
+
 def _pool():
-    """Bright, low-count (some not converged) and shorter scans, both
-    configurations, a scan with equal detector totals, and one all-zero
-    scan that normalize refuses."""
+    """Bright, low-count and shorter scans, both configurations, _hard, a scan
+    with equal detector totals, and one all-zero scan that normalize
+    refuses."""
     pair = ExperimentConfig().build_pair()
     igs = []
     for k, counts in enumerate((20000.0, 200.0, 5.0, 50.0) * 4):
         scan = ScanConfig(n_steps=60 if k % 7 == 3 else 100, mean_counts_per_step=counts)
         igs.append(simulate_interferogram(pair[k % 2], scan, seed=(90, k)))
-    # detector 2, the fitted one, is not converged (its f drifts below the
-    # band) and fits A + 2B < 0; its mirror on detector 1 is a valid fit
-    igs.append(simulate_interferogram(pair[0], ScanConfig(mean_counts_per_step=5.0),
-                                      seed=(5, 67)))
+    igs.append(_hard())
     igs.append(_equal_totals())
     phase = ScanConfig().phases()
     igs.append(Interferogram(phase, np.zeros(phase.size), np.zeros(phase.size)))
@@ -89,21 +96,21 @@ def _chosen(ig):
     return 1 if differ.size == 0 or d1[differ[0]] > d2[differ[0]] else 2
 
 
+def _known_fit(fringe):
+    """The (fitted, mirrored) outcomes of the one-row known-frequency fit of a
+    normalized fringe."""
+    return tuple(side[0] for side in _fit_block(
+        fringe.phase[None], fringe.ratio[None], fringe.sigma[None], np.array([fringe.n_excluded])))
+
+
 def _reference(ig):
-    """The chosen detector's fit_sinusoid(normalize(ig, chosen)), and the
-    other detector's outcome from the mirror map of that fit."""
+    """The one-row fit of the chosen detector's normalize(ig, chosen), and the
+    other detector's outcome from its mirror."""
     chosen = _chosen(ig)
     try:
-        fringe = normalize(ig, detector=chosen)
+        pair = _known_fit(normalize(ig, detector=chosen))
     except FitInputError as err:
         return err, err
-    try:
-        fitted = fit_sinusoid(fringe)
-    except InvalidFitError as err:
-        fitted = err
-    block = _fit_block(fringe.phase[None], fringe.ratio[None], fringe.sigma[None],
-                       np.array([fringe.n_excluded]))
-    pair = (fitted, _outcomes(*_mirror(*block))[0])
     return pair if chosen == 1 else pair[::-1]
 
 
@@ -154,6 +161,62 @@ def test_one_row_visibility_is_the_fit_visibility_bit_for_bit():
     assert min(checked) >= 10
 
 
+def _lstsq_oracle(fringe):
+    """(c0, c1, c2) of c0 + c1 cos x + c2 sin x by np.linalg.lstsq on the
+    sqrt(w)-scaled design, the chi-square, and V = |(c1, c2)| / c0 with its
+    first-order sigma from the inverse normal matrix times the reduced
+    chi-square."""
+    design = np.stack([np.ones(fringe.n_points), np.cos(fringe.phase), np.sin(fringe.phase)],
+                      axis=-1) / fringe.sigma[:, None]
+    coef = np.linalg.lstsq(design, fringe.ratio / fringe.sigma, rcond=None)[0]
+    chi2 = np.sum((design @ coef - fringe.ratio / fringe.sigma) ** 2)
+    cov = np.linalg.inv(design.T @ design) * chi2 / (fringe.n_points - 3)
+    c0, c1, c2 = coef
+    h = math.hypot(c1, c2)
+    grad = np.array([-h / c0, c1 / h, c2 / h]) / c0
+    return coef, chi2, h / c0, math.sqrt(grad @ cov @ grad)
+
+
+def _check_against_the_oracle(igs):
+    """Each fitted or mirrored outcome of fit_interferograms against
+    _lstsq_oracle of that detector's normalized fringe; returns the count of
+    FitResults checked."""
+    checked = 0
+    for ig, pair in zip(igs, fit_interferograms(igs)):
+        for detector, fit in zip((1, 2), pair):
+            if isinstance(fit, FitInputError):
+                continue
+            fringe = normalize(ig, detector=detector)
+            coef, chi2, v, sigma = _lstsq_oracle(fringe)
+            if isinstance(fit, InvalidFitError):
+                assert coef[0] <= 0.0
+                continue
+            half = 0.5 * fit.amplitude
+            got = np.array([fit.offset + half, -half * math.cos(2.0 * fit.phase),
+                            half * math.sin(2.0 * fit.phase)])
+            # relative to the coefficient vector: a small c1 or c2 alone is looser
+            assert np.abs(got - coef).max() <= 1e-12 * np.abs(coef).max()
+            assert (fit.frequency, fit.sigma_frequency, fit.iterations) == (0.5, 0.0, 0)
+            assert fit.visibility.value == pytest.approx(min(v, 1.0), rel=1e-12)
+            assert fit.visibility.sigma == pytest.approx(sigma, rel=1e-9)
+            dof = fringe.n_points - 3
+            assert fit.converged == (chi2 <= dof + 5.0 * math.sqrt(2.0 * dof))
+            checked += 1
+    return checked
+
+
+def test_known_frequency_fits_match_a_lstsq_oracle_on_the_pool():
+    assert _check_against_the_oracle(POOL) == 2 * (len(POOL) - 1) - 1
+
+
+@pytest.mark.parametrize("counts", [20.0, 200.0, 2000.0, 20000.0])
+def test_known_frequency_fits_match_a_lstsq_oracle(counts):
+    pair = ExperimentConfig().build_pair()
+    scan = ScanConfig(mean_counts_per_step=counts)
+    igs = [simulate_interferogram(pair[k % 2], scan, seed=(93, k)) for k in range(50)]
+    assert _check_against_the_oracle(igs) == 100
+
+
 @PROPERTY
 @given(picks=st.lists(st.integers(0, ZERO - 1), min_size=16, max_size=24),
        zero_at=st.integers(0, 24),
@@ -192,7 +255,7 @@ def test_equal_totals_fit_the_detector_ahead_at_the_first_differing_step():
     first = np.flatnonzero(ig.counts_d1 != ig.counts_d2)[0]
     chosen = 1 if ig.counts_d1[first] > ig.counts_d2[first] else 2
     [pair] = fit_interferograms([ig])
-    assert _same_fit(pair[chosen - 1], fit_sinusoid(normalize(ig, detector=chosen)))
+    assert _same_fit(pair[chosen - 1], _known_fit(normalize(ig, detector=chosen))[0])
     [swapped] = fit_interferograms([Interferogram(ig.phase_rad, ig.counts_d2, ig.counts_d1)])
     assert _same_pairs([swapped[::-1]], [pair])
 
