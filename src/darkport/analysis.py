@@ -210,8 +210,8 @@ def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanCon
     (master_seed, idx, 0) and (master_seed, idx, 1), exactly as simulate_run
     with seed (master_seed, idx) does, so the records equal
     records_from_runs of those runs, and any split of the indices over
-    calls or processes gives the same records.  Each slot is simulated and
-    fitted on its own (_slot_fits), then the two are zipped run by run.
+    calls gives the same records.  Each slot is simulated and fitted on
+    its own (_slot_fits), then the two are zipped run by run.
     """
     photonsim.check_pair(reference, toggled)
     indices = list(indices)

@@ -9,9 +9,7 @@ files, so every stage can be rerun or tested in isolation.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
-import functools
 import os
 import sys
 
@@ -111,20 +109,8 @@ def cmd_fit(args) -> int:
 
 def cmd_campaign(args) -> int:
     cfg = _seeded_config(args)
-    run = functools.partial(analysis.campaign_records, *cfg.build_pair(), cfg.scan,
-                            cfg.master_seed)
-    cap = min(args.jobs, os.cpu_count() or 1)
-    chunk = max(1, cfg.n_runs // (4 * cap))
-    parts = [range(start, min(start + chunk, cfg.n_runs))
-             for start in range(0, cfg.n_runs, chunk)]
-    # the pool starts all its workers at once; output does not depend on their number
-    workers = min(cap, len(parts))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [rec for part in pool.map(run, parts) for rec in part]
-    else:
-        records = run(range(cfg.n_runs))
-
+    records = analysis.campaign_records(*cfg.build_pair(), cfg.scan, cfg.master_seed,
+                                        range(cfg.n_runs))
     report = analysis.bound_from_campaign(records, bins=cfg.bins)
     out = _ensure_out_dir(args, cfg)
     json_path = os.path.join(out, "bound_report.json")
@@ -242,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run the toggle campaign and emit the bound report")
     _add_config_and_seed(p)
-    p.add_argument("--jobs", type=_jobs_type, default=1)
+    p.add_argument("--jobs", type=_jobs_type, default=1,
+                   help="accepted and ignored: every campaign runs in this process")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("sweep", help="sensitivity sweep over injected epsilon")

@@ -44,6 +44,8 @@ _FRINGE_FREQUENCY = 0.5
 # stream their input: one call on 1,600 fit rows raised fit's peak RSS from
 # 42 to 65 MB, and one on a slot's 200 rows a sweep's from 39.4 to 41.7 MB
 _STREAM_ROWS = 64
+# a larger step total n = d1 + d2 lets the fit's weights (n + 2)^2 overflow
+_MAX_TOTAL = 1e150
 
 
 class FitInputError(ValueError):
@@ -130,15 +132,15 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     that happen to land at ratio 0 or 1 keep a finite weight.  The kept
     points are stable-sorted by phase (sorted input passes unchanged), as
     fit_sinusoid's spectral start assumes an ordered grid.  Raises
-    FitInputError for fewer than 8 points with counts, or for points with
-    counts spanning less than one fringe (2 pi).  This is the one-row case
-    of the block normalization in fit_counts.
+    FitInputError for fewer than 8 points with counts, for points with
+    counts spanning less than one fringe (2 pi), or for a step total above
+    _MAX_TOTAL.  This is the one-row case of the normalization in fit_counts.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
     phase, d1, d2 = _sorted_by_phase(*(np.asarray(getattr(ig, name), dtype=float)[None]
                                        for name in ("phase_rad", "counts_d1", "counts_d2")))
-    [error], groups = _normalize_rows(phase, d1 if detector == 1 else d2, d1 + d2)
+    [error], groups = _normalize_rows(phase, d1, d2, detector)
     if error is not None:
         raise error
     [(_, phase, ratio, sigma, n_excluded)] = groups
@@ -161,7 +163,8 @@ def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     the first step where the two differ; detector 1 when the columns are
     equal.  The rule swaps with the detectors and ignores the step order
     (its sums run in phase order)."""
-    c1, c2 = d1.sum(axis=-1), d2.sum(axis=-1)
+    with np.errstate(over="ignore"):  # only in rows that _normalize_rows refuses
+        c1, c2 = d1.sum(axis=-1), d2.sum(axis=-1)
     differ = d1 != d2
     rows = np.arange(len(d1))
     first = np.argmax(differ, axis=-1)
@@ -171,13 +174,18 @@ def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     return np.where(c1 >= c2, 1, 2)
 
 
-def _normalize_rows(phase: np.ndarray, counts: np.ndarray, total: np.ndarray):
-    """normalize on each row of phase-sorted (rows, n) float arrays: counts over total.
+def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors):
+    """normalize on each row of phase-sorted (rows, n) float arrays: the
+    counts of detector detectors (1 or 2, or one per row) over d1 + d2.
 
     Returns (errors, groups): each row's FitInputError or None, and the
     usable rows grouped by kept length as (rows, phase, ratio, sigma,
     n_excluded) with (len(rows), kept) arrays.
     """
+    over = d1 > _MAX_TOTAL - d2  # tested before d1 + d2 can overflow
+    d1, d2 = np.where(over, 0.0, d1), np.where(over, 0.0, d2)
+    counts = np.where(np.reshape(detectors, (-1, 1)) == 1, d1, d2)
+    total = d1 + d2
     keep = total > 0
     width = total.shape[-1]
     n_usable = np.count_nonzero(keep, axis=-1)
@@ -185,7 +193,11 @@ def _normalize_rows(phase: np.ndarray, counts: np.ndarray, total: np.ndarray):
     for i in np.flatnonzero(n_usable < 8):
         errors[i] = FitInputError(
             f"need at least 8 points with nonzero total counts, got {n_usable[i]}")
-    usable = np.flatnonzero(n_usable >= 8)
+    huge = over.any(axis=-1)
+    for i in np.flatnonzero(huge):
+        errors[i] = FitInputError(f"counts_d1 + counts_d2 above {_MAX_TOTAL!r} at a step, "
+                                  "where the fit's weights overflow")
+    usable = np.flatnonzero((n_usable >= 8) & ~huge)
     if usable.size == 0:
         return errors, []
     first = np.argmax(keep[usable], axis=-1)
@@ -421,7 +433,7 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
                          f"{arrays[0].shape}")
     phase, d1, d2 = _sorted_by_phase(*(np.ascontiguousarray(a, dtype=float) for a in arrays))
     detectors = _fitted_detectors(d1, d2)
-    errors, groups = _normalize_rows(phase, np.where(detectors[:, None] == 1, d1, d2), d1 + d2)
+    errors, groups = _normalize_rows(phase, d1, d2, detectors)
     outcomes: list = [(err, err) for err in errors]
     for rows, x, y, sigma, n_excluded in groups:
         for i, own, other in zip(rows, *_fit_block(x, y, sigma, n_excluded)):

@@ -62,7 +62,10 @@ class ScanConfig:
             raise ValueError(f"n_steps must be >= 8, got {self.n_steps!r}")
         if not (math.isfinite(self.phase_start) and math.isfinite(self.phase_end)):
             raise ValueError("phase_start and phase_end must be finite")
-        if abs(self.phase_end - self.phase_start) < TWO_PI - 1e-9:
+        span = abs(self.phase_end - self.phase_start)
+        if not math.isfinite(span):
+            raise ValueError(f"phase span must be finite, got {span!r}")
+        if span < TWO_PI - 1e-9:
             raise ValueError("phase span must cover at least one full fringe (2 pi)")
         if not 0.0 < self.mean_counts_per_step <= _POISSON_LAM_MAX:
             raise ValueError(f"mean_counts_per_step must lie in (0, {_POISSON_LAM_MAX!r}], "

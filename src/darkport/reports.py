@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fitting import _MAX_TOTAL
 from .metaoptics import IndexSpectrum, PhaseSpectrum
 from .photonsim import Interferogram
 
@@ -200,10 +201,6 @@ def _raise_first_bad_line(path, records: list[list[str]], width: int) -> None:
                 float(field)
             except ValueError as err:
                 raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
-
-
-# a larger step total n = d1 + d2 lets the fit's sums of weights (n + 2)^2 overflow
-_MAX_TOTAL = 1e150
 
 
 def read_interferogram_csv(path) -> Interferogram:

@@ -1,11 +1,10 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
-from darkport import cli, fitting, photonsim
+from darkport import fitting, photonsim
 from darkport.cli import load_config, main
 from darkport.reports import read_interferogram_csv, write_interferogram_csv
 
@@ -104,13 +103,15 @@ def test_campaign_outputs(tmp_path, capsys):
     assert header == "bin_center,count"
 
 
-def test_campaign_parallel_matches_serial(tmp_path, capsys):
+def test_campaign_accepts_jobs_and_changes_no_byte(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CAMPAIGN)
-    a = tmp_path / "serial"
-    b = tmp_path / "parallel"
-    assert main(["campaign", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["campaign", "--config", cfg, "--jobs", "2", "--out", str(b)]) == 0
-    assert (a / "bound_report.json").read_bytes() == (b / "bound_report.json").read_bytes()
+    outputs = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        out = tmp_path / f"jobs{len(outputs)}"
+        assert main(["campaign", "--config", cfg, *jobs, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                        sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_campaign_seed_flag_overrides_config(tmp_path, capsys):
@@ -315,12 +316,14 @@ _OUT_OF_RANGE = [
     ({"scan": {"mean_counts_per_step": 1e21}}, "mean_counts_per_step must lie in"),
     ({"apparatus": {"reflection": [0, 1e200, 0, 0]}},
      "reflection must be a unit quaternion, got norm 1e+200"),
+    ({"scan": {"phase_start": -1e308, "phase_end": 1e308}}, "phase span must be finite"),
 ]
 
 
 @pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
 @pytest.mark.parametrize(("payload", "message"), _OUT_OF_RANGE,
-                         ids=["counts_above_poisson_limit", "huge_reflection"])
+                         ids=["counts_above_poisson_limit", "huge_reflection",
+                              "overflowing_phase_span"])
 def test_config_rejects_finite_numbers_out_of_range(tmp_path, capsys, command, payload,
                                                     message):
     cfg = write_config(tmp_path, payload)
@@ -478,71 +481,6 @@ def test_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "bound_report.json").exists()
 
 
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """(workers, parts): a stand-in pool records its size and its parts and
-    maps serially, so no process is started."""
-    workers, parts = [], []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, part_list):
-            parts.extend(part_list)
-            return map(fn, parts)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return workers, parts
-
-
-@pytest.mark.parametrize("cpus", [None, 2, 64, 1])
-def test_campaign_jobs_start_no_more_workers_than_cores_or_parts(tmp_path, capsys,
-                                                                  monkeypatch, recording_pool,
-                                                                  cpus):
-    # on one CPU, --jobs 4 must not build the pool at all
-    workers, parts = recording_pool
-    if cpus is not None:
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    cfg = write_config(tmp_path, {"campaign": {"n_runs": 24, "master_seed": 7}})
-    jobs = 4 if cpus == 1 else 100000
-    assert main(["campaign", "--config", cfg, "--jobs", str(jobs),
-                 "--out", str(tmp_path / "out")]) == 0
-    if min(jobs, cpus or os.cpu_count() or 1) == 1:
-        assert workers == [] and parts == []
-        return
-    [n] = workers
-    assert 1 <= n <= min(os.cpu_count() or 1, 24)
-    # the parts cover the runs in order, about four for each worker started
-    assert [i for part in parts for i in part] == list(range(24))
-    if cpus == 2:
-        assert n == 2 and [len(part) for part in parts] == [3] * 8
-    if cpus == 64:
-        assert n == 24 and [len(part) for part in parts] == [1] * 24
-
-
-def test_campaign_of_one_part_starts_no_pool(tmp_path, capsys, monkeypatch, recording_pool):
-    # one run makes one part, so --jobs 2 on two cores has nothing to share
-    workers, parts = recording_pool
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    cfg = write_config(tmp_path, {"campaign": {"n_runs": 1, "master_seed": 7}})
-    outputs = []
-    for jobs in ("2", "1"):
-        out = tmp_path / f"jobs{jobs}"
-        code = main(["campaign", "--config", cfg, "--jobs", jobs, "--out", str(out)])
-        captured = capsys.readouterr()
-        outputs.append((code, captured.out.replace(str(out), "OUT"), captured.err,
-                        sorted((p.name, p.read_bytes()) for p in out.iterdir())))
-    assert workers == [] and parts == []
-    assert outputs[0] == outputs[1]
-
-
 @pytest.mark.parametrize("phases", [[1.0] * 30, [0.5 * k / 29 for k in range(30)]],
                          ids=["constant", "half_radian"])
 def test_fit_rejects_phases_spanning_less_than_a_fringe(tmp_path, capsys, phases):
@@ -688,10 +626,12 @@ def test_fit_counts_whose_arithmetic_overflows_are_input_error(tmp_path, capsys,
                                                                largest):
     path = tmp_path / "huge.csv"
 
+    def rows(step):
+        return [step if every or k == 5 else (50.0, 50.0) for k in range(40)]
+
     def write(step):
-        rows = [step if every or k == 5 else (50.0, 50.0) for k in range(40)]
         path.write_text("phase_rad,counts_d1,counts_d2\n" + "".join(
-            f"{0.25 * k!r},{d1!r},{d2!r}\n" for k, (d1, d2) in enumerate(rows)))
+            f"{0.25 * k!r},{d1!r},{d2!r}\n" for k, (d1, d2) in enumerate(rows(step))))
 
     write(huge)
     assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == 3
@@ -699,6 +639,14 @@ def test_fit_counts_whose_arithmetic_overflows_are_input_error(tmp_path, capsys,
     assert err.startswith(f"input error: {path}: line {2 if every else 7}: "
                           "counts_d1 + counts_d2 above 1e+150")
     assert not (tmp_path / "out").exists()
+    # the library fit refuses the same row with a FitInputError on both sides
+    phase, (d1, d2) = 0.25 * np.arange(40.0), np.array(rows(huge)).T
+    ig = photonsim.Interferogram(phase, d1, d2)
+    with pytest.raises(fitting.FitInputError, match=r"above 1e\+150"):
+        fitting.normalize(ig)
+    [pair] = fitting.fit_counts(phase, d1[None], d2[None])
+    [streamed] = fitting.fit_interferograms([ig])
+    assert all(isinstance(fit, fitting.FitInputError) for fit in (*pair, *streamed))
     # a total of 1e150 still fits (exit 4 only for a fit that is not converged)
     write(largest)
     assert main(["fit", str(path), "--out", str(tmp_path / "out")]) in (0, 4)

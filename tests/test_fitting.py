@@ -379,10 +379,12 @@ def _bright_counts():
 
 def _failing_counts(phase, d1, d2):
     """(d1, d2) rows that do not fit: fewer than 8 points with counts, counts
-    spanning less than one fringe, and _hard_interferogram."""
-    fail1, fail2 = d1[:2].copy(), d2[:2].copy()
+    spanning less than one fringe, a step total whose weight overflows, and
+    _hard_interferogram."""
+    fail1, fail2 = d1[:3].copy(), d2[:3].copy()
     fail1[0, 5:] = fail2[0, 5:] = 0.0
     fail1[1, phase >= 1.5 * math.pi] = fail2[1, phase >= 1.5 * math.pi] = 0.0
+    fail1[2, 17], fail2[2, 17] = 0.0, 1e160
     hard = _hard_interferogram()
     return np.vstack([fail1, hard.counts_d1[None]]), np.vstack([fail2, hard.counts_d2[None]])
 
@@ -405,7 +407,7 @@ def test_fit_is_identical_alone_and_in_a_mixed_block():
     fail1, fail2 = _failing_counts(phase, d1, d2)
     extra1 = np.vstack([np.full(100, 30.0), exact[0], gaps1, fail1])
     extra2 = np.vstack([np.full(100, 30.0), exact[1], gaps2, fail2])
-    at = [3, 6, 9, 14, 20, 26, 30]
+    at = [3, 6, 9, 14, 20, 26, 30, 33]
     d1, d2 = np.insert(d1, at, extra1, axis=0), np.insert(d2, at, extra2, axis=0)
 
     together = fit_counts(phase, d1, d2)
@@ -452,12 +454,15 @@ def test_failing_rows_leave_their_neighbours_unchanged():
     alone = fit_counts(phase, d1, d2)
     fail1, fail2 = _failing_counts(phase, d1, d2)
     mixed = fit_counts(phase, np.insert(d1, 4, fail1, axis=0), np.insert(d2, 4, fail2, axis=0))
-    assert all(isinstance(outcome, FitInputError) for pair in mixed[4:6] for outcome in pair)
+    assert all(isinstance(outcome, FitInputError) for pair in mixed[4:7] for outcome in pair)
+    assert all("above 1e+150" in str(outcome) for outcome in mixed[6])
+    with pytest.raises(FitInputError, match=r"above 1e\+150"):
+        normalize(Interferogram(phase, fail1[2], fail2[2]), detector=2)
     [hard_alone] = fit_counts(phase, hard.counts_d1[None], hard.counts_d2[None])
-    assert all(map(_same_fit, mixed[6], hard_alone))
-    not_converged, invalid = mixed[6]
+    assert all(map(_same_fit, mixed[7], hard_alone))
+    not_converged, invalid = mixed[7]
     assert not not_converged.converged and isinstance(invalid, InvalidFitError)
-    for expected, got in zip(alone, mixed[:4] + mixed[7:], strict=True):
+    for expected, got in zip(alone, mixed[:4] + mixed[8:], strict=True):
         assert all(map(_same_fit, expected, got))
 
 

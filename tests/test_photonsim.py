@@ -79,7 +79,7 @@ def test_campaign_runs_are_order_independent():
 
 @pytest.mark.parametrize("counts", [0.5, 200.0, 20000.0])
 def test_block_rows_are_the_seeded_interferograms(counts):
-    # the seed-stream contract that keeps campaign --jobs output byte-identical:
+    # the seed-stream contract that makes any split of a campaign's runs byte-identical:
     # row k of a block is the interferogram drawn alone from its seed, and
     # that is detector 1 then detector 2 from one SeedSequence Generator
     scan = ScanConfig(mean_counts_per_step=counts)
