@@ -181,18 +181,22 @@ def cmd_index(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    pair = (args.v_nim, args.v_nim_sigma, args.v_both, args.v_both_sigma)
     if args.ratio is not None:
-        if args.v_nim is not None or args.v_both is not None:
+        if any(value is not None for value in pair):
             raise ConfigError("give either --ratio or the visibility pair, not both")
+    elif args.sigma is not None:
+        raise ConfigError("--sigma goes with --ratio; the visibility pair takes "
+                          "--v-nim-sigma and --v-both-sigma")
     elif args.v_nim is None or args.v_both is None:
         raise ConfigError("need --ratio or both --v-nim and --v-both")
     try:
         if args.ratio is not None:
-            ratio, sigma = args.ratio, args.sigma
+            ratio, sigma = args.ratio, 0.0 if args.sigma is None else args.sigma
         else:
-            uncertain = gamma_ratio(
-                VisibilityValue(args.v_both, args.v_both_sigma),
-                VisibilityValue(args.v_nim, args.v_nim_sigma))
+            nim, both = (0.0 if s is None else s for s in (args.v_nim_sigma, args.v_both_sigma))
+            uncertain = gamma_ratio(VisibilityValue(args.v_both, both),
+                                    VisibilityValue(args.v_nim, nim))
             ratio, sigma = uncertain.value, uncertain.sigma
         theta = theta_bound(ratio, sigma)
     except ValueError as err:  # NonPhysicalVisibilityError among them
@@ -242,12 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("bound", help="convert a Gamma ratio or visibility pair to a theta bound")
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--v-nim", type=float, default=None)
-    p.add_argument("--v-nim-sigma", type=float, default=0.0)
-    p.add_argument("--v-both", type=float, default=None)
-    p.add_argument("--v-both-sigma", type=float, default=0.0)
+    # a missing sigma is 0; one given with the other input form is refused (cmd_bound)
+    for flag in ("--ratio", "--sigma", "--v-nim", "--v-nim-sigma", "--v-both", "--v-both-sigma"):
+        p.add_argument(flag, type=float, default=None)
     p.set_defaults(func=cmd_bound)
 
     # added last, so --out ends the option list of every command's --help

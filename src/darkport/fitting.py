@@ -7,9 +7,11 @@ and fit_interferograms, which every command uses, fit each block of rows
 of one kept length by one weighted least-squares solve at that f.
 fit_sinusoid searches f too, one row at a time, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Weights come from
-the binomial error of the count ratio, and the covariance is rescaled by
-the reduced chi-square so the sigmas stay honest when the noise model is
-off.  Of the two detector fringes, which sum to 1, only one is fitted.
+the binomial error of the count ratio.  The covariance is the inverse
+normal matrix of that solve, with f's row added by block inversion where f
+is searched, mapped to (A, f, p, B) and rescaled by the reduced chi-square
+so the sigmas stay honest when the noise model is off.  Of the two
+detector fringes, which sum to 1, only one is fitted.
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ def _fitted_detectors(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     the first step where the two differ; detector 1 when the columns are
     equal.  The rule swaps with the detectors and ignores the step order
     (its sums run in phase order)."""
+    if d1.shape[-1] == 0:  # rows with no steps, which _normalize_rows refuses
+        return np.ones(len(d1), dtype=np.int64)
     with np.errstate(over="ignore"):  # only in rows that _normalize_rows refuses
         c1, c2 = d1.sum(axis=-1), d2.sum(axis=-1)
     differ = d1 != d2
@@ -228,100 +232,81 @@ def _by_length(lengths) -> dict[int, np.ndarray]:
     return {n: np.flatnonzero(lengths == n) for n in dict.fromkeys(lengths.tolist())}
 
 
-def _jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """d (A sin^2(f x + p) + B) / d (A, f, p, B), shape (..., n, 4)."""
-    a, f, p, b = (params[..., k, None] for k in range(4))
-    arg = f * x + p
-    s = np.sin(arg)
-    s2 = np.sin(2.0 * arg)
-    return np.stack([s * s, a * x * s2, a * s2, np.ones_like(s)], axis=-1)
-
-
-def _solve_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched solve of lhs @ step = rhs; returns (step, solved mask).
-
-    A singular matrix fails the whole batched call, so the rows are then
-    solved one at a time, each through the same stacked call, and only the
-    singular ones are left unsolved with a zero step.
-    """
-    try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0], np.ones(len(lhs), dtype=bool)
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(rhs)
-        solved = np.zeros(len(lhs), dtype=bool)
-        for i in range(len(lhs)):
-            try:
-                step[i] = np.linalg.solve(lhs[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
-                solved[i] = True
-            except np.linalg.LinAlgError:
-                pass
-        return step, solved
-
-
 def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: bool = False):
     """The weighted least-squares (c0, c1, c2) of c0 + c1 cos 2fx + c2 sin 2fx
-    at a fixed f per row, and their weighted squared residual.
+    at a fixed f per row, their weighted squared residual, and the inverse
+    normal matrix of (c0, c1, c2, f), whose f row and column are 0.
 
-    With step, also the Gauss-Newton step on f from there, taken along the
-    f derivative with the three columns projected out.  The columns are
-    centred to zero weighted mean, which separates c0 and leaves 2x2
-    solves; collinear ones leave c1 = c2 = 0 and a zero step.
+    The columns are centred to their weighted means m, which leaves a 2x2
+    gram a row.  Its pseudo-inverse G gives the fit (least-norm for collinear
+    columns) and the inverse normal matrix: G for (c1, c2), -G m with c0 and
+    1/sum(w) + m^T G m for c0.  With step, also the Gauss-Newton step on f
+    along the f derivative with the columns projected out, and f joins by
+    block inversion: b b^T / kappa with b = (beta, -1), for the derivative's
+    fit beta and its weighted squared residual kappa.
     """
     wsum = np.sum(w, axis=-1, keepdims=True)
 
-    def centred(v):
-        return v - np.sum(w * v, axis=-1, keepdims=True) / wsum
+    def mean(v):
+        return np.sum(w * v, axis=-1, keepdims=True) / wsum
 
-    def residual(v):
-        """v less its weighted least squares on the centred columns, and the fit."""
-        coef, _ = _solve_rows(gram, (weighted @ v[..., None])[..., 0])
-        return v - (coef[:, None] @ cols)[:, 0], coef[:, :1], coef[:, 1:]
+    def fit(v):
+        """The (c0, c1, c2) of v, and v less its fit."""
+        v = v - (v_mean := mean(v))
+        c12 = (gram_inv @ (weighted @ v[..., None]))[..., 0]
+        c0 = v_mean - np.sum(c12 * m, axis=-1, keepdims=True)
+        return np.concatenate([c0, c12], axis=-1), v - (c12[:, None] @ cols)[:, 0]
 
     arg = 2.0 * f[:, None] * x
     cos, sin = np.cos(arg), np.sin(arg, out=arg)  # sin takes arg's memory
-    cols = np.stack([centred(cos), centred(sin)], axis=1)
+    m = np.concatenate([mean(cos), mean(sin)], axis=-1)
+    cols = np.stack([cos - m[:, :1], sin - m[:, 1:]], axis=1)
     weighted = w[:, None] * cols
-    gram = weighted @ cols.swapaxes(1, 2)
-    resid, c1, c2 = residual(centred(y))
-    c0 = np.sum(w * (y - c1 * cos - c2 * sin), axis=-1, keepdims=True) / wsum
-    fit = np.concatenate([c0, c1, c2], axis=-1), np.sum(w * resid * resid, axis=-1)
+    gram_inv = np.linalg.pinv(weighted @ cols.swapaxes(1, 2))
+    coef, resid = fit(y)
+    cov = np.zeros((len(f), 4, 4))
+    cov[:, 1:3, 1:3] = gram_inv
+    cov[:, 0, 1:3] = cov[:, 1:3, 0] = -(gram_inv @ m[..., None])[..., 0]
+    cov[:, 0, 0] = 1.0 / wsum[:, 0] - np.sum(m * cov[:, 0, 1:3], axis=-1)
+    fitted = coef, np.sum(w * resid * resid, axis=-1), cov
     if not step:
-        return fit
-    deriv = residual(centred(2.0 * x * (c2 * cos - c1 * sin)))[0]
+        return fitted
+    beta, deriv = fit(2.0 * x * (coef[:, 2:] * cos - coef[:, 1:2] * sin))
     curvature = np.sum(w * deriv * deriv, axis=-1)
-    return *fit, np.divide(np.sum(w * deriv * resid, axis=-1), curvature,
-                           out=np.zeros_like(curvature), where=curvature > 0.0)
-
-
-def _amplitude_form(f: float, c0: float, c1: float, c2: float) -> tuple[float, ...]:
-    """(A, f, p, B) of c0 + c1 cos 2fx + c2 sin 2fx, with f >= 0 and p in [0, pi).
-
-    A sin^2(f x + p) + B = B + A/2 - (A/2) cos 2p cos 2fx + (A/2) sin 2p sin 2fx.
-    """
-    if f < 0.0:  # sin^2 is even under (f, p) -> (-f, -p)
-        f, c2 = -f, -c2
-    a = 2.0 * math.hypot(c1, c2)
-    p = 0.5 * math.atan2(c2, -c1)
-    return a, f, p + math.pi if p < 0.0 else p, c0 - 0.5 * a
+    inverse = np.divide(1.0, curvature, out=np.zeros_like(curvature), where=curvature > 0.0)
+    b = np.concatenate([beta, np.full((len(f), 1), -1.0)], axis=-1)
+    cov += b[:, :, None] * b[:, None, :] * inverse[:, None, None]
+    return *fitted, np.sum(w * deriv * resid, axis=-1) * inverse
 
 
 def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
                n_excluded: np.ndarray) -> tuple[list, list]:
     """The outcomes of the fit at f = 1/2 of (rows, n) fringe arrays, and of
-    the mirror fringes 1 - y, whose coefficients are (1 - c0, -c1, -c2).
+    the mirror fringes 1 - y, whose coefficients (1 - c0, -c1, -c2) have the
+    same inverse normal matrix.
 
     Each row's arithmetic is its own, so its fit does not depend on the
     other rows.  converged is the goodness of fit chi2 <= dof + 5 sqrt(2 dof),
-    with dof = n - 3.
+    with dof = n - 3.  (c0, c1, c2) need three distinct points of the fringe
+    (mod 2 pi); at fewer, the points (cos x, sin x) lie on a line, so the
+    smaller eigenvalue of their covariance, spread^2 / n, is within the
+    rounding (n eps (1 + |x|))^2 of cos x, and both sides get a FitInputError.
     """
-    w = 1.0 / (sigma * sigma)
-    rows, n = x.shape
-    f = np.full(rows, _FRINGE_FREQUENCY)
-    coef, chi2 = _project(x, w, y, f)
+    n = x.shape[1]
+    points = np.stack([np.cos(x), np.sin(x)], axis=-1)
+    points -= points.mean(axis=1, keepdims=True)
+    spread = np.linalg.svd(points, compute_uv=False)[:, -1]  # the smaller singular value
+    few = spread <= n ** 1.5 * np.finfo(float).eps * (1.0 + np.max(np.abs(x), axis=-1))
+    kept = np.flatnonzero(~few)
+    x, y, w, n_excluded = x[kept], y[kept], 1.0 / (sigma[kept] * sigma[kept]), n_excluded[kept]
+    f = np.full(len(kept), _FRINGE_FREQUENCY)
+    coef, chi2, cov = _project(x, w, y, f)
     dof = n - 3
-    both = (chi2 <= dof + 5.0 * math.sqrt(2.0 * dof), np.zeros(rows, dtype=np.int64), n_excluded)
-    return tuple(_outcomes(x, w, f, c, chi2, *both, free=False)
-                 for c in (coef, np.array([1.0, 0.0, 0.0]) - coef))
+    stats = (chi2 <= dof + 5.0 * math.sqrt(2.0 * dof), np.zeros_like(kept), n_excluded)
+    sides = [iter(_outcomes(n, dof, f, c, cov, chi2, *stats)) for c in (coef, [1, 0, 0] - coef)]
+    return tuple([FitInputError("points with counts must lie at three or more points of the "
+                                "fringe (mod 2 pi)") if refused else next(side)
+                  for refused in few.tolist()] for side in sides)
 
 
 def _visibilities(params: np.ndarray,
@@ -341,29 +326,34 @@ def _visibilities(params: np.ndarray,
             for ok, q in zip(valid.tolist(), denom.tolist())]
 
 
-def _outcomes(x: np.ndarray, w: np.ndarray, f: np.ndarray, coef: np.ndarray,
+def _outcomes(n: int, dof: int, f: np.ndarray, coef: np.ndarray, cov: np.ndarray,
               chi2: np.ndarray, converged: np.ndarray, iterations: np.ndarray,
-              n_excluded: np.ndarray, free: bool) -> list[FitResult | InvalidFitError]:
-    """The FitResult of each fitted row of (rows, n) arrays, or its InvalidFitError.
+              n_excluded: np.ndarray) -> list[FitResult | InvalidFitError]:
+    """The FitResult of each row of n-point fits, or its InvalidFitError.
 
-    The covariance is pinv(J^T W J) at the fit, rescaled by the reduced
-    chi-square.  A searched (free) f is one of its four parameters; a known
-    f leaves (A, p, B), and its row and column are 0.
+    A sin^2(f x + p) + B = B + A/2 - (A/2) cos 2p cos 2fx + (A/2) sin 2p sin 2fx,
+    so with h = |(c1, c2)|: A = 2h, p = atan2(c2, -c1)/2 mod pi and B = c0 - h.
+    The covariance is the inverse normal matrix cov of (c0, c1, c2, f) from
+    _project carried through the Jacobian of that map, whose p row is 0 where
+    h = 0, and rescaled by the reduced chi-square chi2 / dof.
     """
-    params = np.array([_amplitude_form(*row) for row in zip(f.tolist(), *coef.T.tolist())])
-    fitted = np.array([0, 1, 2, 3] if free else [0, 2, 3])
-    jac = np.take(_jacobian(x, params), fitted, axis=-1)
-    hess = (jac * w[..., None]).swapaxes(-1, -2) @ jac
-    cov = np.zeros((len(params), 4, 4))
-    cov[:, fitted[:, None], fitted] = (np.linalg.pinv(hess)
-                                       * (chi2 / (x.shape[-1] - fitted.size))[:, None, None])
+    h = np.hypot(coef[:, 1], coef[:, 2])
+    turn = np.arctan2(coef[:, 2], -coef[:, 1])  # 2p
+    params = np.stack([2.0 * h, f, np.mod(0.5 * turn, math.pi), coef[:, 0] - h], axis=-1)
+    unit = np.stack([-np.cos(turn), np.sin(turn)], axis=-1)  # (c1, c2) / h
+    jac = np.zeros((len(h), 4, 4))  # d(A, f, p, B) / d(c0, c1, c2, f)
+    jac[:, 0, 1:3], jac[:, 3, 1:3] = 2.0 * unit, -unit
+    jac[:, 1, 3] = jac[:, 3, 0] = 1.0
+    jac[:, 2, 1:3] = (np.divide(0.5, h, out=np.zeros_like(h), where=h > 0.0)[:, None]
+                      * unit[:, ::-1] * [1.0, -1.0])
+    cov = jac @ cov @ jac.swapaxes(1, 2) * (chi2 / dof)[:, None, None]
     low_signal = params[:, 0] <= 2.0 * np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
     rows = zip(_visibilities(params, cov), params.tolist(), cov, converged.tolist(),
                iterations.tolist(), np.sqrt(chi2).tolist(), low_signal.tolist(),
                n_excluded.tolist())
     return [visibility if isinstance(visibility, InvalidFitError) else FitResult(
                 *p, covariance=c, visibility=visibility, converged=conv, iterations=its,
-                residual_norm=r, n_points=x.shape[-1], low_signal=low, n_excluded=excl)
+                residual_norm=r, n_points=n, low_signal=low, n_excluded=excl)
             for visibility, p, c, conv, its, r, low, excl in rows]
 
 
@@ -390,7 +380,7 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
     highest = lowest * (0.5 * (n - 1))
     spectrum = np.abs(np.fft.rfft(y - np.mean(y, axis=-1, keepdims=True), axis=-1))
     f = lowest * (np.argmax(spectrum[:, 1:(n + 1) // 2], axis=-1) + 1)
-    coef, chi2, step = _project(x, w, y, f, step=True)
+    coef, chi2, cov, step = _project(x, w, y, f, step=True)
     # a step is at most one bin, as the chi-square has a local minimum about
     # every bin, and is halved at each rejected trial
     scale, converged = 1.0, False
@@ -399,7 +389,7 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
         projected = _project(x, w, y, trial, step=True)
         reduction = chi2[0] - projected[1][0]
         if reduction >= 0.0:
-            f, (coef, chi2, step), scale = trial, projected, 1.0
+            f, (coef, chi2, cov, step), scale = trial, projected, 1.0
             converged = reduction <= RELATIVE_TOL * max(chi2[0], 1e-300)
         else:
             scale *= 0.5
@@ -411,8 +401,8 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
     # data alternate near the Nyquist frequency), is not a resolved fringe
     converged = (converged and lowest <= abs(f[0]) < highest
                  and chi2[0] <= _project(x, w, y, np.array([highest]))[1][0])
-    [result] = _outcomes(x, w, f, coef, chi2, np.array([converged]), np.array([iterations]),
-                         np.array([fringe.n_excluded]), free=True)
+    [result] = _outcomes(n, n - 4, f, coef, cov, chi2, np.array([converged]),
+                         np.array([iterations]), np.array([fringe.n_excluded]))
     if isinstance(result, InvalidFitError):
         raise result
     return result
@@ -444,14 +434,14 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
 def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, FitOutcome]]:
     """Fit each interferogram once, yielding its (d1, d2) outcomes.
 
-    The fit is at the known f = 1/2: frequency is 0.5 with sigma 0,
-    iterations is 0, and converged means chi2 <= dof + 5 sqrt(2 dof), with
-    dof = n - 3.  Only the fringe of _fitted_detectors is fitted; the other
-    is 1 minus it with the same sigmas, so its coefficients are
-    (1 - c0, -c1, -c2): p moves by pi/2, B becomes 1 - A - B, and the rest
-    is the fitted detector's, apart from its own A + 2B > 0 check.  An
-    interferogram that normalize refuses gets its FitInputError on both
-    sides.  The input is read _STREAM_ROWS interferograms at a time.
+    The fit is at the known f = 1/2 (see FitResult).  Only the fringe of
+    _fitted_detectors is fitted; the other is 1 minus it with the same
+    sigmas, so its coefficients are (1 - c0, -c1, -c2): p moves by pi/2,
+    B becomes 1 - A - B, and the rest is the fitted detector's, apart from
+    its own A + 2B > 0 check.  An interferogram that normalize refuses, or
+    whose points with counts lie at fewer than three points of the fringe
+    (mod 2 pi), gets its FitInputError on both sides.  The input is read
+    _STREAM_ROWS interferograms at a time.
     """
     interferograms = iter(interferograms)
     while block := list(itertools.islice(interferograms, _STREAM_ROWS)):

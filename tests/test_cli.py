@@ -466,6 +466,19 @@ def test_fit_non_finite_csv_field_is_input_error(tmp_path, capsys, row):
     assert "line 6" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--v-nim", "0.03", "--v-both", "0.031", "--sigma", "0.5"], "--sigma goes with --ratio"),
+    (["--ratio", "0.99", "--v-nim-sigma", "0.5"], "either --ratio or the visibility pair"),
+], ids=["sigma_with_the_pair", "pair_sigma_with_the_ratio"])
+def test_bound_refuses_a_sigma_of_the_other_input_form(tmp_path, capsys, flags, message):
+    # each sigma flag belongs to one input form; one given with the other
+    # would be dropped and the bound would look tighter than the input allows
+    assert main(["bound", *flags, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
 def test_bound_rejects_non_finite_ratio(capsys, ratio):
     assert main(["bound", f"--ratio={ratio}"]) == 2
@@ -491,6 +504,24 @@ def test_fit_rejects_phases_spanning_less_than_a_fringe(tmp_path, capsys, phases
     fits = json.loads(capsys.readouterr().out)["files"][0]["fits"]
     for key in ("d1", "d2"):
         assert "one full fringe" in fits[key]["error"]
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0 + 2.0 * math.pi * k, 30 + k % 3, 70 - k % 2) for k in range(8)],
+    [(0.3 + math.pi * k, *((30, 70), (70, 30))[k % 2]) for k in range(100)],
+], ids=["one_point_8_steps", "two_points_100_steps"])
+def test_fit_refuses_steps_at_fewer_than_three_points_of_the_fringe(tmp_path, capsys, rows):
+    # (c0, c1, c2) need three distinct points of the fringe (mod 2 pi); these
+    # rows span more than a fringe, yet at one or two points they fitted to
+    # A = 2.9e12 or to V = 0.83 +- 5e-16, both reported as converged
+    path = tmp_path / "points.csv"
+    path.write_text("phase_rad,counts_d1,counts_d2\n"
+                    + "".join(f"{x!r},{d1},{d2}\n" for x, d1, d2 in rows))
+    assert main(["fit", str(path)]) == 4
+    fits = json.loads(capsys.readouterr().out)["files"][0]["fits"]
+    for key in ("d1", "d2"):
+        assert fits[key] == {"error": "points with counts must lie at three or more points "
+                                      "of the fringe (mod 2 pi)"}
 
 
 # an LC passing 1e-6 of the amplitude leaves the toggled loop 1e-12 of the
@@ -665,6 +696,28 @@ def test_bins_above_the_number_of_values_is_config_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
     cfg = write_config(tmp_path, {"campaign": {"n_runs": 10}, "analysis": {"bins": 20}})
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+# sizes no check bounds yet: each allocation is refused at once (8e18 bytes
+# is beyond any address space), so these runs are safe.  A sweep of 1e18
+# runs is left out: it streams its runs, so it runs on instead of failing.
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: scan.n_steps has no upper bound, so 1e18 steps reach np.linspace "
+    "and exit 5 with MemoryError: Unable to allocate 6.94 EiB; simulate first makes --out"))
+@pytest.mark.parametrize("command", ["simulate", "campaign"])
+def test_scan_of_1e18_steps_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"scan": {"n_steps": 10 ** 18}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: campaign.n_runs has no upper bound, so 1e18 runs reach "
+    "campaign_records' list of run indices and exit 5 with MemoryError"))
+def test_campaign_of_1e18_runs_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"campaign": {"n_runs": 10 ** 18}})
+    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):

@@ -11,9 +11,7 @@ from darkport.fitting import (
     NormalizedFringe,
     _fit_block,
     _fitted_detectors,
-    _jacobian,
     _outcomes,
-    _solve_rows,
     fit_counts,
     fit_interferograms,
     fit_sinusoid,
@@ -50,19 +48,67 @@ def make_fringe(params, n=100, sigma=1e-3, x_max=4.0 * math.pi):
                                   sigma=np.full(n, sigma), detector=1)
 
 
-def test_jacobian_matches_central_differences():
+def jacobian(x, params):
+    """d (A sin^2(f x + p) + B) / d (A, f, p, B) at the phases x, shape (n, 4)."""
+    a, f, p, _ = params
+    s = np.sin(f * x + p)
+    s2 = np.sin(2.0 * (f * x + p))
+    return np.stack([s * s, a * x * s2, a * s2, np.ones_like(s)], axis=-1)
+
+
+def _inverse_jtwj(fit, fringe, fitted):
+    """pinv(J^T W J) over the parameters fitted (indices into (A, f, p, B)) at
+    the fit, times chi2 / (n - len(fitted)), with zeros for the others."""
+    params = (fit.amplitude, fit.frequency, fit.phase, fit.offset)
+    jac = jacobian(fringe.phase, params)[:, fitted]
+    w = 1.0 / (fringe.sigma * fringe.sigma)
+    cov = np.zeros((4, 4))
+    cov[np.ix_(fitted, fitted)] = (np.linalg.pinv(jac.T @ (w[:, None] * jac))
+                                   * fit.residual_norm ** 2 / (fringe.n_points - len(fitted)))
+    return cov
+
+
+def test_covariance_is_the_scaled_inverse_of_jtwj():
+    # the analytic Jacobian of the sin^2 model against central differences
     rng = np.random.default_rng(31)
     x = np.linspace(0.0, 4.0 * math.pi, 25)
     h = 1e-6
     for _ in range(20):
         params = np.array([rng.uniform(0.05, 0.5), rng.uniform(0.5, 2.0),
                            rng.uniform(0.0, math.pi), rng.uniform(0.1, 0.6)])
-        jac = _jacobian(x, params)
+        jac = jacobian(x, params)
         for k in range(4):
             dp = np.zeros(4)
             dp[k] = h
             num = (model(x, params + dp) - model(x, params - dp)) / (2.0 * h)
             assert np.allclose(jac[:, k], num, rtol=1e-6, atol=1e-8)
+
+    def close(fit, fringe, fitted):
+        want = _inverse_jtwj(fit, fringe, fitted)
+        sigma = np.sqrt(np.diag(want))
+        assert np.all(np.abs(fit.covariance - want) <= 1e-9 * np.outer(sigma, sigma))
+
+    # the known-f fits of both detectors, (A, p, B) with f's row and column 0
+    pair = ExperimentConfig().build_pair()
+    compared = 0
+    for counts in (20.0, 200.0, 2000.0, 20000.0):
+        scan = ScanConfig(mean_counts_per_step=counts)
+        igs = [simulate_interferogram(pair[k % 2], scan, seed=(29, k)) for k in range(10)]
+        for ig, fits in zip(igs, fit_interferograms(igs)):
+            for detector, fit in enumerate(fits, start=1):
+                if isinstance(fit, FitResult):
+                    close(fit, normalize(ig, detector=detector), [0, 2, 3])
+                    compared += 1
+    assert compared >= 75
+    # the free-f fit, all four
+    for counts in (200.0, 20000.0):
+        ig = simulate_interferogram(pair[1], ScanConfig(mean_counts_per_step=counts), seed=(29, 1))
+        fringe = normalize(ig)
+        close(fit_sinusoid(fringe), fringe, [0, 1, 2, 3])
+    _, _, fringe = make_fringe((0.2, 1.3, 0.7, 0.3), sigma=2e-3)
+    noisy = NormalizedFringe(phase=fringe.phase, sigma=fringe.sigma, ratio=fringe.ratio
+                             + np.random.default_rng(30).normal(scale=2e-3, size=100))
+    close(fit_sinusoid(noisy), noisy, [0, 1, 2, 3])
 
 
 def test_noiseless_round_trip():
@@ -268,10 +314,8 @@ def test_visibility_extremes():
 
 def test_visibility_rejects_zero_denominator():
     # A + 2B is 2 c0
-    x = np.linspace(0.0, 4.0 * math.pi, 20)[None]
-    [broken] = _outcomes(x, np.ones_like(x), np.array([0.5]), np.array([[0.0, 0.1, 0.2]]),
-                         np.array([1.0]), np.array([True]), np.array([0]), np.array([0]),
-                         free=False)
+    [broken] = _outcomes(20, 17, np.array([0.5]), np.array([[0.0, 0.1, 0.2]]), np.eye(4)[None],
+                         np.array([1.0]), np.array([True]), np.array([0]), np.array([0]))
     assert isinstance(broken, InvalidFitError)
     assert str(broken) == "A + 2B must be positive, got 0.0"
 
@@ -399,24 +443,28 @@ def _known_fit(fringe):
 def test_fit_is_identical_alone_and_in_a_mixed_block():
     phase, d1, d2 = _bright_counts()
     # a flat row, an exact row of expected rates, rows with zero-total steps
-    # (two shorter kept lengths), then the failing rows, spread through the block
+    # (two shorter kept lengths), the failing rows, and a row whose steps sit
+    # at two points of the fringe (mod 2 pi), spread through the block
     exact = expected_rates(SagnacModel(visibility_v=0.9992774), ScanConfig())
     gaps1, gaps2 = d1[2:4].copy(), d2[2:4].copy()
     gaps1[0, 10:20] = gaps2[0, 10:20] = 0.0
     gaps1[1, ::7] = gaps2[1, ::7] = 0.0
     fail1, fail2 = _failing_counts(phase, d1, d2)
-    extra1 = np.vstack([np.full(100, 30.0), exact[0], gaps1, fail1])
-    extra2 = np.vstack([np.full(100, 30.0), exact[1], gaps2, fail2])
-    at = [3, 6, 9, 14, 20, 26, 30, 33]
+    alternating = np.where(np.arange(100) % 2, 70.0, 30.0)
+    extra1 = np.vstack([np.full(100, 30.0), exact[0], gaps1, fail1, alternating])
+    extra2 = np.vstack([np.full(100, 30.0), exact[1], gaps2, fail2, 100.0 - alternating])
+    at = [3, 6, 9, 14, 20, 26, 30, 33, 40]
     d1, d2 = np.insert(d1, at, extra1, axis=0), np.insert(d2, at, extra2, axis=0)
+    phase = np.repeat(phase[None], len(d1), axis=0)
+    phase[at[-1] + len(at) - 1] = 0.3 + math.pi * np.arange(100)
 
     together = fit_counts(phase, d1, d2)
     assert len(together) == len(d1)
     for k, pair in enumerate(together):
-        [alone] = fit_counts(phase, d1[k:k + 1], d2[k:k + 1])
+        [alone] = fit_counts(phase[k:k + 1], d1[k:k + 1], d2[k:k + 1])
         assert all(map(_same_fit, alone, pair))
         # the fitted detector's entry is the one-row fit of its normalized fringe
-        ig = Interferogram(phase, d1[k], d2[k])
+        ig = Interferogram(phase[k], d1[k], d2[k])
         detector = int(_fitted_detectors(ig.counts_d1[None], ig.counts_d2[None])[0])
         try:
             fringe = normalize(ig, detector=detector)
@@ -428,10 +476,11 @@ def test_fit_is_identical_alone_and_in_a_mixed_block():
     messages = [str(o) for o in outcomes if isinstance(o, FitInputError)]
     assert sum("need at least 8 points" in m for m in messages) == 2
     assert sum("span at least one full fringe" in m for m in messages) == 2
+    assert sum("three or more points of the fringe" in m for m in messages) == 2
     assert sum(isinstance(o, InvalidFitError) for o in outcomes) == 1
     assert any(isinstance(o, FitResult) and not o.converged for o in outcomes)
     assert {100, 90, 85} <= {o.n_points for o in outcomes if isinstance(o, FitResult)}
-    assert fit_counts(phase, np.zeros((0, 100)), np.zeros((0, 100))) == []
+    assert fit_counts(phase[0], np.zeros((0, 100)), np.zeros((0, 100))) == []
 
 
 @pytest.mark.parametrize("shape", [(100,), (2, 3, 100)], ids=["1d", "3d"])
@@ -464,20 +513,19 @@ def test_failing_rows_leave_their_neighbours_unchanged():
     assert not not_converged.converged and isinstance(invalid, InvalidFitError)
     for expected, got in zip(alone, mixed[:4] + mixed[8:], strict=True):
         assert all(map(_same_fit, expected, got))
-
-
-def test_singular_solve_costs_only_its_own_row():
-    rng = np.random.default_rng(4)
-    m = rng.normal(size=(3, 4, 4))
-    lhs = m @ m.swapaxes(1, 2) + np.eye(4)
-    lhs[1] = 0.0
-    rhs = rng.normal(size=(3, 4))
-    step, solved = _solve_rows(lhs, rhs)
-    assert solved.tolist() == [True, False, True]
-    assert np.all(step[1] == 0.0)
-    for i in (0, 2):
-        alone, _ = _solve_rows(lhs[i:i + 1], rhs[i:i + 1])
-        assert np.array_equal(step[i], alone[0])
+    # rows with no steps at all
+    message = "need at least 8 points with nonzero total counts, got 0"
+    empty = Interferogram(np.zeros(0), np.zeros(0), np.zeros(0))
+    with pytest.raises(FitInputError, match=message):
+        normalize(empty)
+    assert all(str(fit) == message for pair in fit_counts(*np.zeros((3, 2, 0)))
+               for fit in pair)
+    igs = [Interferogram(phase, d1[k], d2[k]) for k in range(3)]
+    streamed = list(fit_interferograms([igs[0], empty, *igs[1:], empty]))
+    for k in (1, 4):
+        assert all(isinstance(fit, FitInputError) and str(fit) == message for fit in streamed[k])
+    for expected, got in zip(alone[:3], streamed[:1] + streamed[2:4], strict=True):
+        assert all(map(_same_fit, expected, got))
 
 
 def _grid_chi2(fringe, grid):
