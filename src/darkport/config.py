@@ -19,6 +19,10 @@ from .quaternion import I, J, K, PhaseVector, Quaternion
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 _AXES = {"i": I, "j": J, "k": K}
+# the most runs a campaign may have, 5,000 times the default: larger counts
+# are refused at validation instead of exhausting memory (campaign) or
+# running on without end (sweep, which streams its runs)
+_MAX_RUNS = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -149,8 +153,9 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ConfigError(f"campaign.n_runs must be >= 1, got {self.n_runs!r}")
+        if not 1 <= self.n_runs <= _MAX_RUNS:
+            raise ConfigError(f"campaign.n_runs must lie in [1, {_MAX_RUNS}], "
+                              f"got {self.n_runs!r}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"campaign.master_seed must be a 64-bit unsigned "
                               f"integer, got {self.master_seed!r}")

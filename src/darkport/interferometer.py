@@ -1,6 +1,10 @@
 """Sagnac-in-Mach-Zehnder interferometer models.
 
-Two routes to the same physics are kept deliberately separate:
+Each model computes its loop products once: ``PhaseElement.quaternion``,
+``SagnacModel.loop_products`` (the clockwise and counter-clockwise phase
+products) and ``SagnacModel.defect`` are cached on the frozen instance, so
+every route below reads the same once-computed values.  From those
+products, two routes to the same physics stay separate:
 
 * ``propagate_state`` walks a single photon through the Sagnac loop with an
   explicit 2x2 quaternionic density matrix (the brute-force route), and
@@ -8,17 +12,20 @@ Two routes to the same physics are kept deliberately separate:
   |r*P_cw - P_ccw*r|.
 
 The closed form must agree with the explicit propagation to 1e-12; tests
-enforce it.  The reflection factor is restricted to unit *imaginary*
-quaternions: a 50:50 beamsplitter is unitary only for a pi/2-type
-reflection, and with a real component the two output ports would not sum
-to one.
+enforce it.  Both classes are frozen with immutable fields, and
+``dataclasses.replace`` builds a new instance with empty caches, so a
+cached value never goes stale and lives on its own instance only.  The
+reflection factor is restricted to unit *imaginary* quaternions: a 50:50
+beamsplitter is unitary only for a pi/2-type reflection, and with a real
+component the two output ports would not sum to one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .quaternion import (
     I,
@@ -77,7 +84,7 @@ class PhaseElement:
             raise ValueError(
                 f"amplitude_transmission must lie in (0, 1], got {self.amplitude_transmission!r}")
 
-    @property
+    @cached_property
     def quaternion(self) -> Quaternion:
         return qexp(self.phase)
 
@@ -110,6 +117,25 @@ class SagnacModel:
         labels = [e.label for e in self.elements]
         if len(set(labels)) != len(labels):
             raise ValueError(f"element labels must be unique, got {labels!r}")
+
+    @cached_property
+    def loop_products(self) -> tuple[Quaternion, Quaternion]:
+        """Clockwise product (list order) and counter-clockwise product
+        (reversed), computed once per model."""
+        cw = ONE
+        ccw = ONE
+        for e in self.elements:
+            q = e.quaternion
+            cw = mul(cw, q)
+            ccw = mul(q, ccw)
+        return cw, ccw
+
+    @cached_property
+    def defect(self) -> float:
+        """|r*P_cw - P_ccw*r|, computed once; see loop_defect."""
+        cw, ccw = self.loop_products
+        r = self.reflection
+        return norm(mul(r, cw) - mul(ccw, r))
 
     def intensity_transmission(self) -> float:
         """Squared product of element amplitude transmissions."""
@@ -187,27 +213,15 @@ def dark_port_prob_ideal(alpha: Quaternion, beta: Quaternion, r: Quaternion) -> 
     return 0.25 * d * d
 
 
-def _loop_products(elements: Iterable[PhaseElement]) -> tuple[Quaternion, Quaternion]:
-    """Clockwise product (list order) and counter-clockwise product (reversed)."""
-    cw = ONE
-    ccw = ONE
-    for e in elements:
-        q = e.quaternion
-        cw = mul(cw, q)
-        ccw = mul(q, ccw)
-    return cw, ccw
-
-
 def loop_defect(model: SagnacModel) -> float:
     """|r*P_cw - P_ccw*r| for the loop's phase products.
 
     The two-element case is generalized_defect(alpha, beta, r); with a
     single element it is the commutator norm of that phase with the
-    reflection, and with none it is zero.
+    reflection, and with none it is zero.  It reads the model's cached
+    ``defect``, so repeated calls on one model cost one computation.
     """
-    cw, ccw = _loop_products(model.elements)
-    r = model.reflection
-    return norm(mul(r, cw) - mul(ccw, r))
+    return model.defect
 
 
 def propagate_state(model: SagnacModel) -> PortProbabilities:
@@ -217,9 +231,10 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
     reflection) and the counter-clockwise amplitude, forms the 2x2 density
     matrix, scales the coherences by the Sagnac visibility v, applies the
     exit beamsplitter, and reads the diagonal.  This is the oracle the
-    closed forms are tested against.
+    closed forms are tested against.  It shares only the model's cached
+    loop products with them; the density-matrix walk is its own.
     """
-    cw, ccw = _loop_products(model.elements)
+    cw, ccw = model.loop_products
     r = model.reflection
     v = model.visibility_v
 
@@ -244,8 +259,11 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
 
 
 def dark_port_prob(model: SagnacModel) -> PortProbabilities:
-    """Closed-form port probabilities: P_D = 1/2 - (v/2) (1 - defect^2 / 2)."""
-    d = loop_defect(model)
+    """Closed-form port probabilities: P_D = 1/2 - (v/2) (1 - defect^2 / 2).
+
+    The defect is the model's cached ``defect``.
+    """
+    d = model.defect
     p_dark = 0.5 - 0.5 * model.visibility_v * (1.0 - 0.5 * d * d)
     return PortProbabilities(p_bright=1.0 - p_dark, p_dark=p_dark)
 
@@ -261,9 +279,10 @@ def gamma_of_model(model: SagnacModel) -> float:
     A toggle configuration (liquid crystal on/off, metamaterial in/out) is
     the model of just its elements, as ExperimentConfig.build_model builds
     it.  Gamma is 1 exactly when the loop's phases and the reflection all
-    commute, and ranges down to -1.
+    commute, and ranges down to -1.  The defect is the model's cached
+    ``defect``.
     """
-    d = loop_defect(model)
+    d = model.defect
     return 1.0 - 0.5 * d * d
 
 

@@ -39,6 +39,9 @@ TWO_PI = 2.0 * math.pi
 
 # numpy's Poisson sampler rejects a mean above this (lam value too large)
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+# the most steps a scan may have, 1,000 times the default: larger scans are
+# refused at validation instead of failing to allocate their phase grid
+_MAX_STEPS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ class ScanConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_steps < 8:
-            raise ValueError(f"n_steps must be >= 8, got {self.n_steps!r}")
+        if not 8 <= self.n_steps <= _MAX_STEPS:
+            raise ValueError(f"n_steps must lie in [8, {_MAX_STEPS}], got {self.n_steps!r}")
         if not (math.isfinite(self.phase_start) and math.isfinite(self.phase_end)):
             raise ValueError("phase_start and phase_end must be finite")
         span = abs(self.phase_end - self.phase_start)

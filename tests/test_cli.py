@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from darkport import fitting, photonsim
+from darkport import config, fitting, photonsim
 from darkport.cli import load_config, main
+from darkport.config import ExperimentConfig
 from darkport.reports import read_interferogram_csv, write_interferogram_csv
 
 SMALL_CAMPAIGN = {
@@ -698,26 +699,34 @@ def test_bins_above_the_number_of_values_is_config_error(tmp_path, capsys):
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
-# sizes no check bounds yet: each allocation is refused at once (8e18 bytes
-# is beyond any address space), so these runs are safe.  A sweep of 1e18
-# runs is left out: it streams its runs, so it runs on instead of failing.
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: scan.n_steps has no upper bound, so 1e18 steps reach np.linspace "
-    "and exit 5 with MemoryError: Unable to allocate 6.94 EiB; simulate first makes --out"))
+# sizes above the caps are refused by validation alone, before any output
+# directory is made; no test runs a campaign at a cap
 @pytest.mark.parametrize("command", ["simulate", "campaign"])
 def test_scan_of_1e18_steps_is_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, {"scan": {"n_steps": 10 ** 18}})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "n_steps must lie in [8, 100000], got 1000000000000000000" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: campaign.n_runs has no upper bound, so 1e18 runs reach "
-    "campaign_records' list of run indices and exit 5 with MemoryError"))
-def test_campaign_of_1e18_runs_is_config_error(tmp_path, capsys):
+# sweep streams its runs, so without the cap it runs on instead of failing
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
+def test_campaign_of_1e18_runs_is_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, {"campaign": {"n_runs": 10 ** 18}})
-    assert main(["campaign", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert ("campaign.n_runs must lie in [1, 1000000], got 1000000000000000000"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_scan_and_run_caps_are_inclusive():
+    # validation only: configs at the caps are built, never run
+    assert photonsim.ScanConfig(n_steps=photonsim._MAX_STEPS).n_steps == 10 ** 5
+    assert ExperimentConfig(n_runs=config._MAX_RUNS).n_runs == 10 ** 6
+    with pytest.raises(ValueError, match=r"n_steps must lie in \[8, 100000\], got 100001"):
+        photonsim.ScanConfig(n_steps=10 ** 5 + 1)
+    with pytest.raises(config.ConfigError, match=r"must lie in \[1, 1000000\], got 1000001"):
+        ExperimentConfig(n_runs=10 ** 6 + 1)
 
 
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from darkport import interferometer
 from darkport.interferometer import (
     NonPhysicalVisibilityError,
     PhaseElement,
@@ -21,7 +23,7 @@ from darkport.interferometer import (
     theta_bound,
 )
 from darkport.config import ConfigError, ExperimentConfig
-from darkport.quaternion import I, J, K, PhaseVector, Quaternion, qexp
+from darkport.quaternion import ONE, I, J, K, PhaseVector, Quaternion, mul, norm, qexp
 
 V_SAGNAC = 0.9992774  # operating point used throughout
 
@@ -162,6 +164,60 @@ def test_gamma_of_model_active_subsets():
     assert math.isclose(gamma_of_model(cfg.build_model("both")), want, rel_tol=1e-12)
     with pytest.raises(ConfigError):
         cfg.build_model("oops")
+
+
+def fresh_defect(r, elements):
+    """|r*P_cw - P_ccw*r| recomputed from qexp and mul, sharing no model state."""
+    cw = ccw = ONE
+    for e in elements:
+        q = qexp(e.phase)
+        cw, ccw = mul(cw, q), mul(q, ccw)
+    return norm(mul(r, cw) - mul(ccw, r))
+
+
+def test_each_element_exponentiates_once_per_model(monkeypatch):
+    calls = []
+
+    def counting_qexp(v):
+        calls.append(v)
+        return qexp(v)
+
+    monkeypatch.setattr(interferometer, "qexp", counting_qexp)
+    model = random_model(np.random.default_rng(26), n_elements=3)
+    for _ in range(2):
+        dark_port_prob(model)
+        propagate_state(model)
+        loop_defect(model)
+        gamma_of_model(model)
+    assert len(calls) == 3
+
+
+def test_cached_products_never_cross_models():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        model = random_model(rng, n_elements=int(rng.integers(2, 5)))
+        r = model.reflection
+        assert loop_defect(model) == fresh_defect(r, model.elements)
+        # a replaced loop starts with empty caches, even after the original's are filled
+        elements = tuple(dataclasses.replace(e, phase=PhaseVector(*rng.uniform(-3, 3, 3)))
+                         for e in reversed(model.elements))
+        replaced = dataclasses.replace(model, elements=elements)
+        fresh = SagnacModel(visibility_v=model.visibility_v, reflection=r, elements=elements)
+        assert loop_defect(replaced) == loop_defect(fresh) == fresh_defect(r, elements)
+        assert dark_port_prob(replaced) == dark_port_prob(fresh)
+        assert propagate_state(replaced) == propagate_state(fresh)
+
+    cfg = ExperimentConfig()
+    base = [gamma_of_model(m) for m in cfg.build_pair()]
+    for eps in (*cfg.epsilon_grid, 0.5, math.pi):
+        pair = cfg.with_epsilon(eps).build_pair()
+        want = [1.0 - 0.5 * fresh_defect(m.reflection, m.elements) ** 2 for m in pair]
+        got = [gamma_of_model(m) for m in pair]
+        assert got == want
+        # epsilon reaches the toggled loop only and moves its Gamma, except at
+        # eps = pi, where a defect of about 2e-16 is lost in 1 - D^2 / 2
+        assert got[0] == base[0]
+        assert (got[1] != base[1]) == (0.0 < eps < math.pi)
 
 
 def test_gamma_ratio_reference_point():
