@@ -270,14 +270,13 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
 
 
 def _histogram(values: np.ndarray, bins="fd") -> tuple[tuple[float, int], ...]:
-    """Histogram as (bin_center, count) rows; Freedman-Diaconis by default.
+    """Histogram as (bin_center, count) rows of the 2 or more values that the
+    campaign statistics accept; Freedman-Diaconis by default.
 
     Degenerate samples (zero spread) collapse to a single bin instead of
     tripping the automatic bin-width estimate.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return ()
     if np.ptp(arr) == 0.0:
         return ((float(arr[0]), int(arr.size)),)
     counts, edges = np.histogram(arr, bins=bins)
@@ -366,7 +365,6 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
                               f"at epsilon {eps!r}")
         shift = g_ref - g_tog
         visible_deviation = abs(1.0 - abs(g_tog) / g_ref)
-        photonsim.check_pair(reference, toggled)
         stats = gamma_ratio_distribution(_paired_records(
             runs, slot_fits(reference, 0), slot_fits(toggled, 1)))
         if visible_deviation == 0.0:

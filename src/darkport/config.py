@@ -156,7 +156,7 @@ class ExperimentConfig:
         if not 1 <= self.n_runs <= _MAX_RUNS:
             raise ConfigError(f"campaign.n_runs must lie in [1, {_MAX_RUNS}], "
                               f"got {self.n_runs!r}")
-        if not 0 <= self.master_seed < 2 ** 64:
+        if not (type(self.master_seed) is int and 0 <= self.master_seed < 2 ** 64):
             raise ConfigError(f"campaign.master_seed must be a 64-bit unsigned "
                               f"integer, got {self.master_seed!r}")
         # a campaign histogram holds at most one value per detector and run

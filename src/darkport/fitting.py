@@ -206,8 +206,9 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
         return errors, []
     first = np.argmax(keep[usable], axis=-1)
     last = width - 1 - np.argmax(keep[usable, ::-1], axis=-1)
-    span = phase[usable, last] - phase[usable, first]
-    short = ~(span >= 2.0 * math.pi - 1e-9)
+    with np.errstate(over="ignore"):  # a span beyond the float range is inf, >= 2 pi
+        span = phase[usable, last] - phase[usable, first]
+    short = ~(span >= math.tau - 1e-9)
     for i, s in zip(usable[short], span[short]):
         errors[i] = FitInputError(
             f"points with counts must span at least one full fringe (2 pi), got {float(s)!r}")

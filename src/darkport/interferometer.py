@@ -38,6 +38,7 @@ from .quaternion import (
     mul,
     norm,
     qexp,
+    require_unit,
 )
 
 __all__ = [
@@ -105,10 +106,7 @@ class SagnacModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.visibility_v <= 1.0:
             raise ValueError(f"visibility_v must lie in [0, 1], got {self.visibility_v!r}")
-        if not self.reflection.is_unit:
-            r = self.reflection
-            raise ValueError(f"reflection must be a unit quaternion, "
-                             f"got norm {math.hypot(r.w, r.x, r.y, r.z)!r}")
+        require_unit(self.reflection, "reflection")
         if not self.reflection.is_imaginary:
             # pi/2-type reflection: exp(u*pi/2) = u for a unit imaginary u.
             # A real component breaks beamsplitter unitarity.
@@ -195,20 +193,14 @@ class ThetaBound:
     conservative_deg: float
 
 
-def _require_unit(q: Quaternion, name: str) -> None:
-    if not q.is_unit:
-        raise ValueError(f"{name} must be a unit quaternion "
-                         f"(|{name}| = {math.hypot(q.w, q.x, q.y, q.z)!r})")
-
-
 def dark_port_prob_ideal(alpha: Quaternion, beta: Quaternion, r: Quaternion) -> float:
     """Dark-port probability of a perfect Sagnac with phases alpha, beta.
 
     Equals |r*alpha*beta - beta*alpha*r|^2 / 4 and vanishes when alpha,
     beta, and r all mutually commute (any complex-phase configuration).
     """
-    _require_unit(alpha, "alpha")
-    _require_unit(beta, "beta")
+    require_unit(alpha, "alpha")
+    require_unit(beta, "beta")
     d = generalized_defect(alpha, beta, r)
     return 0.25 * d * d
 
@@ -300,8 +292,6 @@ def gamma_ratio(v_both: VisibilityValue, v_nim: VisibilityValue) -> UncertainVal
         raise NonPhysicalVisibilityError(f"V_nim must lie in [0, 1), got {b!r}")
     num = (1.0 - a) * (1.0 + a)
     den = (1.0 - b) * (1.0 + b)
-    if den <= 0.0:
-        raise NonPhysicalVisibilityError(f"1 - V_nim^2 must be positive, got {den!r}")
     ratio = math.sqrt(num / den)
     d_da = -a / math.sqrt(num * den)
     d_db = b * ratio / den

@@ -22,8 +22,6 @@ __all__ = [
     "index_spectrum",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 # three Ag/MgF2 repetitions of 40 + 50 nm plus the 15 nm cap
 DEFAULT_THICKNESS_NM = 3 * (40.0 + 50.0) + 15.0
 
@@ -73,14 +71,14 @@ def phase_to_index(delta_phi: float | np.ndarray, wavelength_nm: float | np.ndar
     """Effective index from the single-pass relative phase; arrays work elementwise."""
     if not np.all(wavelength_nm > 0.0):
         raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm!r}")
-    return 1.0 + delta_phi * wavelength_nm / (TWO_PI * slab.thickness_nm)
+    return 1.0 + delta_phi * wavelength_nm / (math.tau * slab.thickness_nm)
 
 
 def index_to_phase(n: float, wavelength_nm: float, slab: SlabSpec) -> float:
     """Exact inverse of phase_to_index."""
     if not wavelength_nm > 0.0:
         raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm!r}")
-    return (n - 1.0) * TWO_PI * slab.thickness_nm / wavelength_nm
+    return (n - 1.0) * math.tau * slab.thickness_nm / wavelength_nm
 
 
 def index_spectrum(spectrum: PhaseSpectrum, slab: SlabSpec) -> IndexSpectrum:
@@ -101,7 +99,7 @@ def index_spectrum(spectrum: PhaseSpectrum, slab: SlabSpec) -> IndexSpectrum:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, raw.shape[0]):
             jump = raw[i] - unwrapped[i - 1]
-            corrected = jump - TWO_PI * np.round(jump / TWO_PI)
+            corrected = jump - math.tau * np.round(jump / math.tau)
             if abs(corrected) + np.spacing(abs(jump)) >= math.pi * (1.0 - 1e-9):
                 ambiguous[i] = True
             unwrapped[i] = unwrapped[i - 1] + corrected

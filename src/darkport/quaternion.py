@@ -22,6 +22,7 @@ __all__ = [
     "conj",
     "norm",
     "qexp",
+    "require_unit",
     "commutator_norm",
     "generalized_defect",
 ]
@@ -136,6 +137,13 @@ def qexp(v: PhaseVector) -> Quaternion:
     return Quaternion(math.cos(m), s * v.phi1, s * v.phi2, s * v.phi3)
 
 
+def require_unit(q: Quaternion, name: str) -> None:
+    """Raise ValueError, naming q and its norm, unless q is a unit quaternion."""
+    if not q.is_unit:
+        raise ValueError(f"{name} must be a unit quaternion, "
+                         f"got norm {math.hypot(q.w, q.x, q.y, q.z)!r}")
+
+
 def commutator_norm(a: Quaternion, b: Quaternion) -> float:
     """|a*b - b*a|: zero exactly when the two phases commute."""
     return norm(mul(a, b) - mul(b, a))
@@ -148,7 +156,5 @@ def generalized_defect(a: Quaternion, b: Quaternion, r: Quaternion) -> float:
     reflection factor).  When r commutes with both a and b this reduces to
     commutator_norm(a, b).
     """
-    if not r.is_unit:
-        raise ValueError("reflection must be a unit quaternion, "
-                         f"got norm {math.hypot(r.w, r.x, r.y, r.z)!r}")
+    require_unit(r, "reflection")
     return norm(mul(mul(r, a), b) - mul(mul(b, a), r))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 import re
 from typing import Iterable, Sequence
 
@@ -43,10 +42,6 @@ class CsvFormatError(ValueError):
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 
@@ -133,11 +128,18 @@ def _format_count(c) -> str:
     return format_float(x)
 
 
-def write_interferogram_csv(path, ig: Interferogram) -> None:
+def _write_csv(path, header: str, rows: Iterable[str]) -> None:
+    """Write the header line, then one line per row (each already joined)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phase_rad,counts_d1,counts_d2\n")
-        for phi, d1, d2 in zip(ig.phase_rad, ig.counts_d1, ig.counts_d2):
-            fh.write(f"{format_float(phi)},{_format_count(d1)},{_format_count(d2)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def write_interferogram_csv(path, ig: Interferogram) -> None:
+    _write_csv(path, "phase_rad,counts_d1,counts_d2",
+               (f"{format_float(phi)},{_format_count(d1)},{_format_count(d2)}"
+                for phi, d1, d2 in zip(ig.phase_rad, ig.counts_d1, ig.counts_d2)))
 
 
 def _parse_rows(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:
@@ -220,25 +222,20 @@ def read_interferogram_csv(path) -> Interferogram:
 
 
 def write_histogram_csv(path, rows: Iterable[tuple[float, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_center,count\n")
-        for center, count in rows:
-            fh.write(f"{format_float(center)},{int(count)}\n")
+    _write_csv(path, "bin_center,count",
+               (f"{format_float(center)},{int(count)}" for center, count in rows))
 
 
 def write_sweep_csv(path, points) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epsilon,gamma_shift,significance\n")
-        for pt in points:
-            fh.write(f"{format_float(pt.epsilon)},{format_float(pt.gamma_shift)},"
-                     f"{format_float(pt.significance)}\n")
+    _write_csv(path, "epsilon,gamma_shift,significance",
+               (f"{format_float(pt.epsilon)},{format_float(pt.gamma_shift)},"
+                f"{format_float(pt.significance)}" for pt in points))
 
 
 def write_index_csv(path, spectrum: IndexSpectrum) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("wavelength_nm,n\n")
-        for wl, n in zip(spectrum.wavelength_nm, spectrum.n):
-            fh.write(f"{format_float(wl)},{format_float(n)}\n")
+    _write_csv(path, "wavelength_nm,n",
+               (f"{format_float(wl)},{format_float(n)}"
+                for wl, n in zip(spectrum.wavelength_nm, spectrum.n)))
 
 
 def read_phase_spectrum_csv(path) -> PhaseSpectrum:

@@ -104,6 +104,20 @@ def test_campaign_outputs(tmp_path, capsys):
     assert header == "bin_center,count"
 
 
+def test_campaign_with_failed_fits_writes_its_reports_and_exits_4(tmp_path, capsys):
+    # at 10 counts/step most runs have a fit that fails or does not converge
+    cfg = write_config(tmp_path, {"scan": {"mean_counts_per_step": 10},
+                                  "campaign": {"n_runs": 20}})
+    out = tmp_path / "out"
+    assert main(["campaign", "--config", cfg, "--seed", "0", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 18 of 20 runs had failed fits\n"
+    assert f"bound report: {out / 'bound_report.json'}" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bound_report.json", "delta_v_hist.csv", "gamma_ratio_hist.csv"]
+    assert json.loads((out / "bound_report.json").read_text())["report"]["n_complete_runs"] == 2
+
+
 def test_campaign_accepts_jobs_and_changes_no_byte(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_CAMPAIGN)
     outputs = []
@@ -212,6 +226,49 @@ def test_config_rejects_duplicate_keys(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("text", "message"), [
+    (None, "cannot read config"),
+    ('{"scan": {"n_steps": 8,}}', "invalid JSON"),
+    ('{"scan": 5}', "scan: expected an object, got 5"),
+], ids=["missing", "invalid_json", "section_not_an_object"])
+def test_config_that_cannot_be_read_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
+def test_seed_flag_beyond_64_bits_is_usage_error(tmp_path, capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", seed, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["bound", "--ratio", "0.99"]],
+                         ids=["simulate", "bound"])
+def test_out_naming_an_existing_file_is_io_error(tmp_path, capsys, argv):
+    path = tmp_path / "taken"
+    path.write_text("keep")
+    assert main([*argv, "--out", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert path.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
+def test_output_dir_from_config_is_used_without_out(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {**SMALL_CAMPAIGN, "output": {"dir": "from_config"}})
+    assert main([command, "--config", cfg]) == 0
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", tmp_path / "from_config"]
+    assert any((tmp_path / "from_config").iterdir())
+
+
 def test_config_rejects_bad_values(tmp_path, capsys):
     cfg = write_config(tmp_path, {"campaign": {"n_runs": 0}})
     assert main(["campaign", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -318,13 +375,15 @@ _OUT_OF_RANGE = [
     ({"apparatus": {"reflection": [0, 1e200, 0, 0]}},
      "reflection must be a unit quaternion, got norm 1e+200"),
     ({"scan": {"phase_start": -1e308, "phase_end": 1e308}}, "phase span must be finite"),
+    ({"campaign": {"master_seed": -1}},
+     "campaign.master_seed must be a 64-bit unsigned integer, got -1"),
 ]
 
 
 @pytest.mark.parametrize("command", ["simulate", "campaign", "sweep"])
 @pytest.mark.parametrize(("payload", "message"), _OUT_OF_RANGE,
                          ids=["counts_above_poisson_limit", "huge_reflection",
-                              "overflowing_phase_span"])
+                              "overflowing_phase_span", "negative_master_seed"])
 def test_config_rejects_finite_numbers_out_of_range(tmp_path, capsys, command, payload,
                                                     message):
     cfg = write_config(tmp_path, payload)
@@ -727,6 +786,14 @@ def test_scan_and_run_caps_are_inclusive():
         photonsim.ScanConfig(n_steps=10 ** 5 + 1)
     with pytest.raises(config.ConfigError, match=r"must lie in \[1, 1000000\], got 1000001"):
         ExperimentConfig(n_runs=10 ** 6 + 1)
+
+
+@pytest.mark.parametrize("seed", ["12", True, 12.9, 2 ** 64],
+                         ids=["str", "bool", "float", "beyond_64_bits"])
+def test_experiment_config_refuses_a_master_seed_that_is_not_a_64_bit_int(seed):
+    # int() would read True as 1 and 12.9 as 12 at draw time
+    with pytest.raises(config.ConfigError, match="master_seed must be a 64-bit unsigned integer"):
+        ExperimentConfig(master_seed=seed)
 
 
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):

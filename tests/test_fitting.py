@@ -9,7 +9,6 @@ from darkport.fitting import (
     FitResult,
     InvalidFitError,
     NormalizedFringe,
-    _fit_block,
     _fitted_detectors,
     _outcomes,
     fit_counts,
@@ -26,6 +25,8 @@ from darkport.photonsim import (
     simulate_campaign,
     simulate_interferogram,
 )
+
+from helpers import known_fit, same_fit
 
 
 class FakeInterferogram:
@@ -389,13 +390,6 @@ def test_normalize_sorts_a_permuted_scan():
 
 # ---------------------------------------------------------------- batched engine
 
-def _same_fit(a, b):
-    if isinstance(a, Exception) or isinstance(b, Exception):
-        return type(a) is type(b) and str(a) == str(b)
-    return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in FitResult.__dataclass_fields__)
-
-
 def _hard_interferogram():
     """On the default scan grid, detector 2 reads -1 - 2 cos x, which is
     4 sin^2(x/2) - 3 with A + 2B = -2, at the steps where that lies in
@@ -433,13 +427,6 @@ def _failing_counts(phase, d1, d2):
     return np.vstack([fail1, hard.counts_d1[None]]), np.vstack([fail2, hard.counts_d2[None]])
 
 
-def _known_fit(fringe):
-    """The (fitted, mirrored) outcomes of the one-row known-frequency fit of a
-    normalized fringe."""
-    return tuple(side[0] for side in _fit_block(
-        fringe.phase[None], fringe.ratio[None], fringe.sigma[None], np.array([fringe.n_excluded])))
-
-
 def test_fit_is_identical_alone_and_in_a_mixed_block():
     phase, d1, d2 = _bright_counts()
     # a flat row, an exact row of expected rates, rows with zero-total steps
@@ -462,16 +449,16 @@ def test_fit_is_identical_alone_and_in_a_mixed_block():
     assert len(together) == len(d1)
     for k, pair in enumerate(together):
         [alone] = fit_counts(phase[k:k + 1], d1[k:k + 1], d2[k:k + 1])
-        assert all(map(_same_fit, alone, pair))
+        assert all(map(same_fit, alone, pair))
         # the fitted detector's entry is the one-row fit of its normalized fringe
         ig = Interferogram(phase[k], d1[k], d2[k])
         detector = int(_fitted_detectors(ig.counts_d1[None], ig.counts_d2[None])[0])
         try:
             fringe = normalize(ig, detector=detector)
         except FitInputError as err:
-            assert all(_same_fit(err, outcome) for outcome in pair)
+            assert all(same_fit(err, outcome) for outcome in pair)
             continue
-        assert _same_fit(_known_fit(fringe)[0], pair[detector - 1])
+        assert same_fit(known_fit(fringe)[0], pair[detector - 1])
     outcomes = [outcome for pair in together for outcome in pair]
     messages = [str(o) for o in outcomes if isinstance(o, FitInputError)]
     assert sum("need at least 8 points" in m for m in messages) == 2
@@ -493,7 +480,7 @@ def test_fit_counts_rejects_arrays_that_are_not_rows_of_steps(shape):
 
 def test_failing_rows_leave_their_neighbours_unchanged():
     hard = _hard_interferogram()
-    invalid, not_converged = _known_fit(normalize(hard, detector=2))
+    invalid, not_converged = known_fit(normalize(hard, detector=2))
     assert isinstance(invalid, InvalidFitError) and not not_converged.converged
     short = NormalizedFringe(phase=np.arange(5.0), ratio=np.full(5, 0.5), sigma=np.full(5, 0.1))
     with pytest.raises(FitInputError, match="need at least 8 points, got 5"):
@@ -508,11 +495,11 @@ def test_failing_rows_leave_their_neighbours_unchanged():
     with pytest.raises(FitInputError, match=r"above 1e\+150"):
         normalize(Interferogram(phase, fail1[2], fail2[2]), detector=2)
     [hard_alone] = fit_counts(phase, hard.counts_d1[None], hard.counts_d2[None])
-    assert all(map(_same_fit, mixed[7], hard_alone))
+    assert all(map(same_fit, mixed[7], hard_alone))
     not_converged, invalid = mixed[7]
     assert not not_converged.converged and isinstance(invalid, InvalidFitError)
     for expected, got in zip(alone, mixed[:4] + mixed[8:], strict=True):
-        assert all(map(_same_fit, expected, got))
+        assert all(map(same_fit, expected, got))
     # rows with no steps at all
     message = "need at least 8 points with nonzero total counts, got 0"
     empty = Interferogram(np.zeros(0), np.zeros(0), np.zeros(0))
@@ -525,7 +512,7 @@ def test_failing_rows_leave_their_neighbours_unchanged():
     for k in (1, 4):
         assert all(isinstance(fit, FitInputError) and str(fit) == message for fit in streamed[k])
     for expected, got in zip(alone[:3], streamed[:1] + streamed[2:4], strict=True):
-        assert all(map(_same_fit, expected, got))
+        assert all(map(same_fit, expected, got))
 
 
 def _grid_chi2(fringe, grid):
@@ -565,7 +552,7 @@ def test_fits_reach_the_least_chi_square_on_a_dense_frequency_grid():
 def test_mirror_is_the_complementary_fringe_in_closed_form():
     ig = simulate_interferogram(ExperimentConfig().build_pair()[1], ScanConfig(), seed=(3, 1))
     fringe = normalize(ig, detector=1)
-    fit, mirrored = _known_fit(fringe)
+    fit, mirrored = known_fit(fringe)
     a, f, p, b = params = (fit.amplitude, fit.frequency, fit.phase, fit.offset)
     assert f == 0.5
     mirrored_params = (mirrored.amplitude, mirrored.frequency, mirrored.phase, mirrored.offset)
@@ -595,7 +582,7 @@ def test_mirrored_fit_matches_an_independent_fit_of_the_other_detector(counts):
     assert 20 < others.count(1) < 80  # both detectors get mirrored
     compared = 0
     for ig, other, fits in zip(igs, others, fit_interferograms(igs)):
-        got, want = fits[other - 1], _known_fit(normalize(ig, detector=other))[0]
+        got, want = fits[other - 1], known_fit(normalize(ig, detector=other))[0]
         assert type(got) is type(want)
         compared += 1
         assert got.converged == want.converged

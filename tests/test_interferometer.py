@@ -99,7 +99,7 @@ def test_dark_port_prob_ideal_extremes():
 
 def test_dark_port_prob_ideal_rejects_huge_phase_without_overflow():
     # norm() would overflow on 1e200 squared; the message still names the norm
-    with pytest.raises(ValueError, match=r"\|alpha\| = 1e\+200"):
+    with pytest.raises(ValueError, match=r"alpha must be a unit quaternion, got norm 1e\+200"):
         dark_port_prob_ideal(Quaternion(0.0, 1e200, 0.0, 0.0), I, I)
 
 

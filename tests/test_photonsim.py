@@ -44,6 +44,14 @@ def test_scan_config_validation():
     ScanConfig(phase_end=2.0 * math.pi)  # exactly one fringe is allowed
 
 
+@pytest.mark.parametrize("seed", ["12", True, 12.9, 2 ** 64],
+                         ids=["str", "bool", "float", "beyond_64_bits"])
+def test_scan_config_refuses_a_seed_that_is_not_a_64_bit_int(seed):
+    # int() would read "12" as 12 and True as 1, and a float fails only at draw time
+    with pytest.raises(ValueError, match="rng_seed must be a 64-bit unsigned integer"):
+        ScanConfig(rng_seed=seed)
+
+
 def test_same_seed_reproduces_counts():
     scan = ScanConfig(rng_seed=42)
     a = simulate_interferogram(flat_model(), scan)

@@ -29,7 +29,6 @@ from darkport.fitting import (
     FitInputError,
     FitResult,
     InvalidFitError,
-    _fit_block,
     _visibilities,
     fit_interferograms,
     normalize,
@@ -43,6 +42,8 @@ from darkport.reports import (
     read_interferogram_csv,
     write_interferogram_csv,
 )
+
+from helpers import known_fit, same_fit
 
 # shrinking is off: a failing example is reported as drawn, in seconds
 # rather than minutes of refitting
@@ -101,19 +102,12 @@ def _chosen(ig):
     return 1 if differ.size == 0 or d1[differ[0]] > d2[differ[0]] else 2
 
 
-def _known_fit(fringe):
-    """The (fitted, mirrored) outcomes of the one-row known-frequency fit of a
-    normalized fringe."""
-    return tuple(side[0] for side in _fit_block(
-        fringe.phase[None], fringe.ratio[None], fringe.sigma[None], np.array([fringe.n_excluded])))
-
-
 def _reference(ig):
     """The one-row fit of the chosen detector's normalize(ig, chosen), and the
     other detector's outcome from its mirror."""
     chosen = _chosen(ig)
     try:
-        pair = _known_fit(normalize(ig, detector=chosen))
+        pair = known_fit(normalize(ig, detector=chosen))
     except FitInputError as err:
         return err, err
     return pair if chosen == 1 else pair[::-1]
@@ -122,16 +116,9 @@ def _reference(ig):
 REFERENCE = [_reference(ig) for ig in POOL]
 
 
-def _same_fit(a, b):
-    if isinstance(a, Exception) or isinstance(b, Exception):
-        return type(a) is type(b) and str(a) == str(b)
-    return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in FitResult.__dataclass_fields__)
-
-
 def _same_pairs(got, want):
     return len(got) == len(want) and all(
-        _same_fit(g1, w1) and _same_fit(g2, w2) for (g1, g2), (w1, w2) in zip(got, want))
+        same_fit(g1, w1) and same_fit(g2, w2) for (g1, g2), (w1, w2) in zip(got, want))
 
 
 def test_pool_covers_every_outcome():
@@ -260,7 +247,7 @@ def test_equal_totals_fit_the_detector_ahead_at_the_first_differing_step():
     first = np.flatnonzero(ig.counts_d1 != ig.counts_d2)[0]
     chosen = 1 if ig.counts_d1[first] > ig.counts_d2[first] else 2
     [pair] = fit_interferograms([ig])
-    assert _same_fit(pair[chosen - 1], _known_fit(normalize(ig, detector=chosen))[0])
+    assert same_fit(pair[chosen - 1], known_fit(normalize(ig, detector=chosen))[0])
     [swapped] = fit_interferograms([Interferogram(ig.phase_rad, ig.counts_d2, ig.counts_d1)])
     assert _same_pairs([swapped[::-1]], [pair])
 
