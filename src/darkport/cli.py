@@ -89,18 +89,14 @@ def _fit_entry(result) -> dict:
 
 
 def cmd_fit(args) -> int:
-    n_steps = []
-
-    def interferograms():
-        for path in args.csv:
-            ig = reports.read_interferogram_csv(path)
-            n_steps.append(ig.n_steps)
-            yield ig
-
-    fits = fitting.fit_interferograms(interferograms())
-    entries = [{"path": path, "n_steps": n_steps[k],
-                "fits": {"d1": _fit_entry(d1), "d2": _fit_entry(d2)}}
-               for k, (path, (d1, d2)) in enumerate(zip(args.csv, fits))]
+    entries = []
+    for start in range(0, len(args.csv), fitting._STREAM_ROWS):
+        paths = args.csv[start:start + fitting._STREAM_ROWS]
+        blocks = reports.read_interferogram_block(paths)
+        entries += [{"path": path, "n_steps": len(data),
+                     "fits": {"d1": _fit_entry(d1), "d2": _fit_entry(d2)}}
+                    for path, data, (d1, d2) in zip(
+                        paths, blocks, fitting._fit_by_length([data.T for data in blocks]))]
     soft = any("error" in fit or not fit["converged"]
                for entry in entries for fit in entry["fits"].values())
     _emit_json(args, "fit_report.json", "fit report", {"files": entries})

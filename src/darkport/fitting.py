@@ -42,9 +42,9 @@ MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
 # f of the data paths: the fringe is sin^2(phase_rad / 2 + p)
 _FRINGE_FREQUENCY = 0.5
-# rows per fit_counts call where fit_interferograms and analysis._slot_fits
-# stream their input: one call on 1,600 fit rows raised fit's peak RSS from
-# 42 to 65 MB, and one on a slot's 200 rows a sweep's from 39.4 to 41.7 MB
+# rows per fit_counts call where fit_interferograms, cli.cmd_fit and analysis._slot_fits
+# stream their input: one call on 1,600 fit rows raised fit's peak RSS from 42 to 65 MB,
+# and one on a slot's 200 rows a sweep's from 39.4 to 41.7 MB
 _STREAM_ROWS = 64
 # a larger step total n = d1 + d2 lets the fit's weights (n + 2)^2 overflow
 _MAX_TOTAL = 1e150
@@ -446,13 +446,16 @@ def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, F
     """
     interferograms = iter(interferograms)
     while block := list(itertools.islice(interferograms, _STREAM_ROWS)):
-        outcomes: list = [None] * len(block)
-        for rows in _by_length([len(ig.phase_rad) for ig in block]).values():
-            stacked = (np.stack([getattr(block[i], name) for i in rows])
-                       for name in ("phase_rad", "counts_d1", "counts_d2"))
-            for i, pair in zip(rows, fit_counts(*stacked)):
-                outcomes[i] = pair
-        yield from outcomes
+        yield from _fit_by_length([(ig.phase_rad, ig.counts_d1, ig.counts_d2) for ig in block])
+
+
+def _fit_by_length(block: list) -> list[tuple[FitOutcome, FitOutcome]]:
+    """fit_counts, once per length, on rows that are (phase, d1, d2) arrays."""
+    outcomes: list = [None] * len(block)
+    for rows in _by_length([len(row[0]) for row in block]).values():
+        for i, pair in zip(rows, fit_counts(*np.stack([block[i] for i in rows], axis=1))):
+            outcomes[i] = pair
+    return outcomes
 
 
 def propagate(gradient: np.ndarray, covariance: np.ndarray) -> float | np.ndarray:

@@ -132,7 +132,10 @@ def expected_rates(model: SagnacModel, scan: ScanConfig) -> tuple[np.ndarray, np
 
 
 def _as_entropy(seed) -> tuple:
-    return (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
+    entropy = seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,)
+    if any(type(s) is bool or not isinstance(s, (int, np.integer)) for s in entropy):
+        raise ValueError(f"seed must be an integer or a sequence of integers, got {seed!r}")
+    return tuple(map(int, entropy))
 
 
 def draw_counts(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import re
 from typing import Iterable, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "write_json",
     "write_interferogram_csv",
     "read_interferogram_csv",
+    "read_interferogram_block",
     "write_histogram_csv",
     "write_sweep_csv",
     "write_index_csv",
@@ -64,9 +66,14 @@ def _encode_float(x) -> str:
     return f'"{text}"' if text[-1] in "nf" else text  # nan, inf and -inf
 
 
+# looked up by str(key), so 1 and True (equal hashes) keep their own texts
+@functools.lru_cache(maxsize=1024)
+def _encode_key(text: str) -> str:
+    return _encode_str(text) + ":"
+
+
 def _encode_dict(obj: dict) -> str:
-    return "{" + ",".join(f"{_encode_str(str(k))}:{_encode(v)}"
-                          for k, v in sorted(obj.items())) + "}"
+    return "{" + ",".join([_encode_key(str(k)) + _encode(v) for k, v in sorted(obj.items())]) + "}"
 
 
 def _encode_list(obj) -> str:
@@ -142,9 +149,33 @@ def write_interferogram_csv(path, ig: Interferogram) -> None:
                 for phi, d1, d2 in zip(ig.phase_rad, ig.counts_d1, ig.counts_d2)))
 
 
-def _parse_rows(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:
-    """The data rows as a float array, and the records as read (for
-    _raise_at_row); every field must be a finite number.
+def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
+    """The data rows as a float array; every field must be a finite number.
+
+    A UTF-8 file with no quote, NUL or lone CR, the expected header, width - 1
+    commas on every non-blank line and no line as long as
+    csv.field_size_limit() is split at its commas, as the csv module would;
+    any other file, and every error, is left to _parse_records."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").replace("\r\n", "\n")
+        header, *lines = text.split("\n")
+        lines = [line for line in lines if line]
+        if (lines and not any(c in text for c in '"\0\r')
+                and [h.strip() for h in header.split(",")] == list(expected_header)
+                and max(map(len, lines)) < csv.field_size_limit()
+                and set(map(str.count, lines, [","] * len(lines))) == {len(expected_header) - 1}):
+            data = np.array(",".join(lines).split(","), dtype=float)  # float() on each field
+            if np.isfinite(data).all():
+                return data.reshape(len(lines), -1)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        pass
+    return _parse_records(path, expected_header)[0]
+
+
+def _parse_records(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:
+    """_parse_rows by the csv module: the data rows, and the records as read
+    (for _raise_at_row).
 
     Blank lines are skipped but counted in the line numbers of errors.
     """
@@ -170,13 +201,16 @@ def _parse_rows(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(expected_header)
-    try:
-        if set(map(len, rows)) != {width}:
-            raise ValueError("wrong field count")
-        data = np.array(rows, dtype=float)  # float() on each field
-    except ValueError:
-        _raise_first_bad_line(path, records, width)
-        raise
+    for lineno, row in enumerate(records, start=2):  # the first bad line raises
+        if row and len(row) != width:
+            raise CsvFormatError(f"{path}: line {lineno}: expected {width} fields, "
+                                 f"got {len(row)}")
+        for field in row:
+            try:
+                float(field)
+            except ValueError as err:
+                raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
+    data = np.array(rows, dtype=float)  # float() on each field
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         _raise_at_row(path, records, ~finite, "non-finite value")
@@ -189,31 +223,34 @@ def _raise_at_row(path, records: list[list[str]], bad: np.ndarray, message: str)
     raise CsvFormatError(f"{path}: line {linenos[int(np.argmax(bad))]}: {message}")
 
 
-def _raise_first_bad_line(path, records: list[list[str]], width: int) -> None:
-    """Raise the error of the first data line with the wrong field count or
-    a field that float() refuses."""
-    for lineno, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise CsvFormatError(f"{path}: line {lineno}: expected {width} fields, "
-                                 f"got {len(row)}")
-        for field in row:
-            try:
-                float(field)
-            except ValueError as err:
-                raise CsvFormatError(f"{path}: line {lineno}: {err}") from err
+def read_interferogram_block(paths: Sequence) -> list[np.ndarray]:
+    """The (n_steps, 3) float rows of each interferogram CSV, checked as
+    read_interferogram_csv checks them; the first bad file in paths raises."""
+    header, blocks, error = ("phase_rad", "counts_d1", "counts_d2"), [], None
+    for path in paths:
+        try:
+            blocks.append(_parse_rows(path, header))
+        except CsvFormatError as err:  # raised once the files before it are checked
+            error = err
+            break
+    counts = np.concatenate([np.empty((0, 3)), *blocks])[:, 1:]
+    bad = (counts < 0).any(axis=1) | (counts[:, 0] > _MAX_TOTAL - counts[:, 1])
+    if bad.any():
+        k = int(np.searchsorted(np.cumsum([len(b) for b in blocks]), np.argmax(bad), "right"))
+        path, counts = paths[k], blocks[k][:, 1:]
+        if (counts < 0).any():
+            raise CsvFormatError(f"{path}: negative counts")
+        _raise_at_row(path, _parse_records(path, header)[1],
+                      counts[:, 0] > _MAX_TOTAL - counts[:, 1], f"counts_d1 + counts_d2 above "
+                      f"{_MAX_TOTAL!r}, where the fit's weights overflow")
+    if error is not None:
+        raise error
+    return blocks
 
 
 def read_interferogram_csv(path) -> Interferogram:
-    data, records = _parse_rows(path, ("phase_rad", "counts_d1", "counts_d2"))
+    [data] = read_interferogram_block([path])
     counts = data[:, 1:]
-    if (counts < 0).any():
-        raise CsvFormatError(f"{path}: negative counts")
-    huge = counts[:, 0] > _MAX_TOTAL - counts[:, 1]  # d1 + d2 could overflow
-    if huge.any():
-        _raise_at_row(path, records, huge, f"counts_d1 + counts_d2 above {_MAX_TOTAL!r}, "
-                                            "where the fit's weights overflow")
     # integer counts become int64 only up to 2**53, where every float is exact
     if ((counts == counts.round()) & (counts <= 2.0 ** 53)).all():
         counts = counts.astype(np.int64)
@@ -239,7 +276,7 @@ def write_index_csv(path, spectrum: IndexSpectrum) -> None:
 
 
 def read_phase_spectrum_csv(path) -> PhaseSpectrum:
-    data, _ = _parse_rows(path, ("wavelength_nm", "phase_rad"))
+    data = _parse_rows(path, ("wavelength_nm", "phase_rad"))
     try:
         return PhaseSpectrum(wavelength_nm=data[:, 0], phase_rad=data[:, 1])
     except ValueError as err:

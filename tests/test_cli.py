@@ -680,8 +680,24 @@ def test_fit_bad_csv_after_a_full_block_writes_no_report(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("phase_rad,counts_d1,counts_d2\n1.0,2.0\n")
     out = tmp_path / "report"
-    # 40 readable files, more than one block of fits, then the bad one
-    assert main(["fit", *good * 20, str(bad), "--out", str(out)]) == 3
+    # 80 readable files, more than one 64-file block, then the bad one
+    assert main(["fit", *good * 40, str(bad), "--out", str(out)]) == 3
+    assert not (out / "fit_report.json").exists()
+
+
+def test_fit_reports_the_first_bad_file_of_a_block(tmp_path, capsys):
+    # file 2's counts are checked with its block, after file 5 is parsed
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    good = str(tmp_path / "interferogram_nim.csv")
+    negative = tmp_path / "negative.csv"
+    negative.write_text("phase_rad,counts_d1,counts_d2\n0.0,-1,2\n")
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("phase_rad,counts_d1,counts_d2\n0.0,x,2\n")
+    out = tmp_path / "report"
+    capsys.readouterr()
+    argv = ["fit", good, str(negative), good, good, str(malformed), good, "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"input error: {negative}: negative counts\n"
     assert not (out / "fit_report.json").exists()
 
 

@@ -52,6 +52,20 @@ def test_scan_config_refuses_a_seed_that_is_not_a_64_bit_int(seed):
         ScanConfig(rng_seed=seed)
 
 
+@pytest.mark.parametrize("seed", ["12", True, (1, True), 12.0],
+                         ids=["str", "bool", "bool_in_tuple", "float"])
+def test_draws_refuse_a_seed_that_is_not_integers(seed):
+    # int() on each element read "12" as the entropy (1, 2) and True as 1
+    scan, model = ScanConfig(), flat_model()
+    draws = [lambda: draw_counts(model, scan, [seed]),
+             lambda: simulate_interferogram(model, scan, seed=seed),
+             lambda: simulate_run(model, model, scan, seed=seed)]
+    for draw in draws:
+        with pytest.raises(ValueError, match="seed must be an integer or a sequence of "
+                                             "integers, got "):
+            draw()
+
+
 def test_same_seed_reproduces_counts():
     scan = ScanConfig(rng_seed=42)
     a = simulate_interferogram(flat_model(), scan)

@@ -37,6 +37,7 @@ from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, p
 from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram, simulate_run
 from darkport.quaternion import PhaseVector, Quaternion, mul, norm, qexp
 from darkport.reports import (
+    CsvFormatError,
     dumps_json,
     format_float,
     read_interferogram_csv,
@@ -383,6 +384,60 @@ def test_interferogram_csv_round_trip_is_exact(data):
     for got, want in ((back.counts_d1, ig.counts_d1), (back.counts_d2, ig.counts_d2)):
         assert got.dtype == (np.int64 if exact_int else float)
         assert got.astype(want.dtype).tobytes() == want.tobytes()
+
+
+_CSV_COUNT = st.one_of(st.integers(0, 10 ** 19).map(str), st.floats(0.0, 1e20).map(repr))
+_CSV_HOSTILE = st.sampled_from(["-1", "nan", "inf", "", "x", "1e160", "1e308", " 7 ", "1_0"])
+
+
+@st.composite
+def _csv_row(draw):
+    """A phase and two counts; or a blank line, a row with a hostile field,
+    or a row with a field too few or too many."""
+    row = [repr(draw(st.floats(-1e6, 1e6))), draw(_CSV_COUNT), draw(_CSV_COUNT)]
+    change = draw(st.sampled_from(["none"] * 9 + ["blank", "field", "field", "short", "long"]))
+    if change == "blank":
+        return []
+    if change == "field":
+        row[draw(st.integers(0, 2))] = draw(_CSV_HOSTILE)
+    return row[:2] if change == "short" else row + ["1"] if change == "long" else row
+
+
+@st.composite
+def _csv_lines(draw):
+    """An interferogram CSV as lists of fields: a header, mostly right, then rows."""
+    right = ["phase_rad", "counts_d1", "counts_d2"]
+    header = draw(st.sampled_from([right] * 4 + [[" phase_rad", "counts_d1 ", "counts_d2"],
+                                                 right[:2], ["a", *right[1:]]]))
+    return [header, *draw(st.lists(_csv_row(), max_size=12))]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(lines=_csv_lines(), data=st.data())
+def test_csv_reader_reads_lf_crlf_and_quoted_files_alike(lines, data):
+    # a good LF or CRLF file takes the reader's plain-text path, and a file
+    # with a quoted field the csv module's: all three give the same arrays
+    # and dtypes, or the same error
+    quoted = [list(fields) for fields in lines]
+    row = data.draw(st.sampled_from([fields for fields in quoted if fields]))
+    k = data.draw(st.integers(0, len(row) - 1))
+    row[k] = f'"{row[k]}"'
+    texts = ["".join(",".join(fields) + end for fields in rows)
+             for rows, end in ((lines, "\n"), (lines, "\r\n"), (quoted, "\n"))]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ig.csv")
+        for text in texts:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                ig = read_interferogram_csv(path)
+            except CsvFormatError as err:
+                results.append(str(err))
+            else:
+                results.append([(a.dtype, a.tobytes())
+                                for a in (ig.phase_rad, ig.counts_d1, ig.counts_d2)])
+    assert results[1] == results[0] and results[2] == results[0], texts
 
 
 _REPORTS = st.recursive(

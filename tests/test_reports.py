@@ -57,6 +57,13 @@ def test_dumps_json_numbers():
     assert dumps_json(np.array([[1.0, 2.5], [-0.0, np.nan]])) == '[[1,2.5],[-0.0,"nan"]]\n'
 
 
+def test_dumps_json_keys_equal_across_types_keep_their_own_text():
+    # 1 == True and hash(1) == hash(True): a key cache over all types would
+    # hand {True: 0} the text of {1: 0}
+    assert [dumps_json({1: 0}), dumps_json({True: 0}), dumps_json({"1": 0})] == \
+        ['{"1":0}\n', '{"True":0}\n', '{"1":0}\n']
+
+
 @dataclasses.dataclass(frozen=True)
 class _Entry:
     name: str
