@@ -4,10 +4,15 @@ The chain is: fitted visibilities per run -> Delta V and Gamma-ratio
 distributions -> theta bound.  The Gamma ratio is the headline observable
 because the Sagnac's own visibility cancels from it; a campaign mean
 further than 5 standard errors from 1 raises the non-commutativity flag.
+Fits arrive as the fit engine's arrays (fitting._FIT) and the statistics
+are array expressions over them.  campaign_records and records_from_runs
+build RunRecords from the arrays; the statistics of records convert them
+back once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import photonsim
 from .config import ConfigError, ExperimentConfig
-from .fitting import _STREAM_ROWS, FitResult, fit_counts, fit_interferograms
+from .fitting import _FIT, _STREAM_ROWS, _fit_by_length, _fit_rows
 from .interferometer import (
     NonPhysicalVisibilityError,
     SagnacModel,
@@ -52,6 +57,8 @@ __all__ = [
 ]
 
 DETECTION_SIGMA = 5.0
+# the fields of a slot's fits that campaign_records and the sweep read
+_SLOT = np.dtype([(name, _FIT[name]) for name in ("value", "sigma", "usable")])
 
 
 class TooFewFitsError(ValueError):
@@ -150,56 +157,49 @@ class BoundReport:
     gamma_ratio_hist: tuple[tuple[float, int], ...]
 
 
-def _visibility_or_none(fit) -> VisibilityValue | None:
-    if isinstance(fit, FitResult) and fit.converged:
-        return fit.visibility
-    return None
+def _records(indices: Iterable[int], fits: np.ndarray) -> list[RunRecord]:
+    """One record per run from (runs, 4) fits (fitting._FIT or _SLOT) of its
+    slots v_nim_d1, v_nim_d2, v_both_d1 and v_both_d2, with None where a fit
+    is not usable."""
+    rows = zip(*(fits[name].tolist() for name in ("value", "sigma", "usable")))
+    return [RunRecord(idx, *(VisibilityValue(v, s) if ok else None for v, s, ok in zip(*row)))
+            for idx, row in zip(indices, rows, strict=True)]
 
 
 def records_from_runs(runs: Iterable[RunPair]) -> list[RunRecord]:
     """Fit every interferogram of every run; failures leave None slots.
 
-    The runs are consumed as fit_interferograms needs them, so a
-    generator of runs is never held in memory whole.
+    The runs are read _STREAM_ROWS // 2 at a time, so a generator of runs
+    is never held in memory whole.
     """
-    indices = []
-
-    def interferograms():
-        for run in runs:
-            indices.append(run.run_index)
-            yield run.nim
-            yield run.both
-
-    fits = fit_interferograms(interferograms())
-    # consecutive (d1, d2) pairs are one run's reference and toggled fits
-    return [RunRecord(indices[k], *map(_visibility_or_none, nim + both))
-            for k, (nim, both) in enumerate(zip(fits, fits))]
+    runs, records = iter(runs), []
+    while block := list(itertools.islice(runs, _STREAM_ROWS // 2)):
+        fits = _fit_by_length([(ig.phase_rad, ig.counts_d1, ig.counts_d2)
+                               for run in block for ig in (run.nim, run.both)])
+        # a run's reference then toggled (d1, d2) fits
+        records += _records([run.run_index for run in block], fits.reshape(-1, 4))
+    return records
 
 
 def _slot_fits(model: SagnacModel, slot: int, scan: ScanConfig, master_seed: int,
-               indices: Sequence[int]) -> list[tuple[VisibilityValue | None, ...]]:
-    """The (d1, d2) visibilities of one configuration's slot in the given runs.
+               indices: Sequence[int]) -> np.ndarray:
+    """The (runs, 2) _SLOT fits of one configuration's slot in the given runs,
+    detector 1 then 2.
 
     Run idx draws from seed (master_seed, idx, slot); the rows go through
-    photonsim.draw_counts and fitting.fit_counts as (rows, n_steps) count
+    photonsim.draw_counts and fitting._fit_rows as (rows, n_steps) count
     blocks with no Interferogram per run, _STREAM_ROWS rows at a time as in
     fitting.fit_interferograms, which bounds the work arrays held at once.
     A row depends only on the model's expected rates, the scan and its seed.
     """
     phase = scan.phases()
-    fits = []
+    fits = np.zeros((len(indices), 2), _SLOT)
     for start in range(0, len(indices), _STREAM_ROWS):
-        block = indices[start:start + _STREAM_ROWS]
-        d1, d2 = photonsim.draw_counts(model, scan, [(master_seed, idx, slot) for idx in block])
-        fits.extend(tuple(map(_visibility_or_none, pair)) for pair in fit_counts(phase, d1, d2))
+        block = slice(start, start + _STREAM_ROWS)
+        d1, d2 = photonsim.draw_counts(model, scan, [(master_seed, idx, slot)
+                                                     for idx in indices[block]])
+        fits[block] = _fit_rows(phase, d1, d2)[list(_SLOT.names)]
     return fits
-
-
-def _paired_records(indices: Iterable[int], reference_fits: list,
-                    toggled_fits: list) -> list[RunRecord]:
-    """One record per run: its reference (slot 0) then toggled (slot 1) fits."""
-    return [RunRecord(idx, *ref, *tog)
-            for idx, ref, tog in zip(indices, reference_fits, toggled_fits, strict=True)]
 
 
 def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanConfig,
@@ -211,19 +211,29 @@ def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanCon
     with seed (master_seed, idx) does, so the records equal
     records_from_runs of those runs, and any split of the indices over
     calls gives the same records.  Each slot is simulated and fitted on
-    its own (_slot_fits), then the two are zipped run by run.
+    its own (_slot_fits), then the two are joined run by run.
     """
     photonsim.check_pair(reference, toggled)
     indices = list(indices)
-    return _paired_records(indices, *(_slot_fits(model, slot, scan, master_seed, indices)
-                                      for slot, model in enumerate((reference, toggled))))
+    return _records(indices, np.concatenate([_slot_fits(model, slot, scan, master_seed, indices)
+                                             for slot, model in enumerate((reference, toggled))],
+                                            axis=1))
 
 
-def _pooled_pairs(records: Iterable[RunRecord]) -> list[tuple[VisibilityValue, VisibilityValue]]:
-    pairs = []
-    for rec in records:
-        pairs.extend(rec.detector_pairs())
-    return pairs
+def _pairs(reference: np.ndarray, toggled: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V_both, its sigma, V_nim and its sigma of each detector pair of the
+    slots' (runs, 2) fits with both fits usable: run-major, detector 1 then
+    2, as RunRecord.detector_pairs gives them."""
+    usable = reference["usable"] & toggled["usable"]
+    return tuple(fits[name][usable] for fits in (toggled, reference)
+                 for name in ("value", "sigma"))
+
+
+def _record_pairs(records: Sequence[RunRecord]) -> tuple[np.ndarray, ...]:
+    """_pairs of records."""
+    pairs = [(v_both.value, v_both.sigma, v_nim.value, v_nim.sigma)
+             for rec in records for v_both, v_nim in rec.detector_pairs()]
+    return tuple(np.array(pairs, dtype=float).reshape(-1, 4).T)
 
 
 def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float]:
@@ -237,7 +247,8 @@ def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float
 
 def delta_v_statistics(records: Sequence[RunRecord]) -> DeltaVStats:
     """Delta V mean, sample std, and standard error, pooled over detectors."""
-    values = np.array([v_both.value - v_nim.value for v_both, v_nim in _pooled_pairs(records)])
+    v_both, _, v_nim, _ = _record_pairs(records)
+    values = v_both - v_nim
     mean, std, stderr = _mean_std_stderr(values, "Delta V")
     return DeltaVStats(values=values, mean=mean, std=std, stderr=stderr)
 
@@ -249,24 +260,30 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
     rather than failing the campaign.  At least 2 usable points are needed:
     one value has no scatter, so no stderr to test the mean against.
     """
-    values = []
-    sigmas = []
-    n_excluded = 0
-    for v_both, v_nim in _pooled_pairs(records):
+    return _gamma_ratio_statistics(_record_pairs(records))
+
+
+def _gamma_ratio_statistics(pairs: tuple[np.ndarray, ...]) -> GammaRatioStats:
+    """gamma_ratio_distribution of _pairs: each point as gamma_ratio computes
+    it, and each non-physical point's warning from gamma_ratio of that point."""
+    v_both, s_both, v_nim, s_nim = pairs
+    physical = (v_both >= 0.0) & (v_both < 1.0) & (v_nim >= 0.0) & (v_nim < 1.0)
+    for both, sigma_both, nim, sigma_nim in zip(*(a[~physical].tolist() for a in pairs)):
         try:
-            ratio = gamma_ratio(v_both, v_nim)
+            gamma_ratio(VisibilityValue(both, sigma_both), VisibilityValue(nim, sigma_nim))
         except NonPhysicalVisibilityError as err:
-            warnings.warn(f"excluding non-physical point: {err}", stacklevel=2)
-            n_excluded += 1
-            continue
-        values.append(ratio.value)
-        sigmas.append(ratio.sigma)
-    arr = np.array(values)
-    point_sigmas = np.array(sigmas)
-    mean, std, stderr = _mean_std_stderr(arr, "Gamma-ratio")
-    return GammaRatioStats(values=arr, point_sigmas=point_sigmas, mean=mean, std=std,
+            # stacklevel 3: the caller of gamma_ratio_distribution or sensitivity_sweep
+            warnings.warn(f"excluding non-physical point: {err}", stacklevel=3)
+    # gamma_ratio's arithmetic, elementwise (np.sqrt rounds as math.sqrt does)
+    a, b = v_both[physical], v_nim[physical]
+    num, den = (1.0 - a) * (1.0 + a), (1.0 - b) * (1.0 + b)
+    values = np.sqrt(num / den)
+    terms = (-a / np.sqrt(num * den) * s_both[physical], b * values / den * s_nim[physical])
+    point_sigmas = np.array(list(map(math.hypot, *(t.tolist() for t in terms))), dtype=float)
+    mean, std, stderr = _mean_std_stderr(values, "Gamma-ratio")
+    return GammaRatioStats(values=values, point_sigmas=point_sigmas, mean=mean, std=std,
                            stderr=stderr, mean_point_sigma=float(np.mean(point_sigmas)),
-                           n_excluded=n_excluded)
+                           n_excluded=int(np.count_nonzero(~physical)))
 
 
 def _histogram(values: np.ndarray, bins="fd") -> tuple[tuple[float, int], ...]:
@@ -340,16 +357,17 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
     min_detectable_epsilon is the detecting epsilon (significance at least
     DETECTION_SIGMA) of smallest magnitude, the first in grid order on a tie.
 
-    Each epsilon's records are campaign_records of its pair, but a slot's
-    fits are computed once per call for each distinct (expected rates,
-    slot): the scan, seeds and runs are the same at every epsilon, so a
-    configuration that epsilon does not touch (the reference in the
+    Each epsilon's statistic is that of campaign_records of its pair, but
+    it is read from the slots' fit arrays with no record built, and a
+    slot's fits are computed once per call for each distinct (expected
+    rates, slot): the scan, seeds and runs are the same at every epsilon,
+    so a configuration that epsilon does not touch (the reference in the
     default roles), a repeated epsilon or -0.0 reuses them bit for bit.
     """
     runs = range(config.n_runs)
-    fits: dict[tuple[bytes, int], list] = {}
+    fits: dict[tuple[bytes, int], np.ndarray] = {}
 
-    def slot_fits(model: SagnacModel, slot: int) -> list:
+    def slot_fits(model: SagnacModel, slot: int) -> np.ndarray:
         key = (np.stack(photonsim.expected_rates(model, config.scan)).tobytes(), slot)
         if key not in fits:
             fits[key] = _slot_fits(model, slot, config.scan, config.master_seed, runs)
@@ -365,8 +383,7 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
                               f"at epsilon {eps!r}")
         shift = g_ref - g_tog
         visible_deviation = abs(1.0 - abs(g_tog) / g_ref)
-        stats = gamma_ratio_distribution(_paired_records(
-            runs, slot_fits(reference, 0), slot_fits(toggled, 1)))
+        stats = _gamma_ratio_statistics(_pairs(slot_fits(reference, 0), slot_fits(toggled, 1)))
         if visible_deviation == 0.0:
             significance = 0.0
         elif stats.stderr > 0.0:

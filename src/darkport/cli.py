@@ -96,7 +96,8 @@ def cmd_fit(args) -> int:
         entries += [{"path": path, "n_steps": len(data),
                      "fits": {"d1": _fit_entry(d1), "d2": _fit_entry(d2)}}
                     for path, data, (d1, d2) in zip(
-                        paths, blocks, fitting._fit_by_length([data.T for data in blocks]))]
+                        paths, blocks,
+                        fitting._outcomes(fitting._fit_by_length([data.T for data in blocks])))]
     soft = any("error" in fit or not fit["converged"]
                for entry in entries for fit in entry["fits"].values())
     _emit_json(args, "fit_report.json", "fit report", {"files": entries})

@@ -2,9 +2,11 @@
 
 The model is A sin^2(f x + p) + B = c0 + c1 cos 2fx + c2 sin 2fx, linear
 in (c0, c1, c2) at a fixed f.  phase_rad is the Mach-Zehnder phase in the
-simulated scan and the CSV format alike, so f = 1/2 is known: fit_counts
-and fit_interferograms, which every command uses, fit each block of rows
-of one kept length by one weighted least-squares solve at that f.
+simulated scan and the CSV format alike, so f = 1/2 is known: every command
+fits each block of rows of one kept length by one weighted least-squares
+solve at that f (_fit_block).  The block's fits stay arrays, one _FIT record
+per row and detector, which the campaign reads as they are; fit_counts,
+fit_interferograms and fit_sinusoid build FitResult objects from them.
 fit_sinusoid searches f too, one row at a time, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Weights come from
 the binomial error of the count ratio.  The covariance is the inverse
@@ -280,11 +282,27 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: b
     return *fitted, np.sum(w * deriv * resid, axis=-1) * inverse
 
 
+# A fit per [row, side] of a block, the sides being the fitted fringe and its
+# mirror (_fit_block) or detectors 1 and 2 (_fit_rows).  The campaign reads
+# value (A/(A+2B) clipped to [0, 1]), sigma and usable (converged, A + 2B > 0 and
+# no FitInputError, which error holds); _outcomes builds objects from the rest.
+_FIT = np.dtype([("value", float), ("sigma", float), ("usable", bool), ("params", float, 4),
+                 ("cov", float, (4, 4)), ("converged", bool), ("residual_norm", float),
+                 ("n_points", int), ("n_excluded", int), ("error", object)])
+
+
+def _blank(rows: int, sides: int = 2) -> np.ndarray:
+    """(rows, sides) _FIT fits that hold nothing: zeros, False and None."""
+    fits = np.zeros((rows, sides), _FIT)
+    fits["error"] = None
+    return fits
+
+
 def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
-               n_excluded: np.ndarray) -> tuple[list, list]:
-    """The outcomes of the fit at f = 1/2 of (rows, n) fringe arrays, and of
-    the mirror fringes 1 - y, whose coefficients (1 - c0, -c1, -c2) have the
-    same inverse normal matrix.
+               n_excluded: np.ndarray) -> np.ndarray:
+    """The _FIT fits at f = 1/2 of (rows, n) fringe arrays and of the mirror
+    fringes 1 - y, whose coefficients (1 - c0, -c1, -c2) have the same
+    inverse normal matrix.
 
     Each row's arithmetic is its own, so its fit does not depend on the
     other rows.  converged is the goodness of fit chi2 <= dof + 5 sqrt(2 dof),
@@ -299,63 +317,84 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     spread = np.linalg.svd(points, compute_uv=False)[:, -1]  # the smaller singular value
     few = spread <= n ** 1.5 * np.finfo(float).eps * (1.0 + np.max(np.abs(x), axis=-1))
     kept = np.flatnonzero(~few)
-    x, y, w, n_excluded = x[kept], y[kept], 1.0 / (sigma[kept] * sigma[kept]), n_excluded[kept]
+    x, y, w = x[kept], y[kept], 1.0 / (sigma[kept] * sigma[kept])
     f = np.full(len(kept), _FRINGE_FREQUENCY)
     coef, chi2, cov = _project(x, w, y, f)
     dof = n - 3
-    stats = (chi2 <= dof + 5.0 * math.sqrt(2.0 * dof), np.zeros_like(kept), n_excluded)
-    sides = [iter(_outcomes(n, dof, f, c, cov, chi2, *stats)) for c in (coef, [1, 0, 0] - coef)]
-    return tuple([FitInputError("points with counts must lie at three or more points of the "
-                                "fringe (mod 2 pi)") if refused else next(side)
-                  for refused in few.tolist()] for side in sides)
+    fits = _fits(n, dof, f, (coef, [1, 0, 0] - coef), cov, chi2,
+                 chi2 <= dof + 5.0 * math.sqrt(2.0 * dof), n_excluded[kept])
+    if len(kept) < len(few):  # place the fitted rows among the refused ones
+        fits, kept_fits = _blank(len(few)), fits
+        fits[kept] = kept_fits
+        for i in np.flatnonzero(few):
+            fits["error"][i] = FitInputError("points with counts must lie at three or more "
+                                             "points of the fringe (mod 2 pi)")
+    return fits
 
 
 def _visibilities(params: np.ndarray,
-                  cov: np.ndarray) -> list[VisibilityValue | InvalidFitError]:
-    """Each row's visibility A/(A+2B), with the sigma propagated from the
-    (A, B) block of its covariance, or its InvalidFitError (A + 2B <= 0)."""
+                  cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's visibility A/(A+2B) and its sigma, propagated from the
+    (A, B) block of its covariance, where A + 2B > 0 (else 0), and that mask."""
     denom = params[:, 0] + 2.0 * params[:, 3]
     valid = denom > 0.0
     a, b, d = params[valid, 0], params[valid, 3], denom[valid]
     grad = np.stack([2.0 * b / (d * d), -2.0 * a / (d * d)], axis=-1)
-    sigma = propagate(grad, cov[valid][:, 0::3, 0::3])
+    value, sigma = np.zeros((2, len(denom)))
     # fit noise can push B a hair negative on bright data; the fringe
     # contrast itself is still bounded
-    visibilities = map(VisibilityValue, np.clip(a / d, 0.0, 1.0).tolist(), sigma.tolist())
-    return [next(visibilities) if ok
-            else InvalidFitError(f"A + 2B must be positive, got {q!r}")
-            for ok, q in zip(valid.tolist(), denom.tolist())]
+    value[valid] = np.clip(a / d, 0.0, 1.0)
+    sigma[valid] = propagate(grad, cov[valid][:, 0::3, 0::3])
+    return value, sigma, valid
 
 
-def _outcomes(n: int, dof: int, f: np.ndarray, coef: np.ndarray, cov: np.ndarray,
-              chi2: np.ndarray, converged: np.ndarray, iterations: np.ndarray,
-              n_excluded: np.ndarray) -> list[FitResult | InvalidFitError]:
-    """The FitResult of each row of n-point fits, or its InvalidFitError.
+def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: np.ndarray,
+          converged: np.ndarray, n_excluded: np.ndarray) -> np.ndarray:
+    """The _FIT fits of n-point rows fitted at f, with a side for each (c0, c1, c2)
+    array in sides, whose inverse normal matrix of (c0, c1, c2, f) is cov.
 
     A sin^2(f x + p) + B = B + A/2 - (A/2) cos 2p cos 2fx + (A/2) sin 2p sin 2fx,
     so with h = |(c1, c2)|: A = 2h, p = atan2(c2, -c1)/2 mod pi and B = c0 - h.
-    The covariance is the inverse normal matrix cov of (c0, c1, c2, f) from
-    _project carried through the Jacobian of that map, whose p row is 0 where
-    h = 0, and rescaled by the reduced chi-square chi2 / dof.
+    The covariance is cov carried through the Jacobian of that map, whose p
+    row is 0 where h = 0, and rescaled by the reduced chi-square chi2 / dof.
     """
-    h = np.hypot(coef[:, 1], coef[:, 2])
-    turn = np.arctan2(coef[:, 2], -coef[:, 1])  # 2p
-    params = np.stack([2.0 * h, f, np.mod(0.5 * turn, math.pi), coef[:, 0] - h], axis=-1)
-    unit = np.stack([-np.cos(turn), np.sin(turn)], axis=-1)  # (c1, c2) / h
-    jac = np.zeros((len(h), 4, 4))  # d(A, f, p, B) / d(c0, c1, c2, f)
-    jac[:, 0, 1:3], jac[:, 3, 1:3] = 2.0 * unit, -unit
-    jac[:, 1, 3] = jac[:, 3, 0] = 1.0
-    jac[:, 2, 1:3] = (np.divide(0.5, h, out=np.zeros_like(h), where=h > 0.0)[:, None]
-                      * unit[:, ::-1] * [1.0, -1.0])
-    cov = jac @ cov @ jac.swapaxes(1, 2) * (chi2 / dof)[:, None, None]
-    low_signal = params[:, 0] <= 2.0 * np.sqrt(np.maximum(cov[:, 0, 0], 0.0))
-    rows = zip(_visibilities(params, cov), params.tolist(), cov, converged.tolist(),
-               iterations.tolist(), np.sqrt(chi2).tolist(), low_signal.tolist(),
-               n_excluded.tolist())
-    return [visibility if isinstance(visibility, InvalidFitError) else FitResult(
-                *p, covariance=c, visibility=visibility, converged=conv, iterations=its,
-                residual_norm=r, n_points=n, low_signal=low, n_excluded=excl)
-            for visibility, p, c, conv, its, r, low, excl in rows]
+    fits = _blank(len(f), len(sides))
+    for k, coef in enumerate(sides):
+        h = np.hypot(coef[:, 1], coef[:, 2])
+        turn = np.arctan2(coef[:, 2], -coef[:, 1])  # 2p
+        params = np.stack([2.0 * h, f, np.mod(0.5 * turn, math.pi), coef[:, 0] - h], axis=-1)
+        unit = np.stack([-np.cos(turn), np.sin(turn)], axis=-1)  # (c1, c2) / h
+        jac = np.zeros((len(h), 4, 4))  # d(A, f, p, B) / d(c0, c1, c2, f)
+        jac[:, 0, 1:3], jac[:, 3, 1:3] = 2.0 * unit, -unit
+        jac[:, 1, 3] = jac[:, 3, 0] = 1.0
+        jac[:, 2, 1:3] = (np.divide(0.5, h, out=np.zeros_like(h), where=h > 0.0)[:, None]
+                          * unit[:, ::-1] * [1.0, -1.0])
+        side = fits[:, k]
+        side["params"] = params
+        side["cov"] = jac @ cov @ jac.swapaxes(1, 2) * (chi2 / dof)[:, None, None]
+        side["value"], side["sigma"], side["usable"] = _visibilities(params, side["cov"])
+    for name, a in (("converged", converged), ("residual_norm", np.sqrt(chi2)),
+                    ("n_points", n), ("n_excluded", n_excluded)):
+        fits[name] = np.reshape(a, (-1, 1))
+    fits["usable"] &= fits["converged"]
+    return fits
+
+
+def _outcomes(fits: np.ndarray, iterations: int = 0) -> list[tuple[FitOutcome, ...]]:
+    """Each row's outcome on each side of (rows, sides) _FIT fits: the row's
+    FitInputError, an InvalidFitError where A + 2B <= 0, or a FitResult."""
+    params, cov = fits["params"], fits["cov"]
+    denom = params[..., 0] + 2.0 * params[..., 3]
+    low_signal = params[..., 0] <= 2.0 * np.sqrt(np.maximum(cov[..., 0, 0], 0.0))
+    columns = [a.reshape(fits.size, *a.shape[2:]) for a in (
+        fits["error"], denom, params, fits["value"], fits["sigma"], fits["converged"],
+        fits["residual_norm"], fits["n_points"], low_signal, fits["n_excluded"], cov)]
+    flat = [error if error is not None
+            else InvalidFitError(f"A + 2B must be positive, got {q!r}") if not q > 0.0
+            else FitResult(*p, c, VisibilityValue(v, s), conv, iterations, *rest)
+            for error, q, p, v, s, conv, *rest, c in zip(*(a.tolist() for a in columns[:-1]),
+                                                         columns[-1])]
+    return list(zip(*[iter(flat)] * fits.shape[1]))  # one tuple of sides per row
 
 
 def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
@@ -402,22 +441,19 @@ def fit_sinusoid(fringe: NormalizedFringe) -> FitResult:
     # data alternate near the Nyquist frequency), is not a resolved fringe
     converged = (converged and lowest <= abs(f[0]) < highest
                  and chi2[0] <= _project(x, w, y, np.array([highest]))[1][0])
-    [result] = _outcomes(n, n - 4, f, coef, cov, chi2, np.array([converged]),
-                         np.array([iterations]), np.array([fringe.n_excluded]))
+    [(result,)] = _outcomes(_fits(n, n - 4, f, (coef,), cov, chi2, np.array([converged]),
+                                  np.array([fringe.n_excluded])), iterations)
     if isinstance(result, InvalidFitError):
         raise result
     return result
 
 
-def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
-               counts_d2: np.ndarray) -> list[tuple[FitOutcome, FitOutcome]]:
-    """fit_interferograms on count blocks: the (d1, d2) outcomes of each row.
-
-    The arguments are (rows, n_steps) arrays, or broadcast to that shape.
-    Rows are sorted, normalized and checked together, then each group of
-    equal kept length is fitted by one solve (_fit_block); a row's outcomes
-    do not depend on the other rows.
-    """
+def _fit_rows(phase: np.ndarray, counts_d1: np.ndarray, counts_d2: np.ndarray) -> np.ndarray:
+    """The (rows, 2) _FIT fits of detectors 1 and 2 of (rows, n_steps) count
+    arrays, or arrays that broadcast to that shape.  Rows are sorted,
+    normalized and checked together, then each group of equal kept length
+    is fitted by one solve (_fit_block); a row's fits do not depend on the
+    other rows."""
     arrays = np.broadcast_arrays(phase, counts_d1, counts_d2)
     if arrays[0].ndim != 2:
         raise ValueError(f"fit_counts needs (rows, n_steps) arrays, got shape "
@@ -425,11 +461,19 @@ def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
     phase, d1, d2 = _sorted_by_phase(*(np.ascontiguousarray(a, dtype=float) for a in arrays))
     detectors = _fitted_detectors(d1, d2)
     errors, groups = _normalize_rows(phase, d1, d2, detectors)
-    outcomes: list = [(err, err) for err in errors]
+    fits = _blank(len(errors))
+    fits["error"] = np.array(errors, dtype=object)[:, None]
     for rows, x, y, sigma, n_excluded in groups:
-        for i, own, other in zip(rows, *_fit_block(x, y, sigma, n_excluded)):
-            outcomes[i] = (own, other) if detectors[i] == 1 else (other, own)
-    return outcomes
+        sides = np.where(detectors[rows, None] == 1, [0, 1], [1, 0])
+        fits[rows[:, None], sides] = _fit_block(x, y, sigma, n_excluded)
+    return fits
+
+
+def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
+               counts_d2: np.ndarray) -> list[tuple[FitOutcome, FitOutcome]]:
+    """fit_interferograms on count blocks: the (d1, d2) outcomes of each row
+    of (rows, n_steps) arrays, or arrays that broadcast to that shape."""
+    return _outcomes(_fit_rows(phase, counts_d1, counts_d2))
 
 
 def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, FitOutcome]]:
@@ -446,16 +490,19 @@ def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, F
     """
     interferograms = iter(interferograms)
     while block := list(itertools.islice(interferograms, _STREAM_ROWS)):
-        yield from _fit_by_length([(ig.phase_rad, ig.counts_d1, ig.counts_d2) for ig in block])
+        yield from _outcomes(_fit_by_length([(ig.phase_rad, ig.counts_d1, ig.counts_d2)
+                                             for ig in block]))
 
 
-def _fit_by_length(block: list) -> list[tuple[FitOutcome, FitOutcome]]:
-    """fit_counts, once per length, on rows that are (phase, d1, d2) arrays."""
-    outcomes: list = [None] * len(block)
-    for rows in _by_length([len(row[0]) for row in block]).values():
-        for i, pair in zip(rows, fit_counts(*np.stack([block[i] for i in rows], axis=1))):
-            outcomes[i] = pair
-    return outcomes
+def _fit_by_length(block: list) -> np.ndarray:
+    """_fit_rows, once per length, on rows that are (phase, d1, d2) arrays."""
+    groups = _by_length([len(row[0]) for row in block]).values()
+    if len(groups) == 1:  # the rows in block order
+        return _fit_rows(*np.stack(block, axis=1))
+    fits = _blank(len(block))
+    for rows in groups:
+        fits[rows] = _fit_rows(*np.stack([block[i] for i in rows], axis=1))
+    return fits
 
 
 def propagate(gradient: np.ndarray, covariance: np.ndarray) -> float | np.ndarray:

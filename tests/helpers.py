@@ -2,14 +2,15 @@
 
 import numpy as np
 
-from darkport.fitting import FitResult, _fit_block
+from darkport.fitting import FitResult, _fit_block, _outcomes
 
 
 def known_fit(fringe):
     """The (fitted, mirrored) outcomes of the one-row known-frequency fit of a
     normalized fringe."""
-    return tuple(side[0] for side in _fit_block(
-        fringe.phase[None], fringe.ratio[None], fringe.sigma[None], np.array([fringe.n_excluded])))
+    [pair] = _outcomes(_fit_block(fringe.phase[None], fringe.ratio[None], fringe.sigma[None],
+                                  np.array([fringe.n_excluded])))
+    return pair
 
 
 def same_fit(a, b):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from darkport.analysis import (
     records_from_runs,
     sensitivity_sweep,
 )
+from darkport.fitting import _blank
 from darkport.interferometer import PhaseElement, VisibilityValue, gamma_ratio, theta_bound
 from darkport.config import ExperimentConfig
 from darkport.photonsim import (
@@ -259,17 +261,17 @@ def test_sweep_reuses_fits_bit_for_bit(monkeypatch, base):
     cfg = dataclasses.replace(base, n_runs=6, master_seed=41)
     grid = (0.0, 0.02, -0.0, 0.02, 0.05)
     swept, rows = [], []
-    gamma_ratio_of, draw_counts = analysis.gamma_ratio_distribution, photonsim.draw_counts
+    gamma_ratio_of, draw_counts = analysis._gamma_ratio_statistics, photonsim.draw_counts
 
-    def recording_stats(records):
-        swept.append(gamma_ratio_of(records))
+    def recording_stats(pairs):
+        swept.append(gamma_ratio_of(pairs))
         return swept[-1]
 
     def counting(model, scan, seeds):
         rows.append(len(seeds))
         return draw_counts(model, scan, seeds)
 
-    monkeypatch.setattr(analysis, "gamma_ratio_distribution", recording_stats)
+    monkeypatch.setattr(analysis, "_gamma_ratio_statistics", recording_stats)
     monkeypatch.setattr(photonsim, "draw_counts", counting)
     sensitivity_sweep(grid, cfg)
     monkeypatch.undo()
@@ -283,6 +285,51 @@ def test_sweep_reuses_fits_bit_for_bit(monkeypatch, base):
             for eps in grid for slot, model in enumerate(cfg.with_epsilon(eps).build_pair())}
     assert len(keys) == 4
     assert sum(rows) == cfg.n_runs * len(keys)
+
+
+def _slot_fits_of(records):
+    """The (runs, 2) fit arrays of the reference and toggled slots of records,
+    as analysis._slot_fits gives them to the sweep."""
+    slots = []
+    for names in (("v_nim_d1", "v_nim_d2"), ("v_both_d1", "v_both_d2")):
+        fits = _blank(len(records))
+        for k, rec in enumerate(records):
+            for side, name in enumerate(names):
+                if (v := getattr(rec, name)) is not None:
+                    fits["value"][k, side], fits["sigma"][k, side] = v.value, v.sigma
+                    fits["usable"][k, side] = True
+        slots.append(fits)
+    return slots
+
+
+def test_record_wrappers_and_array_statistic_agree_bit_for_bit():
+    cfg = dataclasses.replace(ExperimentConfig(), n_runs=40, master_seed=3)
+    records = campaign_records(*cfg.build_pair(), cfg.scan, cfg.master_seed, range(40))
+    # a partial record, then a V_nim and a V_both of 1.0, then 1,000 drawn
+    # records, enough points for np.hypot to differ from math.hypot
+    records += [record(40, 0.042, None, 0.040, 0.041), record(41, 0.039, 1.0, 0.040, 0.041),
+                record(42, 0.039, 0.040, 1.0, 0.041)]
+    rng = np.random.default_rng(44)
+    records += [RunRecord(k, *map(VisibilityValue, v.tolist(), s.tolist()))
+                for k, v, s in zip(range(43, 1043), rng.uniform(0.0, 0.3, (1000, 4)),
+                                   rng.uniform(0.0, 0.01, (1000, 4)))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wrapped = gamma_ratio_distribution(records)
+        direct = analysis._gamma_ratio_statistics(analysis._pairs(*_slot_fits_of(records)))
+    assert _stats_bits(wrapped) == _stats_bits(direct)
+    excluded = ["excluding non-physical point: V_nim must lie in [0, 1), got 1.0",
+                "excluding non-physical point: V_both must lie in [0, 1), got 1.0"]
+    assert [str(w.message) for w in caught] == excluded * 2
+    assert wrapped.n_excluded == 2
+    # the per-pair loop that the array statistic replaces
+    pairs = [pair for rec in records for pair in rec.detector_pairs()]
+    ratios = [gamma_ratio(*pair) for pair in pairs if max(v.value for v in pair) < 1.0]
+    assert len(ratios) == len(pairs) - 2 == wrapped.n_values
+    assert wrapped.values.tobytes() == np.array([r.value for r in ratios]).tobytes()
+    assert wrapped.point_sigmas.tobytes() == np.array([r.sigma for r in ratios]).tobytes()
+    assert delta_v_statistics(records).values.tobytes() == np.array(
+        [v_both.value - v_nim.value for v_both, v_nim in pairs]).tobytes()
 
 
 def test_sweep_epsilon_zero_shift_is_exact():

@@ -9,6 +9,9 @@ from darkport.fitting import (
     FitResult,
     InvalidFitError,
     NormalizedFringe,
+    _fit_block,
+    _fit_rows,
+    _fits,
     _fitted_detectors,
     _outcomes,
     fit_counts,
@@ -315,8 +318,9 @@ def test_visibility_extremes():
 
 def test_visibility_rejects_zero_denominator():
     # A + 2B is 2 c0
-    [broken] = _outcomes(20, 17, np.array([0.5]), np.array([[0.0, 0.1, 0.2]]), np.eye(4)[None],
-                         np.array([1.0]), np.array([True]), np.array([0]), np.array([0]))
+    [(broken,)] = _outcomes(_fits(20, 17, np.array([0.5]), (np.array([[0.0, 0.1, 0.2]]),),
+                                  np.eye(4)[None], np.array([1.0]), np.array([True]),
+                                  np.array([0])))
     assert isinstance(broken, InvalidFitError)
     assert str(broken) == "A + 2B must be positive, got 0.0"
 
@@ -476,6 +480,69 @@ def test_fit_counts_rejects_arrays_that_are_not_rows_of_steps(shape):
     counts = np.full(shape, 50.0)
     with pytest.raises(ValueError, match=r"\(rows, n_steps\)"):
         fit_counts(phase, counts, counts)
+
+
+# the fields of fitting._FIT other than the error objects
+_NUMERIC_FIELDS = ("value", "sigma", "usable", "params", "cov", "converged", "residual_norm",
+                   "n_points", "n_excluded")
+
+
+@pytest.mark.parametrize("counts", [20000.0, 200.0, 5.0])
+def test_fit_arrays_are_the_outcomes_bit_for_bit(counts):
+    # 64 drawn rows, then a row of each failure kind: fewer than 8 points
+    # with counts, a span under 2 pi, a weight that overflows, A + 2B <= 0
+    # on the fitted side with a chi-square non-converged mirror, and steps
+    # at two points of the fringe
+    pair = ExperimentConfig().build_pair()
+    scan = ScanConfig(mean_counts_per_step=counts)
+    igs = [simulate_interferogram(pair[k % 2], scan, seed=(23, k)) for k in range(64)]
+    phase = scan.phases()
+    d1, d2 = (np.stack([getattr(ig, name) for ig in igs]).astype(float)
+              for name in ("counts_d1", "counts_d2"))
+    fail1, fail2 = _failing_counts(phase, d1, d2)
+    alternating = np.where(np.arange(100) % 2, 70.0, 30.0)
+    d1 = np.vstack([d1, fail1, alternating])
+    d2 = np.vstack([d2, fail2, 100.0 - alternating])
+    phase = np.repeat(phase[None], len(d1), axis=0)
+    phase[-1] = 0.3 + math.pi * np.arange(100)
+
+    fits = _fit_rows(phase, d1, d2)
+    outcomes = fit_counts(phase, d1, d2)
+    seen = []
+    for k, (row, row_outcomes) in enumerate(zip(fits, outcomes, strict=True)):
+        for fit, outcome in zip(row, row_outcomes, strict=True):
+            assert fit["usable"] == (isinstance(outcome, FitResult) and outcome.converged)
+            if isinstance(outcome, FitResult):
+                visibility = outcome.visibility
+                assert (fit["value"].hex(), fit["sigma"].hex()) == (visibility.value.hex(),
+                                                                    visibility.sigma.hex())
+                params = [outcome.amplitude, outcome.frequency, outcome.phase, outcome.offset]
+                assert fit["params"].tobytes() == np.array(params).tobytes()
+                assert fit["cov"].tobytes() == outcome.covariance.tobytes()
+                seen.append("converged" if outcome.converged else "not converged")
+            else:
+                assert fit["value"] == fit["sigma"] == 0.0
+                seen.append(str(outcome).split(",")[0])
+        # the fitted detector's side and the mirrored one are _fit_block's
+        detector = int(_fitted_detectors(d1[k:k + 1], d2[k:k + 1])[0])
+        try:
+            fringe = normalize(Interferogram(phase[k], d1[k], d2[k]), detector=detector)
+        except FitInputError:
+            continue
+        block = _fit_block(fringe.phase[None], fringe.ratio[None], fringe.sigma[None],
+                           np.array([fringe.n_excluded]))
+        for name in _NUMERIC_FIELDS:
+            assert block[0][name].tobytes() == row[[detector - 1, 2 - detector]][name].tobytes()
+    for kind in ("need at least 8 points with nonzero total counts",
+                 "points with counts must span at least one full fringe (2 pi)",
+                 "counts_d1 + counts_d2 above 1e+150 at a step",
+                 "points with counts must lie at three or more points of the fringe (mod 2 pi)",
+                 "A + 2B must be positive", "not converged", "converged"):
+        assert kind in seen
+    # swapped columns fit the same detector, which is then detector 2
+    swapped = _fit_rows(phase, d2, d1)
+    for name in _NUMERIC_FIELDS:
+        assert swapped[name].tobytes() == fits[name][:, ::-1].tobytes()
 
 
 def test_failing_rows_leave_their_neighbours_unchanged():

@@ -147,8 +147,9 @@ def test_one_row_visibility_is_the_fit_visibility_bit_for_bit():
         for side, fit in enumerate(pair):
             if isinstance(fit, FitResult):
                 params = np.array([[fit.amplitude, fit.frequency, fit.phase, fit.offset]])
-                [got] = _visibilities(params, fit.covariance[None])
-                assert (got.value.hex(), got.sigma.hex()) == (
+                value, sigma, valid = _visibilities(params, fit.covariance[None])
+                assert valid.tolist() == [True]
+                assert (value[0].hex(), sigma[0].hex()) == (
                     fit.visibility.value.hex(), fit.visibility.sigma.hex())
                 checked[side] += 1
     assert min(checked) >= 10
