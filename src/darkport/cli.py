@@ -75,32 +75,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# the fit report's fields; the JSON writer sorts keys and writes the
-# visibility dataclass as {"sigma", "value"}
-_FIT_FIELDS = ("amplitude", "frequency", "phase", "offset", "sigma_amplitude",
-               "sigma_frequency", "sigma_phase", "sigma_offset", "visibility", "converged",
-               "iterations", "residual_norm", "n_points", "n_excluded", "low_signal")
-
-
-def _fit_entry(result) -> dict:
-    if isinstance(result, ValueError):
-        return {"error": str(result)}
-    return {name: getattr(result, name) for name in _FIT_FIELDS}
-
-
 def cmd_fit(args) -> int:
-    entries = []
+    files, soft = [], False
     for start in range(0, len(args.csv), fitting._STREAM_ROWS):
         paths = args.csv[start:start + fitting._STREAM_ROWS]
         blocks = reports.read_interferogram_block(paths)
-        entries += [{"path": path, "n_steps": len(data),
-                     "fits": {"d1": _fit_entry(d1), "d2": _fit_entry(d2)}}
-                    for path, data, (d1, d2) in zip(
-                        paths, blocks,
-                        fitting._outcomes(fitting._fit_by_length([data.T for data in blocks])))]
-    soft = any("error" in fit or not fit["converged"]
-               for entry in entries for fit in entry["fits"].values())
-    _emit_json(args, "fit_report.json", "fit report", {"files": entries})
+        errors, columns = fitting._fit_columns(fitting._fit_by_length([data.T for data in blocks]))
+        texts = [text if error is None else {"error": str(error)}
+                 for text, error in zip(reports.encode_columns(columns), errors)]
+        files += reports.encode_columns({"path": paths, "n_steps": list(map(len, blocks)),
+                                         "fits": {"d1": texts[0::2], "d2": texts[1::2]}})
+        soft = soft or any(error is not None for error in errors) or not columns["converged"].all()
+    _emit_json(args, "fit_report.json", "fit report", {"files": files})
     return EXIT_SOFT_FIT if soft else EXIT_OK
 
 

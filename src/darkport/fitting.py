@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -93,9 +93,10 @@ class NormalizedFringe:
         return self.phase.shape[0]
 
 
-def _sigma(k: int) -> property:
-    """The square root of the k-th diagonal covariance entry, clamped at zero."""
-    return property(lambda self: math.sqrt(max(self.covariance[k, k], 0.0)))
+def _sigmas(cov: np.ndarray) -> np.ndarray:
+    """sqrt(max(c, 0.0)) of each diagonal entry c of (..., k, k) covariances."""
+    diagonal = np.diagonal(cov, axis1=-2, axis2=-1)
+    return np.sqrt(np.where(diagonal < 0.0, 0.0, diagonal))
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,8 @@ class FitResult:
     low_signal: bool
     n_excluded: int
 
-    sigma_amplitude, sigma_frequency, sigma_phase, sigma_offset = map(_sigma, range(4))
+    sigma_amplitude, sigma_frequency, sigma_phase, sigma_offset = (
+        property(lambda self, k=k: float(_sigmas(self.covariance)[k])) for k in range(4))
 
 
 # a fit's result, or the error that stopped it
@@ -282,10 +284,9 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: b
     return *fitted, np.sum(w * deriv * resid, axis=-1) * inverse
 
 
-# A fit per [row, side] of a block, the sides being the fitted fringe and its
-# mirror (_fit_block) or detectors 1 and 2 (_fit_rows).  The campaign reads
-# value (A/(A+2B) clipped to [0, 1]), sigma and usable (converged, A + 2B > 0 and
-# no FitInputError, which error holds); _outcomes builds objects from the rest.
+# A fit per [row, side] of a block: the fitted fringe and its mirror (_fit_block) or detectors 1
+# and 2 (_fit_rows).  The campaign reads value (A/(A+2B) clipped to [0, 1]), sigma and usable
+# (converged, A + 2B > 0, no FitInputError, which error holds); _fit_columns reads all but usable.
 _FIT = np.dtype([("value", float), ("sigma", float), ("usable", bool), ("params", float, 4),
                  ("cov", float, (4, 4)), ("converged", bool), ("residual_norm", float),
                  ("n_points", int), ("n_excluded", int), ("error", object)])
@@ -380,20 +381,35 @@ def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: 
     return fits
 
 
+def _fit_columns(fits: np.ndarray, iterations: int = 0) -> tuple[list, dict]:
+    """Each fit of (rows, sides) _FIT fits, row by row: its error (the row's
+    FitInputError, an InvalidFitError where A + 2B <= 0, or None), and fit's
+    report as columns, an array per field and a dict of two for visibility."""
+    fits = fits.reshape(-1)
+    params, sigmas = fits["params"], _sigmas(fits["cov"])
+    errors = [error if error is not None or q > 0.0
+              else InvalidFitError(f"A + 2B must be positive, got {q!r}")
+              for error, q in zip(fits["error"].tolist(),
+                                  (params[:, 0] + 2.0 * params[:, 3]).tolist())]
+    names = ("amplitude", "frequency", "phase", "offset")
+    return errors, {
+        **dict(zip(names, params.T)), **dict(zip(["sigma_" + name for name in names], sigmas.T)),
+        **{name: fits[name] for name in ("converged", "residual_norm", "n_points", "n_excluded")},
+        "visibility": {"value": fits["value"], "sigma": fits["sigma"]},
+        "iterations": np.full(len(fits), iterations),
+        "low_signal": params[:, 0] <= 2.0 * sigmas[:, 0]}
+
+
 def _outcomes(fits: np.ndarray, iterations: int = 0) -> list[tuple[FitOutcome, ...]]:
-    """Each row's outcome on each side of (rows, sides) _FIT fits: the row's
-    FitInputError, an InvalidFitError where A + 2B <= 0, or a FitResult."""
-    params, cov = fits["params"], fits["cov"]
-    denom = params[..., 0] + 2.0 * params[..., 3]
-    low_signal = params[..., 0] <= 2.0 * np.sqrt(np.maximum(cov[..., 0, 0], 0.0))
-    columns = [a.reshape(fits.size, *a.shape[2:]) for a in (
-        fits["error"], denom, params, fits["value"], fits["sigma"], fits["converged"],
-        fits["residual_norm"], fits["n_points"], low_signal, fits["n_excluded"], cov)]
-    flat = [error if error is not None
-            else InvalidFitError(f"A + 2B must be positive, got {q!r}") if not q > 0.0
-            else FitResult(*p, c, VisibilityValue(v, s), conv, iterations, *rest)
-            for error, q, p, v, s, conv, *rest, c in zip(*(a.tolist() for a in columns[:-1]),
-                                                         columns[-1])]
+    """Each row's outcome on each side of (rows, sides) _FIT fits: its
+    _fit_columns error, or a FitResult of its columns."""
+    errors, columns = _fit_columns(fits, iterations)
+    vis = {name: a.tolist() for name, a in columns.pop("visibility").items()}
+    columns = {name: a.tolist() for name, a in columns.items()} | {
+        "covariance": fits["cov"].reshape(-1, 4, 4),
+        "visibility": map(VisibilityValue, vis["value"], vis["sigma"])}
+    flat = [error if error is not None else FitResult(*values) for error, *values in
+            zip(errors, *(columns[field.name] for field in fields(FitResult)))]
     return list(zip(*[iter(flat)] * fits.shape[1]))  # one tuple of sides per row
 
 

@@ -26,8 +26,10 @@ from .photonsim import Interferogram
 
 __all__ = [
     "CsvFormatError",
+    "JsonText",
     "format_float",
     "dumps_json",
+    "encode_columns",
     "write_json",
     "write_interferogram_csv",
     "read_interferogram_csv",
@@ -41,6 +43,10 @@ __all__ = [
 
 class CsvFormatError(ValueError):
     """Malformed CSV input, with file and line context in the message."""
+
+
+class JsonText(str):
+    """Text that is already JSON, which dumps_json writes as it is."""
 
 
 def format_float(x: float) -> str:
@@ -90,6 +96,7 @@ def _dataclass_encoder(cls):
 # int's; another type takes the encoder of its nearest base class along its
 # MRO (np.float64 a float's, np.bool_ and set none) and is added on first use
 _ENCODERS = {
+    JsonText: str,
     type(None): lambda obj: "null",
     bool: lambda obj: "true" if obj else "false",
     int: _encode_int,
@@ -104,23 +111,37 @@ _ENCODERS = {
 }
 
 
-def _encode(obj) -> str:
-    cls = type(obj)
+def _encoder(cls):
     encoder = _ENCODERS.get(cls)
     if encoder is None:
-        if dataclasses.is_dataclass(cls):
-            encoder = _dataclass_encoder(cls)
-        else:
-            encoder = next((_ENCODERS[base] for base in cls.__mro__ if base in _ENCODERS),
-                           None)
-            if encoder is None:
-                raise TypeError(f"cannot serialize {cls.__name__} to JSON")
+        encoder = (_dataclass_encoder(cls) if dataclasses.is_dataclass(cls) else
+                   next((_ENCODERS[base] for base in cls.__mro__ if base in _ENCODERS), None))
+        if encoder is None:
+            raise TypeError(f"cannot serialize {cls.__name__} to JSON")
         _ENCODERS[cls] = encoder
-    return encoder(obj)
+    return encoder
+
+
+def _encode(obj) -> str:
+    return _encoder(type(obj))(obj)
 
 
 def dumps_json(obj) -> str:
     return _encode(obj) + "\n"
+
+
+def encode_columns(columns: dict) -> list[JsonText]:
+    """The text of each row of equal-length columns as _encode writes its dict.
+    A column is a sequence, an array (read through tolist()) or a dict of
+    columns; a column whose items share one type is encoded by one encoder."""
+    texts = []
+    for key, column in sorted(columns.items()):  # the key order of _encode_dict
+        column = (encode_columns(column) if isinstance(column, dict)
+                  else column.tolist() if isinstance(column, np.ndarray) else column)
+        kinds = set(map(type, column))
+        encode = _encoder(kinds.pop()) if len(kinds) == 1 else _encode
+        texts.append(map(_encode_key(str(key)).__add__, map(encode, column)))
+    return [JsonText("{" + ",".join(row) + "}") for row in zip(*texts, strict=True)]
 
 
 def write_json(path, obj) -> None:

@@ -7,7 +7,8 @@ import pytest
 from darkport import config, fitting, photonsim
 from darkport.cli import load_config, main
 from darkport.config import ExperimentConfig
-from darkport.reports import read_interferogram_csv, write_interferogram_csv
+from darkport.interferometer import SagnacModel
+from darkport.reports import dumps_json, read_interferogram_csv, write_interferogram_csv
 
 SMALL_CAMPAIGN = {
     "campaign": {"n_runs": 10, "master_seed": 7},
@@ -80,6 +81,84 @@ def test_fit_writes_json_file(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "interferogram_nim.csv"),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "fit_report.json").read_bytes() == first
+
+
+def _object_fit_entry(outcome) -> dict:
+    """A file's fit in fit's report as built from FitResult objects: the
+    error's text, or the result's fields with each sigma the square root of
+    its covariance entry clamped by max(entry, 0.0)."""
+    if isinstance(outcome, ValueError):
+        return {"error": str(outcome)}
+    entry = {name: getattr(outcome, name) for name in (
+        "amplitude", "frequency", "phase", "offset", "visibility", "converged", "iterations",
+        "residual_norm", "n_points", "n_excluded", "low_signal")}
+    for k, name in enumerate(("amplitude", "frequency", "phase", "offset")):
+        entry[f"sigma_{name}"] = math.sqrt(max(outcome.covariance[k, k], 0.0))
+    return entry
+
+
+def test_fit_report_bytes_equal_the_report_built_from_fit_objects(tmp_path, capsys,
+                                                                    monkeypatch):
+    scan = photonsim.ScanConfig()
+    phase = scan.phases()
+    bright = photonsim.simulate_interferogram(SagnacModel(visibility_v=0.9992774), scan,
+                                              seed=(5, 0))
+    # detector 2 reads 4 sin^2(x/2) - 3 (A + 2B = -2) where that lies in [0, 1],
+    # wobbling far beyond its binomial sigma: InvalidFitError, and a mirror on
+    # detector 1 that is not converged
+    ratio = -1.0 - 2.0 * np.cos(phase) + 0.01 * (-1.0) ** np.arange(phase.size)
+    lit = (ratio >= 0.0) & (ratio <= 1.0)
+    hard = np.where(lit, np.round(1e6 * ratio), 0.0)
+    step, short = np.arange(100), phase < 1.5 * math.pi
+    rows = [(bright.counts_d1, bright.counts_d2)] * 2 + [
+        (np.full(100, 50.0), np.full(100, 50.0)),  # low_signal
+        (np.where(lit, 1e6 - hard, 0.0), hard),
+        (np.where(step < 5, 40.0, 0.0), np.zeros(100)),  # fewer than 8 points
+        (np.where(short, 40.0, 0.0), np.where(short, 60.0, 0.0)),  # less than a fringe
+        (bright.counts_d1, np.where(step == 17, 1e160, bright.counts_d2)),  # weights overflow
+        (np.where(step % 2, 70.0, 30.0), np.where(step % 2, 30.0, 70.0)),
+    ]
+    phases = np.repeat(phase[None], len(rows), axis=0)
+    phases[-1] = 0.3 + math.pi * np.arange(100)  # two points of the fringe
+    fits = fitting._fit_rows(phases, *(np.array(d, dtype=float) for d in zip(*rows)))
+    # a -0.0 parameter, and sigmas from covariance entries -0.0, below 0 and 0
+    fits["params"][1, 0, 3] = -0.0
+    fits["cov"][1, 0, [0, 1, 2], [0, 1, 2]] = [-0.0, -1e-300, 0.0]
+    fits["sigma"][1, 1] = 0.0
+    outcomes = fitting._outcomes(fits)
+    kinds = {str(o).split(" ")[0] if isinstance(o, ValueError)
+             else ("" if o.converged else "not ") + ("low_signal" if o.low_signal else "converged")
+             for pair in outcomes for o in pair}
+    assert kinds == {"converged", "not converged", "low_signal", "need", "counts_d1", "points",
+                     "A"}, kinds
+    # fit's report on files given the fits above in place of their own, since
+    # no CSV that fit reads can hold a step total whose weight overflows
+    paths = [tmp_path / f"run{k}.csv" for k in range(len(rows) - 1)]
+    paths.append(tmp_path / 'a "quoted"\\path.csv')
+    for k, path in enumerate(paths):
+        path.write_text("phase_rad,counts_d1,counts_d2\n"
+                        + "".join(f"{x!r},1,2\n" for x in phase[:10 + k].tolist()))
+    paths = list(map(str, paths))
+    want = {"files": [{"path": path, "n_steps": 10 + k, "fits": dict(zip(
+        ("d1", "d2"), map(_object_fit_entry, pair)))}
+        for k, (path, pair) in enumerate(zip(paths, outcomes))]}
+    monkeypatch.setattr(fitting, "_fit_by_length", lambda block: fits[:len(block)])
+    assert main(["fit", *paths]) == 4
+    text = capsys.readouterr().out
+    assert text == dumps_json(want)
+    assert '"offset":-0.0' in text and '"sigma_amplitude":-0.0' in text
+    assert main(["fit", *paths, "--out", str(tmp_path)]) == 4
+    assert (tmp_path / "fit_report.json").read_text() == text
+    capsys.readouterr()
+    assert main(["fit", paths[0]]) == 0
+    assert capsys.readouterr().out == dumps_json({"files": want["files"][:1]})
+    # a converged fit with A + 2B <= 0 is still a failed one
+    invalid = fits[:1].copy()
+    invalid["params"][0, 1, 3] = -invalid["params"][0, 1, 0]
+    monkeypatch.setattr(fitting, "_fit_by_length", lambda block: invalid)
+    assert invalid["converged"].all() and main(["fit", paths[0]]) == 4
+    assert "A + 2B must be positive" in json.loads(capsys.readouterr().out)[
+        "files"][0]["fits"]["d2"]["error"]
 
 
 def test_campaign_outputs(tmp_path, capsys):

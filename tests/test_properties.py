@@ -5,7 +5,7 @@ called which, or in what order the rows of a scan arrive; a campaign's
 count blocks must give the records of its runs fitted one by one; the
 closed-form loop model must agree with the brute-force propagation
 oracle; quaternion algebra, the interferogram CSV format and the JSON
-reports must hold for any input.
+reports, whole or a column at a time, must hold for any input.
 """
 
 import json
@@ -38,7 +38,9 @@ from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram
 from darkport.quaternion import PhaseVector, Quaternion, mul, norm, qexp
 from darkport.reports import (
     CsvFormatError,
+    JsonText,
     dumps_json,
+    encode_columns,
     format_float,
     read_interferogram_csv,
     write_interferogram_csv,
@@ -472,3 +474,64 @@ def test_json_report_round_trip_is_exact(report):
     back = json.loads(text)
     assert _same_report(back, report)
     assert dumps_json(back) == text
+
+
+# the kinds of item a column may hold, pass-through JSON text among them
+_ITEMS = (st.floats(), st.floats().map(np.float64), st.integers(),
+          st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(), st.none(), st.text(),
+          _REPORTS.map(lambda report: JsonText(dumps_json(report)[:-1])))
+_ARRAY_ITEMS = ((st.floats(), float), (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
+                (st.booleans(), bool))
+
+
+@st.composite
+def _columns(draw, rows=None, nested=True):
+    """Equal-length columns: lists of one kind of item or of several, arrays,
+    and (unless nested is False) dicts of columns."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+
+    def column():
+        sized = {"min_size": rows, "max_size": rows}
+        shape = draw(st.sampled_from(("one kind", "mixed", "array", "dict")[:4 if nested else 3]))
+        if shape == "one kind":
+            return draw(st.lists(draw(st.sampled_from(_ITEMS)), **sized))
+        if shape == "mixed":
+            return draw(st.lists(st.one_of(_ITEMS), **sized))
+        if shape == "array":
+            items, dtype = draw(st.sampled_from(_ARRAY_ITEMS))
+            return np.array(draw(st.lists(items, **sized)), dtype=dtype)
+        return draw(_columns(rows, nested=False))
+
+    return {key: column() for key in draw(st.lists(st.text(), min_size=1, max_size=4,
+                                                   unique=True))}
+
+
+def _row(columns: dict, i: int) -> dict:
+    """Row i of columns as a dict, an array's items read through tolist()."""
+    return {key: _row(column, i) if isinstance(column, dict)
+            else column.tolist()[i] if isinstance(column, np.ndarray) else column[i]
+            for key, column in columns.items()}
+
+
+def _height(columns: dict) -> int:
+    first = next(iter(columns.values()))
+    return _height(first) if isinstance(first, dict) else len(first)
+
+
+_EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1]
+
+
+@settings(PROPERTY, max_examples=200, phases=[Phase.explicit, Phase.generate])
+@given(columns=_columns())
+@example(columns={
+    "float": _EDGES, "np.float64": list(map(np.float64, _EDGES)), "array": np.array(_EDGES),
+    "mixed": [0, -1, 2 ** 70, True, False, None, 7, 3.0], "np.int64": [np.int64(-2 ** 63)] * 8,
+    'k"\\\n\x00': ['"', "\\", "\n\x1f", "\x7f é", "", "null", "1", "-0"],
+    "nested": {"text": [JsonText('{"x":[1,-0.0,"nan"]}'), JsonText("null")] * 4,
+               "bool": np.array([True, False] * 4)}})
+def test_encode_columns_writes_each_row_as_dumps_json(columns):
+    texts = encode_columns(columns)
+    assert len(texts) == _height(columns)
+    assert all(type(text) is JsonText for text in texts)
+    assert [text + "\n" for text in texts] == [dumps_json(_row(columns, i))
+                                               for i in range(len(texts))]

@@ -8,7 +8,9 @@ from darkport.photonsim import ScanConfig, simulate_interferogram
 from darkport.interferometer import SagnacModel, VisibilityValue
 from darkport.reports import (
     CsvFormatError,
+    JsonText,
     dumps_json,
+    encode_columns,
     format_float,
     read_interferogram_csv,
     read_phase_spectrum_csv,
@@ -85,6 +87,18 @@ def test_dumps_json_containers():
 def test_dumps_json_rejects_unknown_types(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         dumps_json(value)
+
+
+def test_json_text_is_written_as_it_is():
+    assert dumps_json({"a": JsonText('{"x":1}'), "b": [JsonText("null")]}) == \
+        '{"a":{"x":1},"b":[null]}\n'
+
+
+def test_encode_columns_writes_one_object_per_row():
+    texts = encode_columns({"b": np.array([True, False]), "a": {"y": [1, None], "x": ["s", 2.5]}})
+    assert texts == ['{"a":{"x":"s","y":1},"b":true}', '{"a":{"x":2.5,"y":null},"b":false}']
+    with pytest.raises(ValueError):
+        encode_columns({"a": [1, 2], "b": [1]})
 
 
 def test_interferogram_csv_round_trip(tmp_path):
