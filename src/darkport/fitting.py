@@ -299,6 +299,14 @@ def _blank(rows: int, sides: int = 2) -> np.ndarray:
     return fits
 
 
+def _chi2_bound(dof: int) -> float:
+    """The one-sided 5-sigma quantile (tail 2.9e-7) of a chi-square of dof degrees
+    of freedom, taking (chi2 / dof)^(1/3) as normal with mean 1 - c and variance c
+    (Wilson & Hilferty, PNAS 17, 684, 1931)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + 5.0 * math.sqrt(c)) ** 3
+
+
 def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
                n_excluded: np.ndarray) -> np.ndarray:
     """The _FIT fits at f = 1/2 of (rows, n) fringe arrays and of the mirror
@@ -306,8 +314,8 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     inverse normal matrix.
 
     Each row's arithmetic is its own, so its fit does not depend on the
-    other rows.  converged is the goodness of fit chi2 <= dof + 5 sqrt(2 dof),
-    with dof = n - 3.  (c0, c1, c2) need three distinct points of the fringe
+    other rows.  converged is the goodness of fit chi2 <= _chi2_bound(dof), with
+    dof = n - 3.  (c0, c1, c2) need three distinct points of the fringe
     (mod 2 pi); at fewer, the points (cos x, sin x) lie on a line, so the
     smaller eigenvalue of their covariance, spread^2 / n, is within the
     rounding (n eps (1 + |x|))^2 of cos x, and both sides get a FitInputError.
@@ -323,7 +331,7 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     coef, chi2, cov = _project(x, w, y, f)
     dof = n - 3
     fits = _fits(n, dof, f, (coef, [1, 0, 0] - coef), cov, chi2,
-                 chi2 <= dof + 5.0 * math.sqrt(2.0 * dof), n_excluded[kept])
+                 chi2 <= _chi2_bound(dof), n_excluded[kept])
     if len(kept) < len(few):  # place the fitted rows among the refused ones
         fits, kept_fits = _blank(len(few)), fits
         fits[kept] = kept_fits

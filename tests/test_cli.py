@@ -190,11 +190,20 @@ def test_campaign_with_failed_fits_writes_its_reports_and_exits_4(tmp_path, caps
     out = tmp_path / "out"
     assert main(["campaign", "--config", cfg, "--seed", "0", "--out", str(out)]) == 4
     captured = capsys.readouterr()
-    assert captured.err == "warning: 18 of 20 runs had failed fits\n"
+    assert captured.err == "warning: 11 of 20 runs had failed fits\n"
     assert f"bound report: {out / 'bound_report.json'}" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [
         "bound_report.json", "delta_v_hist.csv", "gamma_ratio_hist.csv"]
-    assert json.loads((out / "bound_report.json").read_text())["report"]["n_complete_runs"] == 2
+    assert json.loads((out / "bound_report.json").read_text())["report"]["n_complete_runs"] == 9
+
+
+def test_default_campaign_seed_22709_has_no_failed_fit(tmp_path, capsys):
+    # run 19's reference fit reads chi2 167.8 at dof 97: a 5-sigma bound of
+    # dof + 5 sqrt(2 dof) = 166.6 failed it, the one-sided 5-sigma quantile 183.6 does not
+    assert main(["campaign", "--seed", "22709", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "bound_report.json").read_text())["report"][
+        "n_complete_runs"] == 200
 
 
 def test_campaign_accepts_jobs_and_changes_no_byte(tmp_path, capsys):

@@ -9,6 +9,7 @@ from darkport.fitting import (
     FitResult,
     InvalidFitError,
     NormalizedFringe,
+    _chi2_bound,
     _fit_block,
     _fit_rows,
     _fits,
@@ -683,3 +684,10 @@ def test_invalid_fitted_detector_can_have_a_valid_mirror():
     assert d2.visibility.value == 1.0
     assert fit_sinusoid(normalize(ig, detector=2)).visibility.value == 1.0
 
+
+
+def test_chi2_bound_is_the_one_sided_five_sigma_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in (5, 6, 10, 30, 97, 200, 1000, 10 ** 4, 10 ** 5):
+        # the normal tail beyond 5 sigma is 2.87e-7
+        assert 1e-7 <= stats.chi2.sf(_chi2_bound(dof), dof) <= 3e-7, dof

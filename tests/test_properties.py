@@ -196,7 +196,9 @@ def _check_against_the_oracle(igs):
             assert fit.visibility.value == pytest.approx(min(v, 1.0), rel=1e-12)
             assert fit.visibility.sigma == pytest.approx(sigma, rel=1e-9)
             dof = fringe.n_points - 3
-            assert fit.converged == (chi2 <= dof + 5.0 * math.sqrt(2.0 * dof))
+            # the one-sided 5-sigma chi-square quantile, by Wilson-Hilferty
+            c = 2.0 / (9.0 * dof)
+            assert fit.converged == (chi2 <= dof * (1.0 - c + 5.0 * math.sqrt(c)) ** 3)
             checked += 1
     return checked
 
