@@ -198,7 +198,7 @@ def test_campaign_with_failed_fits_writes_its_reports_and_exits_4(tmp_path, caps
 
 
 def test_default_campaign_seed_22709_has_no_failed_fit(tmp_path, capsys):
-    # run 19's reference fit reads chi2 167.8 at dof 97: a 5-sigma bound of
+    # run 19's reference fit reads chi2 167.8 at dof 97: the normal approximation
     # dof + 5 sqrt(2 dof) = 166.6 failed it, the one-sided 5-sigma quantile 183.6 does not
     assert main(["campaign", "--seed", "22709", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""

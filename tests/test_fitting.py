@@ -685,7 +685,6 @@ def test_invalid_fitted_detector_can_have_a_valid_mirror():
     assert fit_sinusoid(normalize(ig, detector=2)).visibility.value == 1.0
 
 
-
 def test_chi2_bound_is_the_one_sided_five_sigma_quantile():
     stats = pytest.importorskip("scipy.stats")
     for dof in (5, 6, 10, 30, 97, 200, 1000, 10 ** 4, 10 ** 5):
