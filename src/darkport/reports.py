@@ -5,9 +5,11 @@ formatted with 17 significant digits (enough to round-trip a double) and
 JSON keys are emitted sorted.  Non-finite floats become JSON strings to
 keep the output parseable everywhere.
 
-CSV input must be UTF-8.  Each field is parsed as Python ``float`` parses
-it (so ``1_0``, `` 7 `` and ``nan`` read as float() reads them), and a
-field that is not a finite number is an error naming its line.
+CSV input must be UTF-8.  Each field is parsed as Python ``float`` parses it
+(``1_0``, `` 7 `` and ``nan`` too), and a field that is not a finite number is
+an error naming its line.  Files are read in blocks: each plain file is matched
+by one pattern, their bodies are joined and split once and each distinct field
+text is parsed once, and the first bad file's error is the one raised.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import csv
 import dataclasses
 import functools
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,33 +172,51 @@ def write_interferogram_csv(path, ig: Interferogram) -> None:
                 for phi, d1, d2 in zip(ig.phase_rad, ig.counts_d1, ig.counts_d2)))
 
 
-def _parse_rows(path, expected_header: Sequence[str]) -> np.ndarray:
-    """The data rows as a float array; every field must be a finite number.
+class _FloatTable(dict):
+    """A block's field texts, each parsed by float() once, at its first lookup;
+    nan where float() refuses, so that _parse_records names the line."""
 
-    A UTF-8 file with no quote, NUL or lone CR, the expected header, width - 1
-    commas on every non-blank line and no line as long as
-    csv.field_size_limit() is split at its commas, as the csv module would;
-    any other file, and every error, is left to _parse_records."""
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8").replace("\r\n", "\n")
-        header, *lines = text.split("\n")
-        lines = [line for line in lines if line]
-        if (lines and not any(c in text for c in '"\0\r')
-                and [h.strip() for h in header.split(",")] == list(expected_header)
-                and max(map(len, lines)) < csv.field_size_limit()
-                and set(map(str.count, lines, [","] * len(lines))) == {len(expected_header) - 1}):
-            data = np.array(",".join(lines).split(","), dtype=float)  # float() on each field
-            if np.isfinite(data).all():
-                return data.reshape(len(lines), -1)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        pass
-    return _parse_records(path, expected_header)[0]
+    def __missing__(self, text: bytes) -> float:
+        try:
+            value = self[text] = float(text)
+        except ValueError:
+            value = self[text] = np.nan
+        return value
+
+
+def _parse_block(paths: Sequence, expected_header: Sequence[str]) -> Iterator[np.ndarray]:
+    """Yield the rows of each file in paths as _parse_records reads them.
+
+    A plain file is, once CRLF is LF, the exact header line and then lines of
+    len(expected_header) fields of float() characters.  The plain files' bodies
+    are joined and split at their commas once, as the csv module splits them,
+    and each field is looked up in one _FloatTable.  Any other file, and a plain
+    file with a field that float() refuses or reads as non-finite, goes to
+    _parse_records in the order of paths, so the first bad file raises."""
+    head, width = ",".join(expected_header).encode(), len(expected_header)
+    field = rb"[-+.0-9eE]{1,32}"  # what float() may read; a .17g double takes 24 characters
+    plain = re.compile(re.escape(head) + rb"(?:\n" + b",".join([field] * width) + rb")+\n?")
+    bodies = {}
+    for k, path in enumerate(paths):
+        try:
+            with open(path, "rb") as fh:
+                text = fh.read().replace(b"\r\n", b"\n")  # ASCII if plain, so UTF-8
+        except OSError:
+            continue
+        if plain.fullmatch(text):
+            bodies[k] = text[len(head):].rstrip(b"\n")  # "\n" before each data row
+    fields = b"".join(bodies.values()).replace(b"\n", b",").split(b",")[1:]
+    values = np.fromiter(map(_FloatTable().__getitem__, fields), float, len(fields))
+    ends = np.cumsum([body.count(b"\n") for body in bodies.values()], dtype=int)
+    rows = dict(zip(bodies, np.split(values.reshape(-1, width), ends[:-1])))
+    for k, path in enumerate(paths):
+        yield (rows[k] if k in rows and np.isfinite(rows[k]).all()
+               else _parse_records(path, expected_header)[0])
 
 
 def _parse_records(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:
-    """_parse_rows by the csv module: the data rows, and the records as read
-    (for _raise_at_row).
+    """The data rows of one file read by the csv module, every field a finite
+    number, and the records as read (for _raise_at_row).
 
     Blank lines are skipped but counted in the line numbers of errors.
     """
@@ -246,14 +266,14 @@ def _raise_at_row(path, records: list[list[str]], bad: np.ndarray, message: str)
 
 def read_interferogram_block(paths: Sequence) -> list[np.ndarray]:
     """The (n_steps, 3) float rows of each interferogram CSV, checked as
-    read_interferogram_csv checks them; the first bad file in paths raises."""
+    read_interferogram_csv checks them and parsed as one block (_parse_block:
+    one float() per distinct field text); the first bad file in paths raises."""
     header, blocks, error = ("phase_rad", "counts_d1", "counts_d2"), [], None
-    for path in paths:
-        try:
-            blocks.append(_parse_rows(path, header))
-        except CsvFormatError as err:  # raised once the files before it are checked
-            error = err
-            break
+    try:
+        for data in _parse_block(paths, header):
+            blocks.append(data)
+    except CsvFormatError as err:  # raised once the files before it are checked
+        error = err
     counts = np.concatenate([np.empty((0, 3)), *blocks])[:, 1:]
     bad = (counts < 0).any(axis=1) | (counts[:, 0] > _MAX_TOTAL - counts[:, 1])
     if bad.any():
@@ -297,7 +317,7 @@ def write_index_csv(path, spectrum: IndexSpectrum) -> None:
 
 
 def read_phase_spectrum_csv(path) -> PhaseSpectrum:
-    data = _parse_rows(path, ("wavelength_nm", "phase_rad"))
+    [data] = _parse_block([path], ("wavelength_nm", "phase_rad"))
     try:
         return PhaseSpectrum(wavelength_nm=data[:, 0], phase_rad=data[:, 1])
     except ValueError as err:

@@ -42,6 +42,7 @@ from darkport.reports import (
     dumps_json,
     encode_columns,
     format_float,
+    read_interferogram_block,
     read_interferogram_csv,
     write_interferogram_csv,
 )
@@ -392,7 +393,8 @@ def test_interferogram_csv_round_trip_is_exact(data):
 
 
 _CSV_COUNT = st.one_of(st.integers(0, 10 ** 19).map(str), st.floats(0.0, 1e20).map(repr))
-_CSV_HOSTILE = st.sampled_from(["-1", "nan", "inf", "", "x", "1e160", "1e308", " 7 ", "1_0"])
+_CSV_HOSTILE = st.sampled_from(["-1", "nan", "inf", "", "x", "1e160", "1e308", "1e999", " 7 ",
+                                "1_0"])
 
 
 @st.composite
@@ -443,6 +445,64 @@ def test_csv_reader_reads_lf_crlf_and_quoted_files_alike(lines, data):
                 results.append([(a.dtype, a.tobytes())
                                 for a in (ig.phase_rad, ig.counts_d1, ig.counts_d2)])
     assert results[1] == results[0] and results[2] == results[0], texts
+
+
+# texts that the good files of a block share, as a scan's files share phases
+_CSV_SHARED = st.sampled_from(["0", "-0", "3", "0.5", "12.566370614359172", "1e+17", "1.5e-05"])
+
+
+@st.composite
+def _csv_file(draw):
+    """A CSV of _csv_lines or, three times in four, a good one whose fields
+    are often _CSV_SHARED; written as LF, as CRLF, or as LF with one field
+    quoted."""
+    if draw(st.integers(0, 3)):
+        field = st.one_of(_CSV_SHARED, _CSV_COUNT)
+        lines = [["phase_rad", "counts_d1", "counts_d2"],
+                 *draw(st.lists(st.lists(field, min_size=3, max_size=3), min_size=1, max_size=12))]
+    else:
+        lines = [list(fields) for fields in draw(_csv_lines())]
+    form = draw(st.sampled_from(["\n", "\r\n", "quoted"]))
+    if form == "quoted":
+        row = draw(st.sampled_from([fields for fields in lines if fields]))
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = f'"{row[k]}"'
+    return "".join(",".join(fields) + ("\n" if form == "quoted" else form) for fields in lines)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(texts=st.lists(_csv_file(), min_size=1, max_size=6))
+def test_block_read_is_each_file_read_alone(texts):
+    # a block's files share one float table, yet each file reads as it reads
+    # alone, whatever the order and the split, and the first bad file raises
+    def read(block):
+        try:
+            return read_interferogram_block(block)
+        except CsvFormatError as err:
+            return str(err)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"ig{k}.csv") for k in range(len(texts))]
+        alone = {}
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                ig = read_interferogram_csv(path)
+                alone[path] = (ig.phase_rad, ig.counts_d1, ig.counts_d2)
+            except CsvFormatError as err:
+                alone[path] = str(err)
+        for block in (paths, paths[::-1], *([path] for path in paths)):
+            got = read(block)
+            first_bad = next((alone[path] for path in block if isinstance(alone[path], str)), None)
+            if first_bad is not None or isinstance(got, str):
+                assert got == first_bad, texts
+                continue
+            for path, data in zip(block, got):
+                assert data.shape == (len(alone[path][0]), 3) and data.dtype == float, texts
+                for column, want in zip(data.T, alone[path]):
+                    # int64 counts are the exact integers read as floats
+                    assert column.astype(want.dtype).tobytes() == want.tobytes(), texts
 
 
 _REPORTS = st.recursive(

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from darkport import reports
+from darkport.cli import main
 from darkport.photonsim import ScanConfig, simulate_interferogram
 from darkport.interferometer import SagnacModel, VisibilityValue
 from darkport.reports import (
@@ -12,6 +14,7 @@ from darkport.reports import (
     dumps_json,
     encode_columns,
     format_float,
+    read_interferogram_block,
     read_interferogram_csv,
     read_phase_spectrum_csv,
     write_interferogram_csv,
@@ -142,6 +145,11 @@ def test_read_interferogram_rejects_garbage(tmp_path):
     with pytest.raises(CsvFormatError) as exc:
         read_interferogram_csv(path)
     assert str(exc.value) == f"{path}: line 5: non-finite value"
+    # plain text that float() reads as inf
+    path.write_text("phase_rad,counts_d1,counts_d2\n0.0,1,2\n1e999,1,2\n")
+    with pytest.raises(CsvFormatError) as exc:
+        read_interferogram_csv(path)
+    assert str(exc.value) == f"{path}: line 3: non-finite value"
 
 
 def test_read_interferogram_parses_fields_as_python_float(tmp_path):
@@ -154,7 +162,7 @@ def test_read_interferogram_parses_fields_as_python_float(tmp_path):
     assert ig.counts_d1.dtype == np.int64
 
 
-def test_read_phase_spectrum(tmp_path):
+def test_read_phase_spectrum(tmp_path, capsys):
     path = tmp_path / "spec.csv"
     path.write_text("wavelength_nm,phase_rad\n750,-2.39\n790,-3.17\n")
     spec = read_phase_spectrum_csv(path)
@@ -163,3 +171,51 @@ def test_read_phase_spectrum(tmp_path):
     path.write_text("wavelength_nm,phase_rad\n790,-3.17\n750,-2.39\n")
     with pytest.raises(ValueError):
         read_phase_spectrum_csv(path)
+    # an LF file, its CRLF copy and a copy with a quoted field read alike:
+    # the same arrays, or the same message, which index exits 3 on
+    for rows, want in ((["750,-2.39", "790,-3.17"], [[750.0, 790.0], [-2.39, -3.17]]),
+                       ([" 7 ,-2.39", "1_0,-3.17"], [[7.0, 10.0], [-2.39, -3.17]]),
+                       (["750,nan", "790,-3.17"], f"{path}: line 2: non-finite value"),
+                       (["790,-3.17", "750,-2.39"],
+                        f"{path}: wavelengths must be strictly increasing")):
+        wavelength, phase = rows[0].split(",")
+        quoted = [f'"{wavelength}",{phase}', rows[1]]
+        for lines, end in ((rows, "\n"), (rows, "\r\n"), (quoted, "\n")):
+            path.write_bytes(end.join(["wavelength_nm,phase_rad", *lines, ""]).encode())
+            if isinstance(want, str):
+                with pytest.raises(CsvFormatError) as exc:
+                    read_phase_spectrum_csv(path)
+                assert str(exc.value) == want
+                assert main(["index", str(path), "--out", str(tmp_path / "out")]) == 3
+                assert capsys.readouterr().err == f"input error: {want}\n"
+            else:
+                spec = read_phase_spectrum_csv(path)
+                assert [spec.wavelength_nm.tolist(), spec.phase_rad.tolist()] == want
+
+
+def test_plain_files_are_read_without_the_csv_module(tmp_path, monkeypatch):
+    # the files simulate writes, counts scaled into .17g exponent text and
+    # -0 phases all take the plain path, which never asks _parse_records
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("interferogram_*.csv"))
+    ig = read_interferogram_csv(paths[0])
+    scaled, signed = tmp_path / "scaled.csv", tmp_path / "signed.csv"
+    counts = np.stack([ig.counts_d1, ig.counts_d2], axis=1) * 1e16
+    scaled.write_text("".join(["phase_rad,counts_d1,counts_d2\n"] + [
+        f"{format_float(phi)},{format_float(d1)},{format_float(d2)}\n"
+        for phi, (d1, d2) in zip(ig.phase_rad, counts)]))
+    write_interferogram_csv(signed, dataclasses.replace(ig, phase_rad=-ig.phase_rad))
+    assert "e+" in scaled.read_text() and "\n-0," in signed.read_text()
+    paths += [scaled, signed]
+    want = [reports._parse_records(path, ("phase_rad", "counts_d1", "counts_d2"))[0].tobytes()
+            for path in paths]  # as the csv module reads them
+
+    def refuse(path, expected_header):
+        raise AssertionError(f"{path} left the plain path")
+
+    monkeypatch.setattr(reports, "_parse_records", refuse)
+    got = read_interferogram_block(paths)
+    assert [data.tobytes() for data in got] == want
+    assert [data.shape for data in got] == [(len(ig.phase_rad), 3)] * len(paths)
+    assert np.signbit(got[-1][0, 0]) and got[-2][:, 1:].tolist() == counts.tolist()
+    assert read_interferogram_csv(paths[1]).counts_d1.dtype == np.int64
