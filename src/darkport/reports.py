@@ -7,9 +7,8 @@ keep the output parseable everywhere.
 
 CSV input must be UTF-8.  Each field is parsed as Python ``float`` parses it
 (``1_0``, `` 7 `` and ``nan`` too), and a field that is not a finite number is
-an error naming its line.  Files are read in blocks: each plain file is matched
-by one pattern, their bodies are joined and split once and each distinct field
-text is parsed once, and the first bad file's error is the one raised.
+an error naming its line.  Runs of plain files are joined and split once, with
+one float() per distinct text where texts repeat; the first bad file raises.
 """
 
 from __future__ import annotations
@@ -172,46 +171,49 @@ def write_interferogram_csv(path, ig: Interferogram) -> None:
                 for phi, d1, d2 in zip(ig.phase_rad, ig.counts_d1, ig.counts_d2)))
 
 
-class _FloatTable(dict):
-    """A block's field texts, each parsed by float() once, at its first lookup;
-    nan where float() refuses, so that _parse_records names the line."""
-
+class _FloatTable(dict):  # float() of each text looked up, parsed at its first lookup
     def __missing__(self, text: bytes) -> float:
-        try:
-            value = self[text] = float(text)
-        except ValueError:
-            value = self[text] = np.nan
-        return value
+        return self.setdefault(text, float(text))
 
 
 def _parse_block(paths: Sequence, expected_header: Sequence[str]) -> Iterator[np.ndarray]:
-    """Yield the rows of each file in paths as _parse_records reads them.
-
-    A plain file is, once CRLF is LF, the exact header line and then lines of
-    len(expected_header) fields of float() characters.  The plain files' bodies
-    are joined and split at their commas once, as the csv module splits them,
-    and each field is looked up in one _FloatTable.  Any other file, and a plain
-    file with a field that float() refuses or reads as non-finite, goes to
-    _parse_records in the order of paths, so the first bad file raises."""
+    """Yield the rows of each file in paths as _parse_records reads them: each run of
+    plain files (once CRLF is LF, the exact header, then lines of len(expected_header)
+    fields of float() characters) by _parse_plain, any other file by _parse_records.
+    The first bad file raises.  No file after one that is not plain is opened, but the
+    plain files after a plain one with a bad value are read before it raises."""
     head, width = ",".join(expected_header).encode(), len(expected_header)
     field = rb"[-+.0-9eE]{1,32}"  # what float() may read; a .17g double takes 24 characters
     plain = re.compile(re.escape(head) + rb"(?:\n" + b",".join([field] * width) + rb")+\n?")
-    bodies = {}
-    for k, path in enumerate(paths):
+    files = []
+    for path in paths:
         try:
             with open(path, "rb") as fh:
                 text = fh.read().replace(b"\r\n", b"\n")  # ASCII if plain, so UTF-8
         except OSError:
-            continue
+            text = b""
         if plain.fullmatch(text):
-            bodies[k] = text[len(head):].rstrip(b"\n")  # "\n" before each data row
-    fields = b"".join(bodies.values()).replace(b"\n", b",").split(b",")[1:]
-    values = np.fromiter(map(_FloatTable().__getitem__, fields), float, len(fields))
-    ends = np.cumsum([body.count(b"\n") for body in bodies.values()], dtype=int)
-    rows = dict(zip(bodies, np.split(values.reshape(-1, width), ends[:-1])))
-    for k, path in enumerate(paths):
-        yield (rows[k] if k in rows and np.isfinite(rows[k]).all()
-               else _parse_records(path, expected_header)[0])
+            files.append((path, text[len(head):].rstrip(b"\n")))  # "\n" before each row
+        else:
+            yield from _parse_plain(files, expected_header)
+            yield _parse_records(path, expected_header)[0]
+            files = []
+    yield from _parse_plain(files, expected_header)
+
+
+def _parse_plain(files: list, expected_header: Sequence[str]) -> Iterator[np.ndarray]:
+    """Yield the rows of each (path, body) in files, split at their commas at once as the csv
+    module splits them; a file with a refused or non-finite value goes to _parse_records."""
+    fields = b"".join(body for _, body in files).replace(b"\n", b",").split(b",")[1:]
+    ends, sample = np.cumsum([body.count(b"\n") for _, body in files], dtype=int), fields[::16]
+    try:
+        if 2 * len(set(sample)) <= len(sample):  # texts repeat: float() each distinct one once
+            fields = list(map(_FloatTable().__getitem__, fields))
+        rows = np.split(np.array(fields, dtype=float).reshape(-1, len(expected_header)), ends[:-1])
+    except ValueError:  # a field float() refuses: the csv module reads each file
+        rows = [np.array(np.nan)] * len(files)
+    for (path, _), data in zip(files, rows):
+        yield data if np.isfinite(data).all() else _parse_records(path, expected_header)[0]
 
 
 def _parse_records(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:
@@ -265,14 +267,12 @@ def _raise_at_row(path, records: list[list[str]], bad: np.ndarray, message: str)
 
 
 def read_interferogram_block(paths: Sequence) -> list[np.ndarray]:
-    """The (n_steps, 3) float rows of each interferogram CSV, checked as
-    read_interferogram_csv checks them and parsed as one block (_parse_block:
-    one float() per distinct field text); the first bad file in paths raises."""
+    """The (n_steps, 3) float rows of each interferogram CSV, parsed by _parse_block and checked
+    as read_interferogram_csv checks them; the first bad file in paths raises."""
     header, blocks, error = ("phase_rad", "counts_d1", "counts_d2"), [], None
-    try:
-        for data in _parse_block(paths, header):
-            blocks.append(data)
-    except CsvFormatError as err:  # raised once the files before it are checked
+    try:  # extend() keeps the files before the first bad one, which are checked first
+        blocks.extend(_parse_block(paths, header))
+    except CsvFormatError as err:
         error = err
     counts = np.concatenate([np.empty((0, 3)), *blocks])[:, 1:]
     bad = (counts < 0).any(axis=1) | (counts[:, 0] > _MAX_TOTAL - counts[:, 1])

@@ -8,6 +8,7 @@ oracle; quaternion algebra, the interferogram CSV format and the JSON
 reports, whole or a column at a time, must hold for any input.
 """
 
+import itertools
 import json
 import math
 import os
@@ -394,7 +395,7 @@ def test_interferogram_csv_round_trip_is_exact(data):
 
 _CSV_COUNT = st.one_of(st.integers(0, 10 ** 19).map(str), st.floats(0.0, 1e20).map(repr))
 _CSV_HOSTILE = st.sampled_from(["-1", "nan", "inf", "", "x", "1e160", "1e308", "1e999", " 7 ",
-                                "1_0"])
+                                "1_0", "1.2.3"])
 
 
 @st.composite
@@ -473,8 +474,10 @@ def _csv_file(draw):
 @settings(PROPERTY, max_examples=60)
 @given(texts=st.lists(_csv_file(), min_size=1, max_size=6))
 def test_block_read_is_each_file_read_alone(texts):
-    # a block's files share one float table, yet each file reads as it reads
-    # alone, whatever the order and the split, and the first bad file raises
+    # a block's files are parsed together, yet each file reads as it reads
+    # alone, whatever the order and the split, and the first bad file raises;
+    # each block is also read after a file of one repeated row, whose fields
+    # make the block's texts repeat, so that each distinct text is parsed once
     def read(block):
         try:
             return read_interferogram_block(block)
@@ -492,13 +495,17 @@ def test_block_read_is_each_file_read_alone(texts):
                 alone[path] = (ig.phase_rad, ig.counts_d1, ig.counts_d2)
             except CsvFormatError as err:
                 alone[path] = str(err)
-        for block in (paths, paths[::-1], *([path] for path in paths)):
-            got = read(block)
+        repeated = os.path.join(tmp, "repeated.csv")
+        with open(repeated, "w", encoding="utf-8") as fh:
+            fh.write("phase_rad,counts_d1,counts_d2\n" + "0,1,1\n" * 400)
+        for block, pad in itertools.product((paths, paths[::-1], *([path] for path in paths)),
+                                            ([], [repeated])):
+            got = read(pad + block)
             first_bad = next((alone[path] for path in block if isinstance(alone[path], str)), None)
             if first_bad is not None or isinstance(got, str):
                 assert got == first_bad, texts
                 continue
-            for path, data in zip(block, got):
+            for path, data in zip(block, got[len(pad):]):
                 assert data.shape == (len(alone[path][0]), 3) and data.dtype == float, texts
                 for column, want in zip(data.T, alone[path]):
                     # int64 counts are the exact integers read as floats

@@ -145,11 +145,15 @@ def test_read_interferogram_rejects_garbage(tmp_path):
     with pytest.raises(CsvFormatError) as exc:
         read_interferogram_csv(path)
     assert str(exc.value) == f"{path}: line 5: non-finite value"
-    # plain text that float() reads as inf
+    # plain text that float() reads as inf, and plain text that it refuses
     path.write_text("phase_rad,counts_d1,counts_d2\n0.0,1,2\n1e999,1,2\n")
     with pytest.raises(CsvFormatError) as exc:
         read_interferogram_csv(path)
     assert str(exc.value) == f"{path}: line 3: non-finite value"
+    path.write_text("phase_rad,counts_d1,counts_d2\n0.0,1,2\n0.5,1e,2\n")
+    with pytest.raises(CsvFormatError) as exc:
+        read_interferogram_csv(path)
+    assert str(exc.value) == f"{path}: line 3: could not convert string to float: '1e'"
 
 
 def test_read_interferogram_parses_fields_as_python_float(tmp_path):
@@ -194,8 +198,9 @@ def test_read_phase_spectrum(tmp_path, capsys):
 
 
 def test_plain_files_are_read_without_the_csv_module(tmp_path, monkeypatch):
-    # the files simulate writes, counts scaled into .17g exponent text and
-    # -0 phases all take the plain path, which never asks _parse_records
+    # the files simulate writes, counts scaled into .17g exponent text, -0
+    # phases and a block of low-count scans all take the plain path, which
+    # never asks _parse_records
     assert main(["simulate", "--out", str(tmp_path)]) == 0
     paths = sorted(tmp_path.glob("interferogram_*.csv"))
     ig = read_interferogram_csv(paths[0])
@@ -206,16 +211,57 @@ def test_plain_files_are_read_without_the_csv_module(tmp_path, monkeypatch):
         for phi, (d1, d2) in zip(ig.phase_rad, counts)]))
     write_interferogram_csv(signed, dataclasses.replace(ig, phase_rad=-ig.phase_rad))
     assert "e+" in scaled.read_text() and "\n-0," in signed.read_text()
+    # 32 low-count scans share their phase texts and repeat their counts, as
+    # the files of a fit block do
+    scans = [tmp_path / f"scan{k}.csv" for k in range(32)]
+    for k, scan in enumerate(scans):
+        write_interferogram_csv(scan, simulate_interferogram(
+            SagnacModel(visibility_v=0.9), ScanConfig(mean_counts_per_step=20.0, rng_seed=k)))
+    texts = {text.encode() for scan in scans for line in scan.read_text().split()[1:]
+             for text in line.split(",")}
     paths += [scaled, signed]
-    want = [reports._parse_records(path, ("phase_rad", "counts_d1", "counts_d2"))[0].tobytes()
-            for path in paths]  # as the csv module reads them
+    header = ("phase_rad", "counts_d1", "counts_d2")
+    want = {path: reports._parse_records(path, header)[0].tobytes()
+            for path in paths + scans}  # as the csv module reads them
+    parsed = []
 
     def refuse(path, expected_header):
         raise AssertionError(f"{path} left the plain path")
 
+    class LoggedFloat:  # float() that logs each text; numpy reads it as float, its dtype
+        dtype = np.dtype(float)
+
+        def __call__(self, text):
+            parsed.append(text)
+            return float(text)
+
     monkeypatch.setattr(reports, "_parse_records", refuse)
     got = read_interferogram_block(paths)
-    assert [data.tobytes() for data in got] == want
+    assert [data.tobytes() for data in got] == [want[path] for path in paths]
     assert [data.shape for data in got] == [(len(ig.phase_rad), 3)] * len(paths)
     assert np.signbit(got[-1][0, 0]) and got[-2][:, 1:].tolist() == counts.tolist()
     assert read_interferogram_csv(paths[1]).counts_d1.dtype == np.int64
+    # the scans' block parses each distinct field text with float() once
+    monkeypatch.setattr(reports, "float", LoggedFloat(), raising=False)
+    got = read_interferogram_block(scans)
+    assert sorted(parsed) == sorted(texts) and len(texts) < 200
+    assert [data.tobytes() for data in got] == [want[scan] for scan in scans]
+
+
+def test_block_read_opens_no_file_after_a_malformed_one(tmp_path, monkeypatch):
+    # the files after the first bad one stay unopened, as a FIFO there would block
+    good, bad, after = (tmp_path / f"{name}.csv" for name in ("good", "bad", "after"))
+    good.write_text("phase_rad,counts_d1,counts_d2\n0,1,2\n")
+    bad.write_text("phase_rad,counts_d1,counts_d2\n0,three,2\n")
+    after.write_text("phase_rad,counts_d1,counts_d2\n0,1,2\n")
+    opened = []
+
+    def logged_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(reports, "open", logged_open, raising=False)
+    with pytest.raises(CsvFormatError) as exc:
+        read_interferogram_block([good, bad, after])
+    assert str(exc.value) == f"{bad}: line 2: could not convert string to float: 'three'"
+    assert good in opened and after not in opened
