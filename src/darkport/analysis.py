@@ -88,15 +88,6 @@ class RunRecord:
     def is_partial(self) -> bool:
         return None in (self.v_nim_d1, self.v_nim_d2, self.v_both_d1, self.v_both_d2)
 
-    def detector_pairs(self) -> list[tuple[VisibilityValue, VisibilityValue]]:
-        """Usable (V_both, V_nim) pairs, detector 1 then detector 2."""
-        pairs = []
-        for v_both, v_nim in ((self.v_both_d1, self.v_nim_d1),
-                              (self.v_both_d2, self.v_nim_d2)):
-            if v_both is not None and v_nim is not None:
-                pairs.append((v_both, v_nim))
-        return pairs
-
 
 @dataclass(frozen=True)
 class DeltaVStats:
@@ -223,17 +214,21 @@ def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanCon
 def _pairs(reference: np.ndarray, toggled: np.ndarray) -> tuple[np.ndarray, ...]:
     """V_both, its sigma, V_nim and its sigma of each detector pair of the
     slots' (runs, 2) fits with both fits usable: run-major, detector 1 then
-    2, as RunRecord.detector_pairs gives them."""
+    2.  Every statistic pairs its fits here, the sweep's and the records'."""
     usable = reference["usable"] & toggled["usable"]
     return tuple(fits[name][usable] for fits in (toggled, reference)
                  for name in ("value", "sigma"))
 
 
 def _record_pairs(records: Sequence[RunRecord]) -> tuple[np.ndarray, ...]:
-    """_pairs of records."""
-    pairs = [(v_both.value, v_both.sigma, v_nim.value, v_nim.sigma)
-             for rec in records for v_both, v_nim in rec.detector_pairs()]
-    return tuple(np.array(pairs, dtype=float).reshape(-1, 4).T)
+    """_pairs of records, whose slots fill one (runs, 4) _SLOT array as
+    _records reads it: v_nim_d1, v_nim_d2, v_both_d1 and v_both_d2, usable
+    where not None."""
+    fits = np.array([(0.0, 0.0, False) if v is None else (v.value, v.sigma, True)
+                     for rec in records
+                     for v in (rec.v_nim_d1, rec.v_nim_d2, rec.v_both_d1, rec.v_both_d2)],
+                    dtype=_SLOT).reshape(-1, 4)
+    return _pairs(fits[:, :2], fits[:, 2:])
 
 
 def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float]:

@@ -5,7 +5,7 @@ in (c0, c1, c2) at a fixed f.  phase_rad is the Mach-Zehnder phase in the
 simulated scan and the CSV format alike, so f = 1/2 is known: every command
 fits each block of rows of one kept length by one weighted least-squares
 solve at that f (_fit_block).  The block's fits stay arrays, one _FIT record
-per row and detector, which the campaign reads as they are; fit_counts,
+per row and detector, which the campaign reads as they are;
 fit_interferograms and fit_sinusoid build FitResult objects from them.
 fit_sinusoid searches f too, one row at a time, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Weights come from
@@ -35,7 +35,6 @@ __all__ = [
     "FitResult",
     "normalize",
     "fit_sinusoid",
-    "fit_counts",
     "fit_interferograms",
     "propagate",
 ]
@@ -44,7 +43,7 @@ MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
 # f of the data paths: the fringe is sin^2(phase_rad / 2 + p)
 _FRINGE_FREQUENCY = 0.5
-# rows per fit_counts call where fit_interferograms, cli.cmd_fit and analysis._slot_fits
+# rows per _fit_rows call where fit_interferograms, cli.cmd_fit and analysis._slot_fits
 # stream their input: one call on 1,600 fit rows raised fit's peak RSS from 42 to 65 MB,
 # and one on a slot's 200 rows a sweep's from 39.4 to 41.7 MB
 _STREAM_ROWS = 64
@@ -93,12 +92,6 @@ class NormalizedFringe:
         return self.phase.shape[0]
 
 
-def _sigmas(cov: np.ndarray) -> np.ndarray:
-    """sqrt(max(c, 0.0)) of each diagonal entry c of (..., k, k) covariances."""
-    diagonal = np.diagonal(cov, axis1=-2, axis2=-1)
-    return np.sqrt(np.where(diagonal < 0.0, 0.0, diagonal))
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Fitted A sin^2(f x + p) + B with covariance in (A, f, p, B) order.
@@ -106,8 +99,9 @@ class FitResult:
     A >= 0, f >= 0, and p in [0, pi) by convention (sin^2 is even and
     pi-periodic, so each fit has one such form); low_signal marks amplitudes
     within 2 sigma of zero.  n_excluded is copied from the fitted fringe.
-    From fit_counts and fit_interferograms, f is the known 1/2 with sigma 0,
-    iterations is 0, and converged is a chi-square test (_fit_block).
+    From fit_interferograms, f is the known 1/2 with variance 0, iterations
+    is 0, and converged is a chi-square test (_fit_block).  The diagonal of
+    covariance holds the variances of (A, f, p, B).
     """
 
     amplitude: float
@@ -123,9 +117,6 @@ class FitResult:
     low_signal: bool
     n_excluded: int
 
-    sigma_amplitude, sigma_frequency, sigma_phase, sigma_offset = (
-        property(lambda self, k=k: float(_sigmas(self.covariance)[k])) for k in range(4))
-
 
 # a fit's result, or the error that stopped it
 FitOutcome = FitResult | FitInputError | InvalidFitError
@@ -140,7 +131,7 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     fit_sinusoid's spectral start assumes an ordered grid.  Raises
     FitInputError for fewer than 8 points with counts, for points with
     counts spanning less than one fringe (2 pi), or for a step total above
-    _MAX_TOTAL.  This is the one-row case of the normalization in fit_counts.
+    _MAX_TOTAL.  This is the one-row case of the normalization in _fit_rows.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
@@ -392,9 +383,11 @@ def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: 
 def _fit_columns(fits: np.ndarray, iterations: int = 0) -> tuple[list, dict]:
     """Each fit of (rows, sides) _FIT fits, row by row: its error (the row's
     FitInputError, an InvalidFitError where A + 2B <= 0, or None), and fit's
-    report as columns, an array per field and a dict of two for visibility."""
+    report as columns, an array per field and a dict of two for visibility.
+    Each sigma_ column is the root of its variance, 0 where that is negative."""
     fits = fits.reshape(-1)
-    params, sigmas = fits["params"], _sigmas(fits["cov"])
+    params, variances = fits["params"], np.diagonal(fits["cov"], axis1=-2, axis2=-1)
+    sigmas = np.sqrt(np.where(variances < 0.0, 0.0, variances))
     errors = [error if error is not None or q > 0.0
               else InvalidFitError(f"A + 2B must be positive, got {q!r}")
               for error, q in zip(fits["error"].tolist(),
@@ -478,11 +471,8 @@ def _fit_rows(phase: np.ndarray, counts_d1: np.ndarray, counts_d2: np.ndarray) -
     normalized and checked together, then each group of equal kept length
     is fitted by one solve (_fit_block); a row's fits do not depend on the
     other rows."""
-    arrays = np.broadcast_arrays(phase, counts_d1, counts_d2)
-    if arrays[0].ndim != 2:
-        raise ValueError(f"fit_counts needs (rows, n_steps) arrays, got shape "
-                         f"{arrays[0].shape}")
-    phase, d1, d2 = _sorted_by_phase(*(np.ascontiguousarray(a, dtype=float) for a in arrays))
+    phase, d1, d2 = _sorted_by_phase(*(np.ascontiguousarray(a, dtype=float)
+                                       for a in np.broadcast_arrays(phase, counts_d1, counts_d2)))
     detectors = _fitted_detectors(d1, d2)
     errors, groups = _normalize_rows(phase, d1, d2, detectors)
     fits = _blank(len(errors))
@@ -491,13 +481,6 @@ def _fit_rows(phase: np.ndarray, counts_d1: np.ndarray, counts_d2: np.ndarray) -
         sides = np.where(detectors[rows, None] == 1, [0, 1], [1, 0])
         fits[rows[:, None], sides] = _fit_block(x, y, sigma, n_excluded)
     return fits
-
-
-def fit_counts(phase: np.ndarray, counts_d1: np.ndarray,
-               counts_d2: np.ndarray) -> list[tuple[FitOutcome, FitOutcome]]:
-    """fit_interferograms on count blocks: the (d1, d2) outcomes of each row
-    of (rows, n_steps) arrays, or arrays that broadcast to that shape."""
-    return _outcomes(_fit_rows(phase, counts_d1, counts_d2))
 
 
 def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, FitOutcome]]:

@@ -95,6 +95,8 @@ class Interferogram:
         n = self.phase_rad.shape[0]
         if self.counts_d1.shape != (n,) or self.counts_d2.shape != (n,):
             raise ValueError("phase and count arrays must have identical length")
+        if not np.all(np.isfinite(self.phase_rad)):
+            raise ValueError("phase_rad must be finite")
         for name, c in (("counts_d1", self.counts_d1), ("counts_d2", self.counts_d2)):
             if not np.all(np.isfinite(np.asarray(c, dtype=float))) or np.any(c < 0):
                 raise ValueError(f"{name} must be finite and non-negative")

@@ -97,11 +97,6 @@ class PhaseVector:
     def magnitude(self) -> float:
         return math.hypot(self.phi1, self.phi2, self.phi3)
 
-    @property
-    def is_complex(self) -> bool:
-        """True when the phase has no j or k component."""
-        return self.phi2 == 0.0 and self.phi3 == 0.0
-
 
 def mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a*b (non-commutative in general)."""

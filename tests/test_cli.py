@@ -373,6 +373,13 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_config_element_without_label_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"apparatus": {"elements": [{"phase": [0.1, 0, 0]}]}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "apparatus.elements[0]: element needs a string label" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_runs_any_single_element_toggle(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "apparatus": {"elements": [
@@ -839,7 +846,7 @@ def test_fit_counts_whose_arithmetic_overflows_are_input_error(tmp_path, capsys,
     ig = photonsim.Interferogram(phase, d1, d2)
     with pytest.raises(fitting.FitInputError, match=r"above 1e\+150"):
         fitting.normalize(ig)
-    [pair] = fitting.fit_counts(phase, d1[None], d2[None])
+    [pair] = fitting._outcomes(fitting._fit_rows(phase, d1[None], d2[None]))
     [streamed] = fitting.fit_interferograms([ig])
     assert all(isinstance(fit, fitting.FitInputError) for fit in (*pair, *streamed))
     # a total of 1e150 still fits (exit 4 only for a fit that is not converged)

@@ -1,11 +1,13 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import darkport
+from darkport.config import SCHEMA
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(darkport.__path__))
 
@@ -27,3 +29,21 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(darkport, alias.name) is getattr(module, alias.name)
+
+
+def test_readme_names_resolve():
+    # a name deleted or renamed while README still mentions it fails here: a
+    # `prefix.name` whose prefix is a darkport module, a package attribute or
+    # a config section must name an attribute of it or a key of that section
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    scopes = {name: importlib.import_module(f"darkport.{name}") for name in MODULES}
+    scopes["darkport"] = darkport
+    checked, missing = 0, []
+    for prefix, name in set(re.findall(r"`(?:darkport\.)?(\w+)\.(\w+)`", readme)):
+        scope = scopes.get(prefix, getattr(darkport, prefix, None))
+        if scope is not None or prefix in SCHEMA:
+            checked += 1
+            if not (hasattr(scope, name) or name in SCHEMA.get(prefix, {})):
+                missing.append(f"{prefix}.{name}")
+    assert checked >= 20
+    assert missing == []

@@ -190,6 +190,16 @@ def test_interferogram_validation():
         Interferogram(phase_rad=phases, counts_d1=bad, counts_d2=counts)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_interferogram_refuses_non_finite_phase(value):
+    # as NormalizedFringe does; the fit would otherwise fail in its SVD (inf)
+    # or report the span of the phases as nan
+    phases = np.linspace(0.0, 4.0 * math.pi, 10)
+    phases[3] = value
+    with pytest.raises(ValueError, match="^phase_rad must be finite$"):
+        Interferogram(phase_rad=phases, counts_d1=np.ones(10), counts_d2=np.ones(10))
+
+
 def test_campaign_config_configurations():
     cfg = ExperimentConfig()
     assert sorted(cfg.configurations) == ["both", "nim"]

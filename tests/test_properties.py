@@ -194,7 +194,7 @@ def _check_against_the_oracle(igs):
                             half * math.sin(2.0 * fit.phase)])
             # relative to the coefficient vector: a small c1 or c2 alone is looser
             assert np.abs(got - coef).max() <= 1e-12 * np.abs(coef).max()
-            assert (fit.frequency, fit.sigma_frequency, fit.iterations) == (0.5, 0.0, 0)
+            assert (fit.frequency, fit.covariance[1, 1], fit.iterations) == (0.5, 0.0, 0)
             assert fit.visibility.value == pytest.approx(min(v, 1.0), rel=1e-12)
             assert fit.visibility.sigma == pytest.approx(sigma, rel=1e-9)
             dof = fringe.n_points - 3

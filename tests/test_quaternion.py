@@ -177,11 +177,9 @@ def test_generalized_defect_invariant_under_overall_sign():
                             generalized_defect(-a, b, r), rel_tol=1e-12)
 
 
-def test_phase_vector_magnitude_and_is_complex():
+def test_phase_vector_magnitude():
     v = PhaseVector(3.0, 4.0, 0.0)
     assert math.isclose(v.magnitude, 5.0)
-    assert PhaseVector(1.2, 0.0, 0.0).is_complex
-    assert not PhaseVector(1.2, 1e-6, 0.0).is_complex
 
 
 def test_phase_vector_rejects_non_finite():
