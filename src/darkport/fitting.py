@@ -179,10 +179,15 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
 
     Returns (errors, groups): each row's FitInputError or None, and the
     usable rows grouped by kept length as (rows, phase, ratio, sigma,
-    n_excluded) with (len(rows), kept) arrays.
+    n_excluded) with (len(rows), kept) arrays.  Rows that Interferogram
+    refuses get its message, and zero counts so that nothing below warns.
     """
+    valid = {"phase_rad must be finite": np.isfinite(phase).all(axis=-1)}
+    for name, c in (("counts_d1", d1), ("counts_d2", d2)):
+        valid[f"{name} must be finite and non-negative"] = (np.isfinite(c) & (c >= 0)).all(axis=-1)
+    refused = ~np.all(list(valid.values()), axis=0)[:, None]
     over = d1 > _MAX_TOTAL - d2  # tested before d1 + d2 can overflow
-    d1, d2 = np.where(over, 0.0, d1), np.where(over, 0.0, d2)
+    d1, d2 = np.where(over | refused, 0.0, d1), np.where(over | refused, 0.0, d2)
     counts = np.where(np.reshape(detectors, (-1, 1)) == 1, d1, d2)
     total = d1 + d2
     keep = total > 0
@@ -196,6 +201,9 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
     for i in np.flatnonzero(huge):
         errors[i] = FitInputError(f"counts_d1 + counts_d2 above {_MAX_TOTAL!r} at a step, "
                                   "where the fit's weights overflow")
+    for text, ok in reversed(valid.items()):  # the first check a row fails names it
+        for i in np.flatnonzero(~ok):
+            errors[i] = FitInputError(text)
     usable = np.flatnonzero((n_usable >= 8) & ~huge)
     if usable.size == 0:
         return errors, []

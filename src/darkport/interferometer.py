@@ -1,10 +1,10 @@
 """Sagnac-in-Mach-Zehnder interferometer models.
 
-Each model computes its loop products once: ``PhaseElement.quaternion``,
-``SagnacModel.loop_products`` (the clockwise and counter-clockwise phase
-products) and ``SagnacModel.defect`` are cached on the frozen instance, so
-every route below reads the same once-computed values.  From those
-products, two routes to the same physics stay separate:
+Each model computes its loop products when it is built:
+``PhaseElement.quaternion``, ``SagnacModel.loop_products`` (the clockwise
+and counter-clockwise phase products) and ``SagnacModel.defect`` are set
+in ``__post_init__``, so every route below reads the same values.  From
+those products, two routes to the same physics stay separate:
 
 * ``propagate_state`` walks a single photon through the Sagnac loop with an
   explicit 2x2 quaternionic density matrix (the brute-force route), and
@@ -13,18 +13,17 @@ products, two routes to the same physics stay separate:
 
 The closed form must agree with the explicit propagation to 1e-12; tests
 enforce it.  Both classes are frozen with immutable fields, and
-``dataclasses.replace`` builds a new instance with empty caches, so a
-cached value never goes stale and lives on its own instance only.  The
-reflection factor is restricted to unit *imaginary* quaternions: a 50:50
-beamsplitter is unitary only for a pi/2-type reflection, and with a real
-component the two output ports would not sum to one.
+``dataclasses.replace`` builds a new instance, which computes its own
+products, so a product never goes stale.  The reflection factor is
+restricted to unit *imaginary* quaternions: a 50:50 beamsplitter is
+unitary only for a pi/2-type reflection, and with a real component the
+two output ports would not sum to one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .quaternion import (
@@ -84,10 +83,7 @@ class PhaseElement:
         if not 0.0 < self.amplitude_transmission <= 1.0:
             raise ValueError(
                 f"amplitude_transmission must lie in (0, 1], got {self.amplitude_transmission!r}")
-
-    @cached_property
-    def quaternion(self) -> Quaternion:
-        return qexp(self.phase)
+        object.__setattr__(self, "quaternion", qexp(self.phase))
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,8 @@ class SagnacModel:
 
     ``elements`` are listed in clockwise order; the counter-clockwise mode
     sees them reversed, which is what makes the loop sensitive to
-    non-commuting phases.
+    non-commuting phases.  ``loop_products`` (clockwise, in list order, and
+    counter-clockwise) and ``defect`` are computed when the model is built.
     """
 
     visibility_v: float = 1.0
@@ -115,25 +112,12 @@ class SagnacModel:
         labels = [e.label for e in self.elements]
         if len(set(labels)) != len(labels):
             raise ValueError(f"element labels must be unique, got {labels!r}")
-
-    @cached_property
-    def loop_products(self) -> tuple[Quaternion, Quaternion]:
-        """Clockwise product (list order) and counter-clockwise product
-        (reversed), computed once per model."""
-        cw = ONE
-        ccw = ONE
-        for e in self.elements:
-            q = e.quaternion
-            cw = mul(cw, q)
-            ccw = mul(q, ccw)
-        return cw, ccw
-
-    @cached_property
-    def defect(self) -> float:
-        """|r*P_cw - P_ccw*r|, computed once; see loop_defect."""
-        cw, ccw = self.loop_products
+        cw = ccw = ONE
+        for q in (e.quaternion for e in self.elements):
+            cw, ccw = mul(cw, q), mul(q, ccw)
         r = self.reflection
-        return norm(mul(r, cw) - mul(ccw, r))
+        object.__setattr__(self, "loop_products", (cw, ccw))
+        object.__setattr__(self, "defect", norm(mul(r, cw) - mul(ccw, r)))
 
     def intensity_transmission(self) -> float:
         """Squared product of element amplitude transmissions."""
@@ -210,8 +194,8 @@ def loop_defect(model: SagnacModel) -> float:
 
     The two-element case is generalized_defect(alpha, beta, r); with a
     single element it is the commutator norm of that phase with the
-    reflection, and with none it is zero.  It reads the model's cached
-    ``defect``, so repeated calls on one model cost one computation.
+    reflection, and with none it is zero.  It reads the ``defect`` the
+    model computed when it was built, so a call does no arithmetic.
     """
     return model.defect
 
@@ -223,8 +207,9 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
     reflection) and the counter-clockwise amplitude, forms the 2x2 density
     matrix, scales the coherences by the Sagnac visibility v, applies the
     exit beamsplitter, and reads the diagonal.  This is the oracle the
-    closed forms are tested against.  It shares only the model's cached
-    loop products with them; the density-matrix walk is its own.
+    closed forms are tested against.  It shares only the model's loop
+    products, computed when the model was built, with them; the
+    density-matrix walk is its own.
     """
     cw, ccw = model.loop_products
     r = model.reflection
@@ -233,8 +218,7 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
     c_cw = mul(cw, r)  # reflected on entry, then dephased around the loop
     c_ccw = ccw
 
-    rho11 = Quaternion(0.5)
-    rho22 = Quaternion(0.5)
+    rho11 = rho22 = Quaternion(0.5)
     rho12 = mul(c_cw, conj(c_ccw)).scaled(0.5 * v)
     rho21 = mul(c_ccw, conj(c_cw)).scaled(0.5 * v)
 
@@ -253,7 +237,7 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
 def dark_port_prob(model: SagnacModel) -> PortProbabilities:
     """Closed-form port probabilities: P_D = 1/2 - (v/2) (1 - defect^2 / 2).
 
-    The defect is the model's cached ``defect``.
+    The defect is the model's ``defect``, computed when it was built.
     """
     d = model.defect
     p_dark = 0.5 - 0.5 * model.visibility_v * (1.0 - 0.5 * d * d)
@@ -271,8 +255,8 @@ def gamma_of_model(model: SagnacModel) -> float:
     A toggle configuration (liquid crystal on/off, metamaterial in/out) is
     the model of just its elements, as ExperimentConfig.build_model builds
     it.  Gamma is 1 exactly when the loop's phases and the reflection all
-    commute, and ranges down to -1.  The defect is the model's cached
-    ``defect``.
+    commute, and ranges down to -1.  The defect is the model's ``defect``,
+    computed when it was built.
     """
     d = model.defect
     return 1.0 - 0.5 * d * d

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Quaternion",
@@ -28,11 +29,13 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-9  # absolute tolerance for "unit quaternion" checks
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """A quaternion w + x*i + y*j + z*k with real components."""
+class Quaternion(NamedTuple):
+    """A quaternion w + x*i + y*j + z*k: an immutable 4-tuple, equal to the plain
+    tuple (w, x, y, z).  Its arithmetic reads any 4-sequence as a quaternion;
+    tuple concatenation and repetition (``(1.0,) + q``, ``3 * q``) raise."""
 
     w: float = 0.0
     x: float = 0.0
@@ -40,27 +43,33 @@ class Quaternion:
     z: float = 0.0
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+        (w, x, y, z), (ow, ox, oy, oz) = self, other
+        return _new(Quaternion, (w + ow, x + ox, y + oy, z + oz))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+        (w, x, y, z), (ow, ox, oy, oz) = self, other
+        return _new(Quaternion, (w - ow, x - ox, y - oy, z - oz))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self
+        return _new(Quaternion, (-w, -x, -y, -z))
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return mul(self, other)
 
+    def __radd__(self, other):  # else tuple concatenation answers (1.0,) + q
+        raise TypeError(f"cannot combine {type(other).__name__!r} with a Quaternion")
+
+    __rmul__ = __radd__
+
     def scaled(self, s: float) -> "Quaternion":
-        return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
+        w, x, y, z = self
+        return _new(Quaternion, (s * w, s * x, s * y, s * z))
 
     @property
     def is_unit(self) -> bool:
         # a component above 2 already rules a unit out, and could overflow norm()
-        return (max(abs(self.w), abs(self.x), abs(self.y), abs(self.z)) <= 2.0
-                and abs(norm(self) - 1.0) <= UNIT_TOL)
+        return max(map(abs, self)) <= 2.0 and abs(norm(self) - 1.0) <= UNIT_TOL
 
     @property
     def is_imaginary(self) -> bool:
@@ -100,17 +109,19 @@ class PhaseVector:
 
 def mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a*b (non-commutative in general)."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    (aw, ax, ay, az), (bw, bx, by, bz) = a, b
+    return _new(Quaternion, (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ))
 
 
 def conj(q: Quaternion) -> Quaternion:
     """Quaternion conjugate: negates the imaginary part."""
-    return Quaternion(q.w, -q.x, -q.y, -q.z)
+    w, x, y, z = q
+    return _new(Quaternion, (w, -x, -y, -z))
 
 
 def norm(q: Quaternion) -> float:
@@ -129,7 +140,7 @@ def qexp(v: PhaseVector) -> Quaternion:
     if m < 1e-12:
         return ONE
     s = math.sin(m) / m
-    return Quaternion(math.cos(m), s * v.phi1, s * v.phi2, s * v.phi3)
+    return _new(Quaternion, (math.cos(m), s * v.phi1, s * v.phi2, s * v.phi3))
 
 
 def require_unit(q: Quaternion, name: str) -> None:

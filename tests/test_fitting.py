@@ -575,6 +575,31 @@ def test_failing_rows_leave_their_neighbours_unchanged():
         assert all(map(same_fit, expected, got))
 
 
+def test_fit_interferograms_refuses_what_interferogram_refuses():
+    phase, d1, d2 = _bright_counts()
+    igs = [FakeInterferogram(phase.copy(), d1[k].copy(), d2[k].copy()) for k in range(7)]
+    igs[1].phase_rad[5] = np.inf
+    igs[2].phase_rad[5] = np.nan
+    igs[3].counts_d1[5] = -1.0
+    igs[4].counts_d2[5] = np.nan
+    igs[5].counts_d1[7], igs[5].counts_d2[9] = np.inf, -np.inf
+    messages = {1: "phase_rad must be finite", 2: "phase_rad must be finite",
+                3: "counts_d1 must be finite and non-negative",
+                4: "counts_d2 must be finite and non-negative",
+                5: "counts_d1 must be finite and non-negative"}
+    fitted = list(fit_interferograms(igs))
+    for k, message in messages.items():
+        ig = igs[k]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Interferogram(ig.phase_rad, ig.counts_d1, ig.counts_d2)
+        with pytest.raises(FitInputError, match=f"^{message}$"):
+            normalize(ig)
+        assert all(isinstance(fit, FitInputError) and str(fit) == message for fit in fitted[k])
+    for k in (0, 6):
+        [alone] = fit_interferograms([Interferogram(phase, d1[k], d2[k])])
+        assert all(map(same_fit, alone, fitted[k]))
+
+
 def _grid_chi2(fringe, grid):
     """Least weighted chi-square of c0 + c1 cos 2fx + c2 sin 2fx at each f of
     grid, by the normal equations of the three columns."""

@@ -193,12 +193,15 @@ def test_each_element_exponentiates_once_per_model(monkeypatch):
 
 
 def test_cached_products_never_cross_models():
+    """Each model's loop products and defect are computed when it is built,
+    from its own elements, so a replaced or rebuilt loop never reads another
+    model's values."""
     rng = np.random.default_rng(27)
     for _ in range(200):
         model = random_model(rng, n_elements=int(rng.integers(2, 5)))
         r = model.reflection
         assert loop_defect(model) == fresh_defect(r, model.elements)
-        # a replaced loop starts with empty caches, even after the original's are filled
+        # a replaced loop computes its own products, after the original's are read
         elements = tuple(dataclasses.replace(e, phase=PhaseVector(*rng.uniform(-3, 3, 3)))
                          for e in reversed(model.elements))
         replaced = dataclasses.replace(model, elements=elements)
@@ -218,6 +221,61 @@ def test_cached_products_never_cross_models():
         # eps = pi, where a defect of about 2e-16 is lost in 1 - D^2 / 2
         assert got[0] == base[0]
         assert (got[1] != base[1]) == (0.0 < eps < math.pi)
+
+
+# (visibility_v, reflection axis, element phases): 2-4 elements on unit axes,
+# the last loop with every phase and the reflection on the i axis
+FROZEN_LOOPS = (
+    (0.9992774, (0.6, 0.0, 0.8), ((0.3, -1.2, 2.1), (-2.5, 0.4, 0.9))),
+    (0.5, (2 / 3, -1 / 3, 2 / 3), ((1.1, 0.2, -0.7), (-0.4, 2.9, 0.05), (3.0, -3.1, 1.7))),
+    (0.25, (0.48, 0.6, 0.64),
+     ((-1.9, -0.8, 0.6), (0.01, 0.02, -0.03), (2.2, 1.4, -2.6), (-0.5, 3.1, 0.7))),
+    (1.0, (0.0, 1.0, 0.0), ((0.0, 0.0, math.pi / 2), (0.7, -0.2, 0.0))),
+    (0.75, (-0.8, 0.0, 0.6), ((1e-7, 0.0, 2e-7), (-2.0, -2.0, 1.0), (0.9, 0.0, -1.3))),
+    (0.9992774, (1.0, 0.0, 0.0), ((math.pi, 0.0, 0.0), (-math.pi, 0.0, 0.0), (0.37, 0.0, 0.0))),
+)
+
+# float.hex of each loop's closed-form (p_dark, p_bright), propagated
+# (p_dark, p_bright), loop_defect, gamma_of_model and theta_bound(gamma, 1e-4)
+# (central, conservative), frozen from the implementation with dataclass
+# quaternions, so that a faster one must match it bit for bit
+FROZEN_RESULTS = (
+    ('0x1.915a5376c35fbp-2', '0x1.3752d6449e502p-1', '0x1.915a5376c35f8p-2',
+     '0x1.3752d6449e504p-1', '0x1.40823bd4fa7bbp+0', '0x1.bae8a0aaee020p-3',
+     '0x1.360a8d711f93cp+6', '0x1.36108fce08819p+6'),
+    ('0x1.6943e6d23f789p-2', '0x1.4b5e0c96e043cp-1', '0x1.6943e6d23f78ap-2',
+     '0x1.4b5e0c96e043bp-1', '0x1.d04f346e8154dp-1', '0x1.2d78325b810eep-1',
+     '0x1.af6ba3eed937bp+5', '0x1.af7a284481689p+5'),
+    ('0x1.2d48377418a52p-1', '0x1.a56f9117ceb5cp-2', '0x1.2d48377418a52p-1',
+     '0x1.a56f9117ceb5cp-2', '0x1.d915d86d3492ap+0', '-0x1.6a41bba0c528ep-1',
+     '0x1.0e11ad6b02672p+7', '0x1.0e15d430b1ab8p+7'),
+    ('0x1.eee45402a516fp-1', '0x1.11babfd5ae910p-5', '0x1.eee45402a5170p-1',
+     '0x1.11babfd5ae8f4p-5', '0x1.f75f8f1a67f97p+0', '-0x1.ddc8a8054a2dep-1',
+     '0x1.3dde93917ed5bp+7', '0x1.3de6bdb3018d6p+7'),
+    ('0x1.9812b22497e7cp-3', '0x1.99fb5376da061p-1', '0x1.9812b22497e7cp-3',
+     '0x1.99fb5376da061p-1', '0x1.42342217bcc75p-1', '0x1.9a9e33e79abaep-1',
+     '0x1.256fd8e931d96p+5', '0x1.25837d3945b5dp+5'),
+    ('0x1.7ad9baf1d9000p-12', '0x1.ffd0a4c8a1c4ep-1', '0x1.7ad9baf1d9000p-12',
+     '0x1.ffd0a4c8a1c4ep-1', '0x0.0p+0', '0x1.0000000000000p+0',
+     '0x0.0p+0', '0x1.9ede84ecda066p-1'),
+)
+
+
+def frozen_results(v, axis, phases):
+    model = SagnacModel(visibility_v=v, reflection=Quaternion(0.0, *axis),
+                        elements=tuple(PhaseElement(f"e{k}", PhaseVector(*p))
+                                       for k, p in enumerate(phases)))
+    closed, full = dark_port_prob(model), propagate_state(model)
+    gamma = gamma_of_model(model)
+    theta = theta_bound(gamma, 1e-4)
+    return tuple(x.hex() for x in (closed.p_dark, closed.p_bright, full.p_dark, full.p_bright,
+                                   loop_defect(model), gamma,
+                                   theta.central_deg, theta.conservative_deg))
+
+
+def test_loop_model_results_are_frozen_bit_for_bit():
+    assert [frozen_results(*loop) for loop in FROZEN_LOOPS] == list(FROZEN_RESULTS)
+    assert FROZEN_RESULTS[-1][4:7] == ((0.0).hex(), (1.0).hex(), (0.0).hex())
 
 
 def test_gamma_ratio_reference_point():

@@ -196,3 +196,17 @@ def test_quaternion_helpers():
     q = Quaternion(1.0, 2.0, 3.0, 4.0)
     assert q.scaled(0.5) == Quaternion(0.5, 1.0, 1.5, 2.0)
     assert (q * Quaternion(1.0)).isclose(q)
+
+
+def test_quaternion_is_an_immutable_value():
+    q = Quaternion(1.0, -2.0, 3.0, -4.0)
+    with pytest.raises(AttributeError):
+        q.w = 0.0
+    same = Quaternion(1.0, -2.0, 3.0, -4.0)
+    assert q == same == (1.0, -2.0, 3.0, -4.0)
+    assert hash(q) == hash(same) == hash((1.0, -2.0, 3.0, -4.0))
+    assert {q: "q"}[same] == "q" and q != Quaternion(1.0, -2.0, 3.0, 4.0)
+    # tuple repetition and concatenation never answer for quaternion arithmetic
+    for combine in (lambda: 3 * q, lambda: q * 3, lambda: (1.0,) + q, lambda: q + (1.0,)):
+        with pytest.raises((TypeError, ValueError)):
+            combine()
