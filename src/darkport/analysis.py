@@ -16,7 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -337,7 +337,7 @@ class SweepPoint:
 class SweepResult:
     points: tuple[SweepPoint, ...]
     min_detectable_epsilon: float | None
-    threshold_sigma: float = DETECTION_SIGMA
+    threshold_sigma: ClassVar[float] = DETECTION_SIGMA
 
 
 def sensitivity_sweep(epsilon_grid: Iterable[float],

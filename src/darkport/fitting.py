@@ -222,11 +222,9 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
     groups = []
     for kept, rows in _by_length(n_usable[usable]).items():
         rows = usable[rows]
-        arrays = (phase[rows], r[rows], sigma[rows])
-        if kept < width:
-            mask = keep[rows]
-            arrays = tuple(a[mask].reshape(len(rows), kept) for a in arrays)
-        groups.append((rows, *arrays, np.full(len(rows), width - kept)))
+        mask = keep[rows]
+        groups.append((rows, *(a[rows][mask].reshape(len(rows), kept) for a in (phase, r, sigma)),
+                       np.full(len(rows), width - kept)))
     return errors, groups
 
 
@@ -284,8 +282,9 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: b
 
 
 # A fit per [row, side] of a block: the fitted fringe and its mirror (_fit_block) or detectors 1
-# and 2 (_fit_rows).  The campaign reads value (A/(A+2B) clipped to [0, 1]), sigma and usable
-# (converged, A + 2B > 0, no FitInputError, which error holds); _fit_columns reads all but usable.
+# and 2 (_fit_rows).  error holds every failure, a FitInputError or an InvalidFitError (A + 2B
+# <= 0), and usable is converged with no error.  The campaign reads value (A/(A+2B) clipped to
+# [0, 1]), sigma and usable; _fit_columns reads all but usable.
 _FIT = np.dtype([("value", float), ("sigma", float), ("usable", bool), ("params", float, 4),
                  ("cov", float, (4, 4)), ("converged", bool), ("residual_norm", float),
                  ("n_points", int), ("n_excluded", int), ("error", object)])
@@ -317,35 +316,36 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     dof = n - 3.  (c0, c1, c2) need three distinct points of the fringe
     (mod 2 pi); at fewer, the points (cos x, sin x) lie on a line, so the
     smaller eigenvalue of their covariance, spread^2 / n, is within the
-    rounding (n eps (1 + |x|))^2 of cos x, and both sides get a FitInputError.
+    rounding (n eps (1 + |x|))^2 of cos x.  Every row is fitted; such a row
+    is then blanked, and both its sides get a FitInputError.
     """
     n = x.shape[1]
     points = np.stack([np.cos(x), np.sin(x)], axis=-1)
     points -= points.mean(axis=1, keepdims=True)
     spread = np.linalg.svd(points, compute_uv=False)[:, -1]  # the smaller singular value
     few = spread <= n ** 1.5 * np.finfo(float).eps * (1.0 + np.max(np.abs(x), axis=-1))
-    kept = np.flatnonzero(~few)
-    x, y, w = x[kept], y[kept], 1.0 / (sigma[kept] * sigma[kept])
-    f = np.full(len(kept), _FRINGE_FREQUENCY)
-    coef, chi2, cov = _project(x, w, y, f)
+    f = np.full(len(x), _FRINGE_FREQUENCY)
+    coef, chi2, cov = _project(x, 1.0 / (sigma * sigma), y, f)
     dof = n - 3
-    fits = _fits(n, dof, f, (coef, [1, 0, 0] - coef), cov, chi2,
-                 chi2 <= _chi2_bound(dof), n_excluded[kept])
-    if len(kept) < len(few):  # place the fitted rows among the refused ones
-        fits, kept_fits = _blank(len(few)), fits
-        fits[kept] = kept_fits
-        for i in np.flatnonzero(few):
-            fits["error"][i] = FitInputError("points with counts must lie at three or more "
-                                             "points of the fringe (mod 2 pi)")
+    fits = _fits(n, dof, f, (coef, [1, 0, 0] - coef), cov, chi2, chi2 <= _chi2_bound(dof),
+                 n_excluded)
+    fits[few] = _blank(np.count_nonzero(few))
+    for i in np.flatnonzero(few):
+        fits["error"][i] = FitInputError("points with counts must lie at three or more "
+                                         "points of the fringe (mod 2 pi)")
     return fits
 
 
 def _visibilities(params: np.ndarray,
                   cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's visibility A/(A+2B) and its sigma, propagated from the
-    (A, B) block of its covariance, where A + 2B > 0 (else 0), and that mask."""
+    (A, B) block of its covariance, and its error: None where A + 2B > 0,
+    else an InvalidFitError, with value and sigma 0."""
     denom = params[:, 0] + 2.0 * params[:, 3]
     valid = denom > 0.0
+    errors = np.full(len(denom), None)
+    for i in np.flatnonzero(~valid):
+        errors[i] = InvalidFitError(f"A + 2B must be positive, got {float(denom[i])!r}")
     a, b, d = params[valid, 0], params[valid, 3], denom[valid]
     grad = np.stack([2.0 * b / (d * d), -2.0 * a / (d * d)], axis=-1)
     value, sigma = np.zeros((2, len(denom)))
@@ -353,7 +353,7 @@ def _visibilities(params: np.ndarray,
     # contrast itself is still bounded
     value[valid] = np.clip(a / d, 0.0, 1.0)
     sigma[valid] = propagate(grad, cov[valid][:, 0::3, 0::3])
-    return value, sigma, valid
+    return value, sigma, errors
 
 
 def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: np.ndarray,
@@ -380,28 +380,25 @@ def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: 
         side = fits[:, k]
         side["params"] = params
         side["cov"] = jac @ cov @ jac.swapaxes(1, 2) * (chi2 / dof)[:, None, None]
-        side["value"], side["sigma"], side["usable"] = _visibilities(params, side["cov"])
+        side["value"], side["sigma"], side["error"] = _visibilities(params, side["cov"])
     for name, a in (("converged", converged), ("residual_norm", np.sqrt(chi2)),
                     ("n_points", n), ("n_excluded", n_excluded)):
         fits[name] = np.reshape(a, (-1, 1))
-    fits["usable"] &= fits["converged"]
+    fits["usable"] = fits["converged"] & np.equal(fits["error"], None)
     return fits
 
 
 def _fit_columns(fits: np.ndarray, iterations: int = 0) -> tuple[list, dict]:
-    """Each fit of (rows, sides) _FIT fits, row by row: its error (the row's
-    FitInputError, an InvalidFitError where A + 2B <= 0, or None), and fit's
-    report as columns, an array per field and a dict of two for visibility.
-    Each sigma_ column is the root of its variance, 0 where that is negative."""
+    """Each fit of (rows, sides) _FIT fits, row by row: its error as the
+    engine recorded it (a FitInputError, an InvalidFitError, or None), and
+    fit's report as columns, an array per field and a dict of two for
+    visibility.  Each sigma_ column is the root of its variance, 0 where
+    that is negative."""
     fits = fits.reshape(-1)
     params, variances = fits["params"], np.diagonal(fits["cov"], axis1=-2, axis2=-1)
     sigmas = np.sqrt(np.where(variances < 0.0, 0.0, variances))
-    errors = [error if error is not None or q > 0.0
-              else InvalidFitError(f"A + 2B must be positive, got {q!r}")
-              for error, q in zip(fits["error"].tolist(),
-                                  (params[:, 0] + 2.0 * params[:, 3]).tolist())]
     names = ("amplitude", "frequency", "phase", "offset")
-    return errors, {
+    return fits["error"].tolist(), {
         **dict(zip(names, params.T)), **dict(zip(["sigma_" + name for name in names], sigmas.T)),
         **{name: fits[name] for name in ("converged", "residual_norm", "n_points", "n_excluded")},
         "visibility": {"value": fits["value"], "sigma": fits["sigma"]},
@@ -511,11 +508,8 @@ def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, F
 
 def _fit_by_length(block: list) -> np.ndarray:
     """_fit_rows, once per length, on rows that are (phase, d1, d2) arrays."""
-    groups = _by_length([len(row[0]) for row in block]).values()
-    if len(groups) == 1:  # the rows in block order
-        return _fit_rows(*np.stack(block, axis=1))
     fits = _blank(len(block))
-    for rows in groups:
+    for rows in _by_length([len(row[0]) for row in block]).values():
         fits[rows] = _fit_rows(*np.stack([block[i] for i in rows], axis=1))
     return fits
 

@@ -239,6 +239,12 @@ def test_sensitivity_sweep_shape_and_threshold():
     assert res.points[2].significance >= 5.0
 
 
+def test_sweep_threshold_is_the_detection_constant():
+    # test_sensitivity_sweep_shape_and_threshold reads it; nothing can set it
+    with pytest.raises(TypeError):
+        analysis.SweepResult(points=(), min_detectable_epsilon=None, threshold_sigma=3.0)
+
+
 def test_min_detectable_epsilon_is_the_smallest_detecting_magnitude():
     cfg = dataclasses.replace(ExperimentConfig(), n_runs=20)
     res = sensitivity_sweep((0.1, 0.05, 0.0), cfg)

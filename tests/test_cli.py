@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from darkport import config, fitting, photonsim
+from darkport import analysis, config, fitting, photonsim
 from darkport.cli import load_config, main
 from darkport.config import ExperimentConfig
 from darkport.interferometer import SagnacModel
@@ -152,9 +152,10 @@ def test_fit_report_bytes_equal_the_report_built_from_fit_objects(tmp_path, caps
     capsys.readouterr()
     assert main(["fit", paths[0]]) == 0
     assert capsys.readouterr().out == dumps_json({"files": want["files"][:1]})
-    # a converged fit with A + 2B <= 0 is still a failed one
-    invalid = fits[:1].copy()
-    invalid["params"][0, 1, 3] = -invalid["params"][0, 1, 0]
+    # a converged fit with A + 2B <= 0 is still a failed one: the mirror of c0 = 1
+    invalid = fitting._fits(20, 17, np.array([0.5]), (np.array([[1.0, 0.1, 0.2]]),
+                                                      np.array([[0.0, -0.1, -0.2]])),
+                            np.eye(4)[None], np.array([1.0]), np.array([True]), np.array([0]))
     monkeypatch.setattr(fitting, "_fit_by_length", lambda block: invalid)
     assert invalid["converged"].all() and main(["fit", paths[0]]) == 4
     assert "A + 2B must be positive" in json.loads(capsys.readouterr().out)[
@@ -248,6 +249,25 @@ def test_sweep_csv(tmp_path, capsys):
     assert sigs == sorted(sigs)
     shifts = [float(r[1]) for r in rows]
     assert math.isclose(shifts[1], 2.0 * math.sin(0.02) ** 2, rel_tol=1e-12)
+
+
+def test_sweep_of_fits_without_scatter_reads_an_infinite_significance(tmp_path, capsys,
+                                                                        monkeypatch):
+    # equal fits in every run and slot: every Gamma ratio is 1.0 and the stderr 0
+    def constant_fits(model, slot, scan, master_seed, indices):
+        return np.array([[(0.5, 0.01, True)] * 2] * len(indices), dtype=analysis._SLOT)
+
+    monkeypatch.setattr(analysis, "_slot_fits", constant_fits)
+    grid = (0.0, 0.05, -0.002, 0.01)
+    res = analysis.sensitivity_sweep(grid, ExperimentConfig(n_runs=4))
+    assert [p.significance for p in res.points] == [0.0, math.inf, math.inf, math.inf]
+    assert res.min_detectable_epsilon == -0.002
+    cfg = write_config(tmp_path, {"campaign": {"n_runs": 4},
+                                  "analysis": {"epsilon_grid": list(grid)}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "min_detectable_epsilon=-0.002\n" in capsys.readouterr().out
+    _, rows = read_csv_rows(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["0", "inf", "inf", "inf"]
 
 
 def test_index_conversion(tmp_path, capsys):

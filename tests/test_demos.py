@@ -7,6 +7,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the suite's warning policy (pyproject.toml's filterwarnings), as -W options
+WARNINGS = ["-W", "error::RuntimeWarning",
+            "-W", "error:clamping negative quadratic form:UserWarning"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -14,6 +17,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *WARNINGS, str(demo)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,10 @@ a non-finite or out-of-range value, or a CSV field, row or header broken.
 Every drawn size is small or refused by validation: ``campaign.n_runs``
 is always given, and a scan or campaign above its cap is rejected before
 anything is allocated.
+
+Exit 5 is left for a fault inside darkport: the last tests raise one in a
+command and check the message, and check the library's own range checks,
+whose refusals would reach ``main`` as such a fault.
 """
 
 import contextlib
@@ -17,14 +21,17 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from darkport import analysis
 from darkport.cli import main
 from darkport.config import SCHEMA
+from darkport.interferometer import PortProbabilities, mz_visibility_theta, sagnac_probs_theta
 
 CONTRACT = settings(derandomize=True, max_examples=60, deadline=None, database=None,
                     phases=[Phase.explicit, Phase.generate])
@@ -251,3 +258,29 @@ def test_no_phase_spectrum_reaches_exit_5(spectrum, thickness):
         broken = _broken(["index", path, f"--thickness-nm={thickness}"],
                          os.path.join(tmp, "out"))
         assert not broken, (spectrum, thickness)
+
+
+def test_a_fault_inside_a_command_exits_5_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def broken_sweep(grid, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(analysis, "sensitivity_sweep", broken_sweep)
+    assert main(["sweep", "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("v", [-0.1, 1.0000000000000002, math.nan])
+@pytest.mark.parametrize("function", [sagnac_probs_theta, mz_visibility_theta])
+def test_loop_formulas_refuse_a_visibility_outside_0_1(function, v):
+    with pytest.raises(ValueError, match=re.escape(f"v must lie in [0, 1], got {v!r}")):
+        function(v, 0.3)
+
+
+@pytest.mark.parametrize("p_bright, p_dark, message", [
+    (1.5, -0.5, "p_bright must lie in [0, 1], got 1.5"),
+    (0.7, 0.7, "port probabilities must sum to 1, got 1.4"),
+])
+def test_port_probabilities_refuse_a_range_or_sum_violation(p_bright, p_dark, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PortProbabilities(p_bright, p_dark)
