@@ -222,8 +222,10 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
     groups = []
     for kept, rows in _by_length(n_usable[usable]).items():
         rows = usable[rows]
-        mask = keep[rows]
-        groups.append((rows, *(a[rows][mask].reshape(len(rows), kept) for a in (phase, r, sigma)),
+        # one block-wide selector: rows ascend, so a[sel] reads them in order
+        sel = np.zeros_like(keep)
+        sel[rows] = keep[rows]
+        groups.append((rows, *(a[sel].reshape(len(rows), kept) for a in (phase, r, sigma)),
                        np.full(len(rows), width - kept)))
     return errors, groups
 

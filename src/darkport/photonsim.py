@@ -7,19 +7,27 @@ interferogram is drawn from its own seed path, so a campaign is
 reproducible run by run regardless of execution order or grouping.
 
 draw_counts is the one drawer: it computes one configuration's rates
-once and draws a (rows, n_steps) count block, row by row, each row from
-its own SeedSequence.  simulate_interferogram is its one-row case, and
-simulate_run draws each of its two slots that way.
+once and draws a (rows, n_steps) count block, each row from its own
+Generator(PCG64) on SeedSequence(seed).  The seeding runs once per call,
+over all rows: each seed becomes SeedSequence's uint32 entropy words, the
+rows with as many words are hashed and mixed together in uint32 array
+arithmetic (numpy's SeedSequence algorithm, NEP 19), and each row's 4
+uint64 state words seed its PCG64, bit for bit as SeedSequence's
+generate_state would.  simulate_interferogram is its one-row case,
+simulate_run draws each of its two slots that way, and simulate_campaign
+draws each slot's runs as one block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .fitting import _by_length
 from .interferometer import SagnacModel, dark_port_prob, mz_visibility_from_ports
 
 __all__ = [
@@ -40,6 +48,34 @@ _POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.
 # the most steps a scan may have, 1,000 times the default: larger scans are
 # refused at validation instead of failing to allocate their phase grid
 _MAX_STEPS = 10 ** 5
+
+# numpy's SeedSequence at its default pool of 4 uint32 words: the hash
+# constants of its mixing (A) and output (B) steps, and of its mix function
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) uint32 constants of n successive hashmix steps
+    whose hash constant starts at init and is multiplied by mult each step."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], np.uint32), np.array(consts[1:], np.uint32)
+
+
+# the 16 A steps every entropy takes: 4 fill the pool, then 3 per pool word
+# mix it into the other three; entropy beyond 4 words takes 4 steps a word
+_STEPS_A = _hash_steps(_INIT_A, _MULT_A, 16)
+_FILL = tuple(c[:4] for c in _STEPS_A)
+# the constants that hash pool word src into each pool word; src's own slot
+# (1) gives a result that is thrown away
+_CROSS = tuple(tuple(np.insert(c[4 + 3 * src:7 + 3 * src], src, 1) for c in _STEPS_A)
+               for src in range(4))
+# generate_state(4, np.uint64): 8 uint32 words, twice round the pool
+_OUTPUT = tuple(c.reshape(2, 4) for c in _hash_steps(_INIT_B, _MULT_B, 8))
 
 
 @dataclass(frozen=True)
@@ -140,6 +176,93 @@ def _as_entropy(seed) -> tuple:
     return tuple(map(int, entropy))
 
 
+def _entropy_words(seed) -> list[int]:
+    """The uint32 entropy words SeedSequence makes of a seed: each integer's
+    words, least significant first, and one 0 word for a 0."""
+    words = []
+    for n in _as_entropy(seed):
+        if n < 0:  # numpy's check and message; n >> 32 would never reach 0
+            raise ValueError("expected non-negative integer")
+        words.append(n & _MASK32)
+        while n := n >> 32:
+            words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 values at one step's constants."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of uint32 pool words x with hashed words y."""
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _pool_state(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(e).generate_state(4, np.uint64) of each row's entropy
+    words e in a (rows, n) uint32 array, as a (rows, 4) uint64 array: the
+    pool is filled, mixed and read out for all rows at once."""
+    rows, n = words.shape
+    pool = np.zeros((rows, 4), np.uint32)
+    pool[:, :n] = words[:, :4]
+    pool = _hashmix(pool, *_FILL)
+    for src, consts in enumerate(_CROSS):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], *consts))
+        mixed[:, src] = pool[:, src]  # a word is not mixed into itself
+        pool = mixed
+    if n > 4:  # the A hash constant runs on from where the 16 steps left it
+        xor, mult = (c.reshape(n - 4, 4)
+                     for c in _hash_steps(int(_STEPS_A[1][-1]), _MULT_A, 4 * (n - 4)))
+        hashed = _hashmix(words[:, 4:, None], xor, mult)
+        for extra in range(n - 4):
+            pool = _mix(pool, hashed[:, extra])
+    state = _hashmix(pool[:, None, :], *_OUTPUT).reshape(rows, 8)
+    # word pairs read as little-endian uint64, as numpy does on any machine
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_state(seeds: Sequence) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) of each seed (an int
+    or a sequence of ints) as one (len(seeds), 4) uint64 array.
+
+    Seeds whose entropy has as many words are seeded as one block.
+    """
+    words = [_entropy_words(seed) for seed in seeds]
+    state = np.empty((len(words), 4), np.uint64)
+    for rows in _by_length([len(w) for w in words]).values():
+        state[rows] = _pool_state(np.array([words[k] for k in rows], np.uint32))
+    return state
+
+
+@functools.cache
+def _generator_of_state():
+    """A function from a row's 4 uint64 state words to the Generator(PCG64)
+    that default_rng builds on the SeedSequence they come from.
+
+    numpy.random is imported here, at the first draw: imported with the
+    package, it would add its import time to the start of every command
+    (12-14 ms with numpy 2.4 on a shared 2-core x86_64 machine).
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """A seed sequence that holds the state words PCG64 asks it for."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("StateWords holds 4 uint64 words only")
+            return self.words
+
+    return lambda words: Generator(PCG64(StateWords(words)))
+
+
 def draw_counts(
     model: SagnacModel,
     scan: ScanConfig,
@@ -148,15 +271,19 @@ def draw_counts(
     """Counts at the two detectors of one configuration, one row per seed.
 
     Returns two (rows, n_steps) int64 arrays.  Row k is drawn from its own
-    Generator on SeedSequence(seeds[k]) (an int or tuple of ints), detector
-    1 first, so it depends on nothing but the model, the scan and its seed.
+    Generator(PCG64) on SeedSequence(seeds[k]) (an int or tuple of ints),
+    detector 1 first, so it depends on nothing but the model, the scan and
+    its seed.  The SeedSequence states of all rows are computed in one
+    array pass (_seed_state); each row's PCG64 is then built from its state
+    words, with no SeedSequence per row.
     """
     rates = np.stack(expected_rates(model, scan))
-    counts = np.empty((len(seeds), 2, scan.n_steps), dtype=np.int64)
-    for k, seed in enumerate(seeds):
+    state = _seed_state(seeds)
+    generator = _generator_of_state()
+    counts = np.empty((len(state), 2, scan.n_steps), dtype=np.int64)
+    for k, words in enumerate(state):
         # one call draws d1 then d2, as two calls on the same stream would
-        rng = np.random.default_rng(np.random.SeedSequence(_as_entropy(seed)))
-        counts[k] = rng.poisson(rates)
+        counts[k] = generator(words).poisson(rates)
     return counts[:, 0], counts[:, 1]
 
 
@@ -217,13 +344,17 @@ def simulate_campaign(
     """n_runs independent toggle runs, seeded as (master_seed, run_index).
 
     Each run's counts depend only on its own seed pair, so runs can be
-    regenerated individually or in parallel without changing any result.
+    regenerated individually or in parallel without changing any result:
+    run idx equals simulate_run with seed (master_seed, idx).  Each slot's
+    runs are drawn as one draw_counts block, from seeds (master_seed, idx,
+    slot).
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
     model_nim, model_both = models
-    return [
-        simulate_run(model_nim, model_both, scan, run_index=idx,
-                     seed=(int(master_seed), idx))
-        for idx in range(n_runs)
-    ]
+    check_pair(model_nim, model_both)
+    phase = scan.phases()
+    slots = [draw_counts(model, scan, [(int(master_seed), idx, slot) for idx in range(n_runs)])
+             for slot, model in enumerate((model_nim, model_both))]
+    return [RunPair(idx, *(Interferogram(phase.copy(), d1[idx], d2[idx]) for d1, d2 in slots))
+            for idx in range(n_runs)]

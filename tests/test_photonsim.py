@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from darkport.fitting import fit_sinusoid, normalize
 from darkport.interferometer import PhaseElement, SagnacModel
 from darkport.photonsim import (
     Interferogram,
+    RunPair,
     ScanConfig,
+    _seed_state,
     analytic_visibility,
     draw_counts,
     expected_rates,
@@ -92,11 +98,16 @@ def test_campaign_runs_are_order_independent():
     cfg = ExperimentConfig()
     models = cfg.build_pair()
     runs = simulate_campaign(models, cfg.scan, n_runs=5, master_seed=99)
-    # run k must be regenerable in isolation from (master_seed, k)
-    solo = simulate_run(*models, cfg.scan, run_index=3, seed=(99, 3))
-    assert np.array_equal(runs[3].nim.counts_d1, solo.nim.counts_d1)
-    assert np.array_equal(runs[3].both.counts_d2, solo.both.counts_d2)
     assert [r.run_index for r in runs] == [0, 1, 2, 3, 4]
+    # run k must be regenerable in isolation from (master_seed, k), though
+    # the campaign draws each slot's runs as one block
+    for k, run in enumerate(runs):
+        solo = simulate_run(*models, cfg.scan, run_index=k, seed=(99, k))
+        assert isinstance(run, RunPair) and run.run_index == solo.run_index
+        for got, alone in ((run.nim, solo.nim), (run.both, solo.both)):
+            for name in ("phase_rad", "counts_d1", "counts_d2"):
+                a, b = getattr(got, name), getattr(alone, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("counts", [0.5, 200.0, 20000.0])
@@ -120,6 +131,66 @@ def test_block_rows_are_the_seeded_interferograms(counts):
                                        (d2[k], ig.counts_d2, rng.poisson(lam2))):
                 assert got.dtype == alone.dtype == stream.dtype == np.int64
                 assert got.tobytes() == alone.tobytes() == stream.tobytes()
+
+
+# entropies at the edges of SeedSequence's word split, and numpy integers
+EDGE_ENTROPIES = [(), 0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 200,
+                  (0, 0), (1, 2, 3, 4, 5, 6), (2 ** 64 - 1, 2 ** 32, 9, 1), (11, 4, 0),
+                  np.uint64(2 ** 64 - 1), np.int8(5), (np.uint32(7), np.int64(3), 1),
+                  np.array([1, 2 ** 40], dtype=np.uint64), [3, 0, 2 ** 96]]
+
+
+def test_seed_state_is_the_seed_sequence_state():
+    # the one-pass seeding's words are the oracle SeedSequence's, seed by
+    # seed, in one call over entropies of every word count
+    state = _seed_state(EDGE_ENTROPIES)
+    assert state.shape == (len(EDGE_ENTROPIES), 4) and state.dtype == np.uint64
+    for words, entropy in zip(state, EDGE_ENTROPIES):
+        want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert words.tobytes() == want.tobytes(), entropy
+        assert _seed_state([entropy])[0].tobytes() == want.tobytes()
+    assert _seed_state([]).shape == (0, 4)
+
+
+def test_one_block_mixes_entropy_word_counts():
+    # 1-, 3-, 4- and 6-word entropies (and none) seeded in one call, as
+    # separate groups, draw what each draws alone from its SeedSequence
+    scan, model = ScanConfig(mean_counts_per_step=200.0), flat_model()
+    seeds = [5, (11, 4, 0), (2 ** 40, 3, 1), (2 ** 64 - 1, 2 ** 32, 9, 1), (7, 4, 0), (), 6]
+    d1, d2 = draw_counts(model, scan, seeds)
+    rates = np.stack(expected_rates(model, scan))
+    for k, seed in enumerate(seeds):
+        alone = draw_counts(model, scan, [seed])
+        stream = np.random.default_rng(np.random.SeedSequence(seed)).poisson(rates)
+        assert d1[k].tobytes() == alone[0][0].tobytes() == stream[0].tobytes()
+        assert d2[k].tobytes() == alone[1][0].tobytes() == stream[1].tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, (5, -2), -(2 ** 70)], ids=["int", "tuple", "wide"])
+def test_draws_refuse_a_negative_entropy_word(seed):
+    # numpy's own check and message; the word split would otherwise never end
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.SeedSequence(seed)
+    scan, model = ScanConfig(), flat_model()
+    for draw in (lambda: draw_counts(model, scan, [(1, 2), seed]),
+                 lambda: simulate_interferogram(model, scan, seed=seed)):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            draw()
+
+
+def test_import_and_config_leave_numpy_random_unloaded():
+    # numpy.random is imported at the first draw, so that a command's
+    # start-up, which the benchmark times as setup_s, never pays its import
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys\nimport darkport.cli\nfrom darkport.cli import load_config\n"
+            "load_config(None)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_noiseless_counts_conserve_flux():

@@ -2,7 +2,8 @@
 
 The fit front end must not care how its input is split, which detector is
 called which, or in what order the rows of a scan arrive; a campaign's
-count blocks must give the records of its runs fitted one by one; the
+count blocks must give the records of its runs fitted one by one; a
+block's one-pass seeding must give each seed's SeedSequence state; the
 closed-form loop model must agree with the brute-force propagation
 oracle; quaternion algebra, the interferogram CSV format and the JSON
 reports, whole or a column at a time, must hold for any input.
@@ -35,7 +36,13 @@ from darkport.fitting import (
     normalize,
 )
 from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, propagate_state
-from darkport.photonsim import Interferogram, ScanConfig, simulate_interferogram, simulate_run
+from darkport.photonsim import (
+    Interferogram,
+    ScanConfig,
+    _seed_state,
+    simulate_interferogram,
+    simulate_run,
+)
 from darkport.quaternion import PhaseVector, Quaternion, mul, norm, qexp
 from darkport.reports import (
     CsvFormatError,
@@ -353,6 +360,18 @@ def test_closed_form_matches_the_propagation_oracle(model):
     full = propagate_state(model)
     assert abs(closed.p_dark - full.p_dark) <= 1e-12
     assert abs(closed.p_bright - full.p_bright) <= 1e-12
+
+
+@settings(PROPERTY, max_examples=200)
+@given(entropies=st.lists(st.lists(st.integers(0, 2 ** 130), max_size=7), min_size=1,
+                          max_size=6))
+def test_seed_state_is_each_seed_sequence_state(entropies):
+    # one seeding pass over seeds of mixed word counts: each row is the
+    # state that SeedSequence alone gives its seed
+    state = _seed_state(entropies)
+    for words, entropy in zip(state, entropies, strict=True):
+        assert words.tobytes() == np.random.SeedSequence(entropy).generate_state(
+            4, np.uint64).tobytes()
 
 
 _COMPONENT = st.floats(-2.0, 2.0)
