@@ -242,10 +242,13 @@ def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float
 
 def delta_v_statistics(records: Sequence[RunRecord]) -> DeltaVStats:
     """Delta V mean, sample std, and standard error, pooled over detectors."""
-    v_both, _, v_nim, _ = _record_pairs(records)
-    values = v_both - v_nim
-    mean, std, stderr = _mean_std_stderr(values, "Delta V")
-    return DeltaVStats(values=values, mean=mean, std=std, stderr=stderr)
+    return _delta_v_statistics(_record_pairs(records))
+
+
+def _delta_v_statistics(pairs: tuple[np.ndarray, ...]) -> DeltaVStats:
+    """delta_v_statistics of _pairs."""
+    values = pairs[0] - pairs[2]  # V_both - V_nim
+    return DeltaVStats(values, *_mean_std_stderr(values, "Delta V"))
 
 
 def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
@@ -267,7 +270,7 @@ def _gamma_ratio_statistics(pairs: tuple[np.ndarray, ...]) -> GammaRatioStats:
         try:
             gamma_ratio(VisibilityValue(both, sigma_both), VisibilityValue(nim, sigma_nim))
         except NonPhysicalVisibilityError as err:
-            # stacklevel 3: the caller of gamma_ratio_distribution or sensitivity_sweep
+            # stacklevel 3: the caller of a public statistic or of sensitivity_sweep
             warnings.warn(f"excluding non-physical point: {err}", stacklevel=3)
     # gamma_ratio's arithmetic, elementwise (np.sqrt rounds as math.sqrt does)
     a, b = v_both[physical], v_nim[physical]
@@ -301,10 +304,10 @@ def bound_from_campaign(records: Sequence[RunRecord], bins="fd") -> BoundReport:
 
     theta uses the Gamma-ratio campaign mean and its scatter stderr; both
     the central (acos of the mean) and conservative (acos of mean minus
-    one stderr) conventions are reported.
+    one stderr) conventions are reported.  The records are paired once.
     """
-    dv = delta_v_statistics(records)
-    gr = gamma_ratio_distribution(records)
+    pairs = _record_pairs(records)
+    dv, gr = _delta_v_statistics(pairs), _gamma_ratio_statistics(pairs)
     theta = theta_bound(gr.mean, gr.stderr)
     n_complete = sum(1 for rec in records if not rec.is_partial)
     return BoundReport(

@@ -80,12 +80,13 @@ def cmd_fit(args) -> int:
     for start in range(0, len(args.csv), fitting._STREAM_ROWS):
         paths = args.csv[start:start + fitting._STREAM_ROWS]
         blocks = reports.read_interferogram_block(paths)
-        errors, columns = fitting._fit_columns(fitting._fit_by_length([data.T for data in blocks]))
+        fits = fitting._fit_by_length([data.T for data in blocks])
+        errors, columns = fitting._fit_columns(fits)
         texts = [text if error is None else {"error": str(error)}
                  for text, error in zip(reports.encode_columns(columns), errors)]
         files += reports.encode_columns({"path": paths, "n_steps": list(map(len, blocks)),
                                          "fits": {"d1": texts[0::2], "d2": texts[1::2]}})
-        soft = soft or any(error is not None for error in errors) or not columns["converged"].all()
+        soft = soft or not fits["usable"].all()
     _emit_json(args, "fit_report.json", "fit report", {"files": files})
     return EXIT_SOFT_FIT if soft else EXIT_OK
 

@@ -6,7 +6,9 @@ simulated scan and the CSV format alike, so f = 1/2 is known: every command
 fits each block of rows of one kept length by one weighted least-squares
 solve at that f (_fit_block).  The block's fits stay arrays, one _FIT record
 per row and detector, which the campaign reads as they are;
-fit_interferograms and fit_sinusoid build FitResult objects from them.
+fit_interferograms and fit_sinusoid build FitResult objects from them.  A
+failed fit records the code of its message in one table, _REASONS; its
+exception is built only where the fit leaves the engine.
 fit_sinusoid searches f too, one row at a time, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Weights come from
 the binomial error of the count ratio.  The covariance is the inverse
@@ -49,6 +51,17 @@ _FRINGE_FREQUENCY = 0.5
 _STREAM_ROWS = 64
 # a larger step total n = d1 + d2 lets the fit's weights (n + 2)^2 overflow
 _MAX_TOTAL = 1e150
+# Why a fit has no result, in order of precedence: reason k > 0 of a _FIT record is
+# _REASONS[k - 1] with its detail.  1-6 are _normalize_rows' input checks (Interferogram's are
+# the first three), 7 _fit_block's three points and 8 (InvalidFitError) _visibilities' A + 2B <= 0.
+_REASONS = ("phase_rad must be finite",
+            *(f"{name} must be finite and non-negative" for name in ("counts_d1", "counts_d2")),
+            f"counts_d1 + counts_d2 above {_MAX_TOTAL!r} at a step, "
+            "where the fit's weights overflow",
+            "need at least 8 points with nonzero total counts, got {:.0f}",
+            "points with counts must span at least one full fringe (2 pi), got {!r}",
+            "points with counts must lie at three or more points of the fringe (mod 2 pi)",
+            "A + 2B must be positive, got {!r}")
 
 
 class FitInputError(ValueError):
@@ -122,6 +135,12 @@ class FitResult:
 FitOutcome = FitResult | FitInputError | InvalidFitError
 
 
+def _error(reason: int, detail: float) -> FitInputError | InvalidFitError:
+    """The exception of a nonzero reason code and its detail."""
+    error = InvalidFitError if reason == len(_REASONS) else FitInputError
+    return error(_REASONS[reason - 1].format(float(detail)))  # a numpy float reprs as np.float64
+
+
 def normalize(ig, detector: int = 1) -> NormalizedFringe:
     """Normalize one detector's counts to the per-step total.
 
@@ -137,9 +156,9 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
     phase, d1, d2 = _sorted_by_phase(*(np.asarray(getattr(ig, name), dtype=float)[None]
                                        for name in ("phase_rad", "counts_d1", "counts_d2")))
-    [error], groups = _normalize_rows(phase, d1, d2, detector)
-    if error is not None:
-        raise error
+    [reason], [detail], groups = _normalize_rows(phase, d1, d2, detector)
+    if reason:
+        raise _error(reason, detail)
     [(_, phase, ratio, sigma, n_excluded)] = groups
     return NormalizedFringe(phase=phase[0], ratio=ratio[0], sigma=sigma[0],
                             detector=detector, n_excluded=int(n_excluded[0]))
@@ -177,45 +196,32 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
     """normalize on each row of phase-sorted (rows, n) float arrays: the
     counts of detector detectors (1 or 2, or one per row) over d1 + d2.
 
-    Returns (errors, groups): each row's FitInputError or None, and the
-    usable rows grouped by kept length as (rows, phase, ratio, sigma,
-    n_excluded) with (len(rows), kept) arrays.  Rows that Interferogram
-    refuses get its message, and zero counts so that nothing below warns.
+    Returns (reason, detail, groups): each row's _FIT reason code (0, or
+    the first of codes 1-6 it fails) and detail, and the rows of reason 0
+    grouped by kept length as (rows, phase, ratio, sigma, n_excluded) with
+    (len(rows), kept) arrays.  Rows that Interferogram refuses get zero
+    counts so that nothing below warns.
     """
-    valid = {"phase_rad must be finite": np.isfinite(phase).all(axis=-1)}
-    for name, c in (("counts_d1", d1), ("counts_d2", d2)):
-        valid[f"{name} must be finite and non-negative"] = (np.isfinite(c) & (c >= 0)).all(axis=-1)
-    refused = ~np.all(list(valid.values()), axis=0)[:, None]
+    refused = [~np.isfinite(phase).all(axis=-1),
+               *(~(np.isfinite(c) & (c >= 0)).all(axis=-1) for c in (d1, d2))]
     over = d1 > _MAX_TOTAL - d2  # tested before d1 + d2 can overflow
-    d1, d2 = np.where(over | refused, 0.0, d1), np.where(over | refused, 0.0, d2)
+    zeroed = over | np.any(refused, axis=0)[:, None]
+    d1, d2 = np.where(zeroed, 0.0, d1), np.where(zeroed, 0.0, d2)
     counts = np.where(np.reshape(detectors, (-1, 1)) == 1, d1, d2)
     total = d1 + d2
     keep = total > 0
     width = total.shape[-1]
     n_usable = np.count_nonzero(keep, axis=-1)
-    errors: list[FitInputError | None] = [None] * len(total)
-    for i in np.flatnonzero(n_usable < 8):
-        errors[i] = FitInputError(
-            f"need at least 8 points with nonzero total counts, got {n_usable[i]}")
-    huge = over.any(axis=-1)
-    for i in np.flatnonzero(huge):
-        errors[i] = FitInputError(f"counts_d1 + counts_d2 above {_MAX_TOTAL!r} at a step, "
-                                  "where the fit's weights overflow")
-    for text, ok in reversed(valid.items()):  # the first check a row fails names it
-        for i in np.flatnonzero(~ok):
-            errors[i] = FitInputError(text)
-    usable = np.flatnonzero((n_usable >= 8) & ~huge)
-    if usable.size == 0:
-        return errors, []
-    first = np.argmax(keep[usable], axis=-1)
-    last = width - 1 - np.argmax(keep[usable, ::-1], axis=-1)
-    with np.errstate(over="ignore"):  # a span beyond the float range is inf, >= 2 pi
-        span = phase[usable, last] - phase[usable, first]
-    short = ~(span >= math.tau - 1e-9)
-    for i, s in zip(usable[short], span[short]):
-        errors[i] = FitInputError(
-            f"points with counts must span at least one full fringe (2 pi), got {float(s)!r}")
-    usable = usable[~short]
+    span = np.zeros(len(total))
+    if width:  # argmax needs a step
+        rows = np.arange(len(total))
+        last = width - 1 - np.argmax(keep[:, ::-1], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf >= 2 pi; nan: refused
+            span = phase[rows, last] - phase[rows, np.argmax(keep, axis=-1)]
+    failed = np.array([*refused, over.any(axis=-1), n_usable < 8, ~(span >= math.tau - 1e-9)])
+    reason = np.where(failed.any(axis=0), np.argmax(failed, axis=0) + 1, 0)  # first broken rule
+    detail = np.where(reason == 5, n_usable, np.where(reason == 6, span, 0.0))
+    usable = np.flatnonzero(reason == 0)
     n = np.where(keep, total, 1.0)
     r = counts / n
     sigma = np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))
@@ -227,7 +233,7 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
         sel[rows] = keep[rows]
         groups.append((rows, *(a[sel].reshape(len(rows), kept) for a in (phase, r, sigma)),
                        np.full(len(rows), width - kept)))
-    return errors, groups
+    return reason, detail, groups
 
 
 def _by_length(lengths) -> dict[int, np.ndarray]:
@@ -284,19 +290,12 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: b
 
 
 # A fit per [row, side] of a block: the fitted fringe and its mirror (_fit_block) or detectors 1
-# and 2 (_fit_rows).  error holds every failure, a FitInputError or an InvalidFitError (A + 2B
-# <= 0), and usable is converged with no error.  The campaign reads value (A/(A+2B) clipped to
-# [0, 1]), sigma and usable; _fit_columns reads all but usable.
+# and 2 (_fit_rows).  reason is its failure's code in _REASONS (0: none) and detail the number
+# its message quotes; usable is converged with reason 0.  The campaign reads value (A/(A+2B)
+# clipped to [0, 1]), sigma and usable; _fit_columns all but usable.  np.zeros is a blank fit.
 _FIT = np.dtype([("value", float), ("sigma", float), ("usable", bool), ("params", float, 4),
                  ("cov", float, (4, 4)), ("converged", bool), ("residual_norm", float),
-                 ("n_points", int), ("n_excluded", int), ("error", object)])
-
-
-def _blank(rows: int, sides: int = 2) -> np.ndarray:
-    """(rows, sides) _FIT fits that hold nothing: zeros, False and None."""
-    fits = np.zeros((rows, sides), _FIT)
-    fits["error"] = None
-    return fits
+                 ("n_points", int), ("n_excluded", int), ("reason", np.int8), ("detail", float)])
 
 
 def _chi2_bound(dof: int) -> float:
@@ -319,7 +318,7 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     (mod 2 pi); at fewer, the points (cos x, sin x) lie on a line, so the
     smaller eigenvalue of their covariance, spread^2 / n, is within the
     rounding (n eps (1 + |x|))^2 of cos x.  Every row is fitted; such a row
-    is then blanked, and both its sides get a FitInputError.
+    is then blanked, with reason 7 on both sides.
     """
     n = x.shape[1]
     points = np.stack([np.cos(x), np.sin(x)], axis=-1)
@@ -331,23 +330,17 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     dof = n - 3
     fits = _fits(n, dof, f, (coef, [1, 0, 0] - coef), cov, chi2, chi2 <= _chi2_bound(dof),
                  n_excluded)
-    fits[few] = _blank(np.count_nonzero(few))
-    for i in np.flatnonzero(few):
-        fits["error"][i] = FitInputError("points with counts must lie at three or more "
-                                         "points of the fringe (mod 2 pi)")
+    fits[few] = 0
+    fits["reason"][few] = 7
     return fits
 
 
-def _visibilities(params: np.ndarray,
-                  cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _visibilities(params: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each row's visibility A/(A+2B) and its sigma, propagated from the
-    (A, B) block of its covariance, and its error: None where A + 2B > 0,
-    else an InvalidFitError, with value and sigma 0."""
+    (A, B) block of its covariance, and its reason and detail: 0 and 0
+    where A + 2B > 0, else 8 and A + 2B, with value and sigma 0."""
     denom = params[:, 0] + 2.0 * params[:, 3]
     valid = denom > 0.0
-    errors = np.full(len(denom), None)
-    for i in np.flatnonzero(~valid):
-        errors[i] = InvalidFitError(f"A + 2B must be positive, got {float(denom[i])!r}")
     a, b, d = params[valid, 0], params[valid, 3], denom[valid]
     grad = np.stack([2.0 * b / (d * d), -2.0 * a / (d * d)], axis=-1)
     value, sigma = np.zeros((2, len(denom)))
@@ -355,7 +348,7 @@ def _visibilities(params: np.ndarray,
     # contrast itself is still bounded
     value[valid] = np.clip(a / d, 0.0, 1.0)
     sigma[valid] = propagate(grad, cov[valid][:, 0::3, 0::3])
-    return value, sigma, errors
+    return value, sigma, np.where(valid, 0, 8), np.where(valid, 0.0, denom)
 
 
 def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: np.ndarray,
@@ -368,7 +361,7 @@ def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: 
     The covariance is cov carried through the Jacobian of that map, whose p
     row is 0 where h = 0, and rescaled by the reduced chi-square chi2 / dof.
     """
-    fits = _blank(len(f), len(sides))
+    fits = np.zeros((len(f), len(sides)), _FIT)
     for k, coef in enumerate(sides):
         h = np.hypot(coef[:, 1], coef[:, 2])
         turn = np.arctan2(coef[:, 2], -coef[:, 1])  # 2p
@@ -382,17 +375,18 @@ def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: 
         side = fits[:, k]
         side["params"] = params
         side["cov"] = jac @ cov @ jac.swapaxes(1, 2) * (chi2 / dof)[:, None, None]
-        side["value"], side["sigma"], side["error"] = _visibilities(params, side["cov"])
+        side["value"], side["sigma"], side["reason"], side["detail"] = _visibilities(
+            params, side["cov"])
     for name, a in (("converged", converged), ("residual_norm", np.sqrt(chi2)),
                     ("n_points", n), ("n_excluded", n_excluded)):
         fits[name] = np.reshape(a, (-1, 1))
-    fits["usable"] = fits["converged"] & np.equal(fits["error"], None)
+    fits["usable"] = fits["converged"] & (fits["reason"] == 0)
     return fits
 
 
 def _fit_columns(fits: np.ndarray, iterations: int = 0) -> tuple[list, dict]:
-    """Each fit of (rows, sides) _FIT fits, row by row: its error as the
-    engine recorded it (a FitInputError, an InvalidFitError, or None), and
+    """Each fit of (rows, sides) _FIT fits, row by row: its error (None, or
+    the FitInputError or InvalidFitError of its reason code), and
     fit's report as columns, an array per field and a dict of two for
     visibility.  Each sigma_ column is the root of its variance, 0 where
     that is negative."""
@@ -400,7 +394,9 @@ def _fit_columns(fits: np.ndarray, iterations: int = 0) -> tuple[list, dict]:
     params, variances = fits["params"], np.diagonal(fits["cov"], axis1=-2, axis2=-1)
     sigmas = np.sqrt(np.where(variances < 0.0, 0.0, variances))
     names = ("amplitude", "frequency", "phase", "offset")
-    return fits["error"].tolist(), {
+    errors = [_error(reason, detail) if reason else None
+              for reason, detail in zip(fits["reason"].tolist(), fits["detail"].tolist())]
+    return errors, {
         **dict(zip(names, params.T)), **dict(zip(["sigma_" + name for name in names], sigmas.T)),
         **{name: fits[name] for name in ("converged", "residual_norm", "n_points", "n_excluded")},
         "visibility": {"value": fits["value"], "sigma": fits["sigma"]},
@@ -481,9 +477,9 @@ def _fit_rows(phase: np.ndarray, counts_d1: np.ndarray, counts_d2: np.ndarray) -
     phase, d1, d2 = _sorted_by_phase(*(np.ascontiguousarray(a, dtype=float)
                                        for a in np.broadcast_arrays(phase, counts_d1, counts_d2)))
     detectors = _fitted_detectors(d1, d2)
-    errors, groups = _normalize_rows(phase, d1, d2, detectors)
-    fits = _blank(len(errors))
-    fits["error"] = np.array(errors, dtype=object)[:, None]
+    reason, detail, groups = _normalize_rows(phase, d1, d2, detectors)
+    fits = np.zeros((len(reason), 2), _FIT)
+    fits["reason"], fits["detail"] = reason[:, None], detail[:, None]
     for rows, x, y, sigma, n_excluded in groups:
         sides = np.where(detectors[rows, None] == 1, [0, 1], [1, 0])
         fits[rows[:, None], sides] = _fit_block(x, y, sigma, n_excluded)
@@ -510,7 +506,7 @@ def fit_interferograms(interferograms: Iterable) -> Iterator[tuple[FitOutcome, F
 
 def _fit_by_length(block: list) -> np.ndarray:
     """_fit_rows, once per length, on rows that are (phase, d1, d2) arrays."""
-    fits = _blank(len(block))
+    fits = np.zeros((len(block), 2), _FIT)
     for rows in _by_length([len(row[0]) for row in block]).values():
         fits[rows] = _fit_rows(*np.stack([block[i] for i in rows], axis=1))
     return fits

@@ -86,11 +86,11 @@ def index_spectrum(spectrum: PhaseSpectrum, slab: SlabSpec) -> IndexSpectrum:
 
     Each phase is moved onto the 2 pi branch nearest its unwrapped
     neighbor.  A corrected jump of magnitude pi sits exactly between two
-    branches; such points (and everything unwrapped through them) cannot
-    be trusted, so they are flagged.  So is a jump too large for its
-    rounding error to stay inside the branch, as the correction of one
-    beyond about 1e16 rad keeps no information.  Raises ValueError naming
-    the first wavelength whose index is not finite.
+    branches, so the point it ends at is flagged (the points unwrapped
+    after it follow its branch but are not flagged).  So is the point of a
+    jump too large for its rounding error to stay inside the branch, as the
+    correction of one beyond about 1e16 rad keeps no information.  Raises
+    ValueError naming the first wavelength whose index is not finite.
     """
     wl = spectrum.wavelength_nm
     raw = spectrum.phase_rad

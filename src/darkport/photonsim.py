@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fitting import _by_length
+from .fitting import _REASONS, _by_length
 from .interferometer import SagnacModel, dark_port_prob, mz_visibility_from_ports
 
 __all__ = [
@@ -132,10 +132,10 @@ class Interferogram:
         if self.counts_d1.shape != (n,) or self.counts_d2.shape != (n,):
             raise ValueError("phase and count arrays must have identical length")
         if not np.all(np.isfinite(self.phase_rad)):
-            raise ValueError("phase_rad must be finite")
-        for name, c in (("counts_d1", self.counts_d1), ("counts_d2", self.counts_d2)):
+            raise ValueError(_REASONS[0])  # the fit's wording (fitting._REASONS)
+        for text, c in zip(_REASONS[1:3], (self.counts_d1, self.counts_d2)):
             if not np.all(np.isfinite(np.asarray(c, dtype=float))) or np.any(c < 0):
-                raise ValueError(f"{name} must be finite and non-negative")
+                raise ValueError(text)
 
     @property
     def n_steps(self) -> int:

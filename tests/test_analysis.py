@@ -17,7 +17,7 @@ from darkport.analysis import (
     records_from_runs,
     sensitivity_sweep,
 )
-from darkport.fitting import _blank
+from darkport.fitting import _FIT
 from darkport.interferometer import PhaseElement, VisibilityValue, gamma_ratio, theta_bound
 from darkport.config import ExperimentConfig
 from darkport.photonsim import (
@@ -182,6 +182,19 @@ def test_bound_report_degenerate_histogram():
     assert report.theta_central_deg == report.theta_conservative_deg
 
 
+def test_bound_from_campaign_pairs_its_records_once(monkeypatch):
+    recs = [record(k, 0.040 + 0.001 * k, 0.041, 0.040, 0.041 - 0.001 * k) for k in range(5)]
+    recs.append(record(5, 0.040, None, 0.042, 0.041))
+    pair_records, calls = analysis._record_pairs, []
+    monkeypatch.setattr(analysis, "_record_pairs",
+                        lambda records: calls.append(records) or pair_records(records))
+    report = bound_from_campaign(recs)
+    assert calls == [recs]
+    dv, gr = delta_v_statistics(recs), gamma_ratio_distribution(recs)
+    assert (report.n_values, report.n_complete_runs) == (dv.n_values, 5) == (11, 5)
+    assert (report.delta_v_mean, report.delta_v_stderr) == (dv.mean, dv.stderr)
+    assert (report.gamma_ratio_mean, report.gamma_ratio_stderr) == (gr.mean, gr.stderr)
+
 def test_null_campaigns_stay_unflagged_across_seeds():
     cfg = ExperimentConfig()
     models = cfg.build_pair()
@@ -306,7 +319,7 @@ def _slot_fits_of(records):
     as analysis._slot_fits gives them to the sweep."""
     slots = []
     for names in (("v_nim_d1", "v_nim_d2"), ("v_both_d1", "v_both_d2")):
-        fits = _blank(len(records))
+        fits = np.zeros((len(records), 2), _FIT)
         for k, rec in enumerate(records):
             for side, name in enumerate(names):
                 if (v := getattr(rec, name)) is not None:

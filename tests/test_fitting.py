@@ -1,15 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from darkport.config import ExperimentConfig
+from darkport import fitting
 from darkport.fitting import (
     FitInputError,
     FitResult,
     InvalidFitError,
     NormalizedFringe,
     _chi2_bound,
+    _error,
     _fit_block,
     _fit_rows,
     _fits,
@@ -598,6 +601,69 @@ def test_fit_interferograms_refuses_what_interferogram_refuses():
     for k in (0, 6):
         [alone] = fit_interferograms([Interferogram(phase, d1[k], d2[k])])
         assert all(map(same_fit, alone, fitted[k]))
+
+
+# each failure's message before the fit recorded reason codes, one per code
+MESSAGES = ("phase_rad must be finite",
+            "counts_d1 must be finite and non-negative",
+            "counts_d2 must be finite and non-negative",
+            "counts_d1 + counts_d2 above 1e+150 at a step, where the fit's weights overflow",
+            "need at least 8 points with nonzero total counts, got 7",
+            "points with counts must span at least one full fringe (2 pi), got 5.291103416572283",
+            "points with counts must lie at three or more points of the fringe (mod 2 pi)",
+            "A + 2B must be positive, got -2.0000000000000027")
+
+
+def test_reason_texts_are_the_messages_of_each_failure():
+    details = [0.0, 0.0, 0.0, 0.0, 7.0, 5.291103416572283, 0.0, -2.0000000000000027]
+    assert len(fitting._REASONS) == len(MESSAGES)
+    for reason, (detail, message) in enumerate(zip(details, MESSAGES), start=1):
+        # a numpy detail too, as the fit arrays hold it
+        for error in (_error(reason, detail), _error(np.int8(reason), np.float64(detail))):
+            assert type(error) is (InvalidFitError if reason == 8 else FitInputError)
+            assert str(error) == message
+    assert not fitting._FIT.hasobject
+    assert not np.zeros(1, fitting._FIT)["reason"].any()
+
+
+def _breaking(rules):
+    """(phase, d1, d2) of a 20-step row over 4 pi that breaks each input rule
+    in rules (1-6, the reason codes of _normalize_rows)."""
+    phase = np.linspace(0.0, 4.0 * math.pi, 20)
+    d1, d2 = np.full(20, 25.0), np.full(20, 25.0)
+    if 1 in rules:
+        phase[3] = np.nan
+    if 2 in rules:
+        d1[4] = -1.0
+    if 3 in rules:
+        d2[5] = np.inf
+    if 4 in rules:
+        d1[6] = 1e200
+    if 5 in rules:  # 7 steps with counts at most
+        d1[7:] = d2[7:] = 0.0
+    if 6 in rules:  # 9 steps with counts at most, spanning 32/19 pi
+        d1[9:] = d2[9:] = 0.0
+    return phase, d1, d2
+
+
+def test_the_first_input_rule_a_row_breaks_names_its_failure():
+    pairs = [(low, high) for low in range(1, 7) for high in range(low + 1, 7)]
+    rows = [_breaking(pair) for pair in pairs]
+    [unbroken] = fit_interferograms([FakeInterferogram(*_breaking(()))])
+    assert all(isinstance(fit, FitResult) for fit in unbroken)
+    for rule in range(1, 7):  # each rule alone breaks the row
+        [fits] = fit_interferograms([FakeInterferogram(*_breaking((rule,)))])
+        assert [str(fit) for fit in fits] == [MESSAGES[rule - 1]] * 2
+    block = _outcomes(_fit_rows(*(np.stack(a) for a in zip(*rows))))
+    for (low, _), row, in_block in zip(pairs, rows, block, strict=True):
+        message = MESSAGES[low - 1]
+        [streamed] = fit_interferograms([FakeInterferogram(*row)])
+        [alone] = _outcomes(_fit_rows(*(a[None] for a in row)))
+        for fits in (streamed, alone, in_block):
+            assert [(type(fit), str(fit)) for fit in fits] == [(FitInputError, message)] * 2
+        for detector in (1, 2):
+            with pytest.raises(FitInputError, match=f"^{re.escape(message)}$"):
+                normalize(FakeInterferogram(*row), detector)
 
 
 def _grid_chi2(fringe, grid):

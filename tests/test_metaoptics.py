@@ -113,11 +113,11 @@ def test_index_spectrum_unwraps_branch_jumps():
 
 def test_index_spectrum_flags_half_branch_jumps():
     slab = SlabSpec()
-    wl = np.array([700.0, 710.0, 720.0, 730.0])
-    phase = np.array([0.0, 0.05, 0.05 + math.pi, 0.1 + math.pi])
+    wl = np.array([700.0, 710.0, 720.0, 730.0, 740.0])
+    phase = np.array([0.0, 0.05, 0.05 + math.pi, 0.1 + math.pi, 0.15 + math.pi])
     spec = index_spectrum(PhaseSpectrum(wl, phase), slab)
-    assert bool(spec.ambiguous[2])
-    assert not spec.ambiguous[0] and not spec.ambiguous[1]
+    # only the point the half-branch jump ends at, not those unwrapped through it
+    assert spec.ambiguous.tolist() == [False, False, True, False, False]
 
 
 def test_index_flags_jumps_too_large_to_unwrap(tmp_path, capsys):

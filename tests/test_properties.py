@@ -164,8 +164,8 @@ def test_one_row_visibility_is_the_fit_visibility_bit_for_bit():
         for side, fit in enumerate(pair):
             if isinstance(fit, FitResult):
                 params = np.array([[fit.amplitude, fit.frequency, fit.phase, fit.offset]])
-                value, sigma, errors = _visibilities(params, fit.covariance[None])
-                assert errors.tolist() == [None]
+                value, sigma, reason, _ = _visibilities(params, fit.covariance[None])
+                assert reason.tolist() == [0]
                 assert (value[0].hex(), sigma[0].hex()) == (
                     fit.visibility.value.hex(), fit.visibility.sigma.hex())
                 checked[side] += 1
