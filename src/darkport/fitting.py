@@ -8,7 +8,8 @@ solve at that f (_fit_block).  The block's fits stay arrays, one _FIT record
 per row and detector, which the campaign reads as they are;
 fit_interferograms and fit_sinusoid build FitResult objects from them.  A
 failed fit records the code of its message in one table, _REASONS; its
-exception is built only where the fit leaves the engine.
+exception is built only where the fit leaves the engine.  Rows sharing a
+phase grid share its geometry, computed once (_shared_rows).
 fit_sinusoid searches f too, one row at a time, by variable projection
 (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Weights come from
 the binomial error of the count ratio.  The covariance is the inverse
@@ -24,7 +25,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -247,6 +248,7 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: b
     at a fixed f per row, their weighted squared residual, and the inverse
     normal matrix of (c0, c1, c2, f), whose f row and column are 0.
 
+    cos and sin of 2fx are computed once per distinct row (_shared_rows).
     The columns are centred to their weighted means m, which leaves a 2x2
     gram a row.  Its pseudo-inverse G gives the fit (least-norm for collinear
     columns) and the inverse normal matrix: G for (c1, c2), -G m with c0 and
@@ -267,8 +269,8 @@ def _project(x: np.ndarray, w: np.ndarray, y: np.ndarray, f: np.ndarray, step: b
         c0 = v_mean - np.sum(c12 * m, axis=-1, keepdims=True)
         return np.concatenate([c0, c12], axis=-1), v - (c12[:, None] @ cols)[:, 0]
 
-    arg = 2.0 * f[:, None] * x
-    cos, sin = np.cos(arg), np.sin(arg, out=arg)  # sin takes arg's memory
+    cos, sin = _shared_rows(lambda arg: np.stack([np.cos(arg), np.sin(arg)], axis=1),
+                            2.0 * f[:, None] * x).swapaxes(0, 1)
     m = np.concatenate([mean(cos), mean(sin)], axis=-1)
     cols = np.stack([cos - m[:, :1], sin - m[:, 1:]], axis=1)
     weighted = w[:, None] * cols
@@ -306,6 +308,24 @@ def _chi2_bound(dof: int) -> float:
     return dof * (1.0 - c + 5.0 * math.sqrt(c)) ** 3
 
 
+def _shared_rows(func: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
+    """func(a) for a func that maps each row of the (rows, n) float array a
+    on its own, evaluated on a's first row and on the rows that differ from
+    it in some bit (-0.0 is not 0.0), and gathered back to every row."""
+    bits = a.view(np.uint64)
+    own = np.any(bits != bits[:1], axis=-1)
+    own[:1] = True
+    return func(a[own])[np.where(own, np.cumsum(own) - 1, 0)]
+
+
+def _on_a_line(x: np.ndarray) -> np.ndarray:
+    """Whether each row's points (cos x, sin x) lie on a line (_fit_block)."""
+    points = np.stack([np.cos(x), np.sin(x)], axis=-1)
+    points -= points.mean(axis=1, keepdims=True)
+    spread = np.linalg.svd(points, compute_uv=False)[:, -1]  # the smaller singular value
+    return spread <= x.shape[1] ** 1.5 * np.finfo(float).eps * (1.0 + np.max(np.abs(x), axis=-1))
+
+
 def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
                n_excluded: np.ndarray) -> np.ndarray:
     """The _FIT fits at f = 1/2 of (rows, n) fringe arrays and of the mirror
@@ -317,14 +337,12 @@ def _fit_block(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     dof = n - 3.  (c0, c1, c2) need three distinct points of the fringe
     (mod 2 pi); at fewer, the points (cos x, sin x) lie on a line, so the
     smaller eigenvalue of their covariance, spread^2 / n, is within the
-    rounding (n eps (1 + |x|))^2 of cos x.  Every row is fitted; such a row
-    is then blanked, with reason 7 on both sides.
+    rounding (n eps (1 + |x|))^2 of cos x (_on_a_line, run once per distinct
+    grid by _shared_rows).  Every row is fitted; such a row is then blanked,
+    with reason 7 on both sides.
     """
     n = x.shape[1]
-    points = np.stack([np.cos(x), np.sin(x)], axis=-1)
-    points -= points.mean(axis=1, keepdims=True)
-    spread = np.linalg.svd(points, compute_uv=False)[:, -1]  # the smaller singular value
-    few = spread <= n ** 1.5 * np.finfo(float).eps * (1.0 + np.max(np.abs(x), axis=-1))
+    few = _shared_rows(_on_a_line, x)
     f = np.full(len(x), _FRINGE_FREQUENCY)
     coef, chi2, cov = _project(x, 1.0 / (sigma * sigma), y, f)
     dof = n - 3
@@ -360,23 +378,25 @@ def _fits(n: int, dof: int, f: np.ndarray, sides: tuple, cov: np.ndarray, chi2: 
     so with h = |(c1, c2)|: A = 2h, p = atan2(c2, -c1)/2 mod pi and B = c0 - h.
     The covariance is cov carried through the Jacobian of that map, whose p
     row is 0 where h = 0, and rescaled by the reduced chi-square chi2 / dof.
+    All sides go through one pass, stacked row-major as fits.reshape(-1).
     """
-    fits = np.zeros((len(f), len(sides)), _FIT)
-    for k, coef in enumerate(sides):
-        h = np.hypot(coef[:, 1], coef[:, 2])
-        turn = np.arctan2(coef[:, 2], -coef[:, 1])  # 2p
-        params = np.stack([2.0 * h, f, np.mod(0.5 * turn, math.pi), coef[:, 0] - h], axis=-1)
-        unit = np.stack([-np.cos(turn), np.sin(turn)], axis=-1)  # (c1, c2) / h
-        jac = np.zeros((len(h), 4, 4))  # d(A, f, p, B) / d(c0, c1, c2, f)
-        jac[:, 0, 1:3], jac[:, 3, 1:3] = 2.0 * unit, -unit
-        jac[:, 1, 3] = jac[:, 3, 0] = 1.0
-        jac[:, 2, 1:3] = (np.divide(0.5, h, out=np.zeros_like(h), where=h > 0.0)[:, None]
-                          * unit[:, ::-1] * [1.0, -1.0])
-        side = fits[:, k]
-        side["params"] = params
-        side["cov"] = jac @ cov @ jac.swapaxes(1, 2) * (chi2 / dof)[:, None, None]
-        side["value"], side["sigma"], side["reason"], side["detail"] = _visibilities(
-            params, side["cov"])
+    coef = np.stack(sides, axis=1).reshape(-1, 3)
+    f, cov, scale = (np.repeat(a, len(sides), axis=0) for a in (f, cov, chi2 / dof))
+    h = np.hypot(coef[:, 1], coef[:, 2])
+    turn = np.arctan2(coef[:, 2], -coef[:, 1])  # 2p
+    params = np.stack([2.0 * h, f, np.mod(0.5 * turn, math.pi), coef[:, 0] - h], axis=-1)
+    unit = np.stack([-np.cos(turn), np.sin(turn)], axis=-1)  # (c1, c2) / h
+    jac = np.zeros((len(h), 4, 4))  # d(A, f, p, B) / d(c0, c1, c2, f)
+    jac[:, 0, 1:3], jac[:, 3, 1:3] = 2.0 * unit, -unit
+    jac[:, 1, 3] = jac[:, 3, 0] = 1.0
+    jac[:, 2, 1:3] = (np.divide(0.5, h, out=np.zeros_like(h), where=h > 0.0)[:, None]
+                      * unit[:, ::-1] * [1.0, -1.0])
+    fits = np.zeros((len(chi2), len(sides)), _FIT)
+    flat = fits.reshape(-1)
+    flat["params"] = params
+    flat["cov"] = jac @ cov @ jac.swapaxes(1, 2) * scale[:, None, None]
+    flat["value"], flat["sigma"], flat["reason"], flat["detail"] = _visibilities(
+        params, flat["cov"])
     for name, a in (("converged", converged), ("residual_norm", np.sqrt(chi2)),
                     ("n_points", n), ("n_excluded", n_excluded)):
         fits[name] = np.reshape(a, (-1, 1))

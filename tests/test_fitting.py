@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from darkport.config import ExperimentConfig
-from darkport import fitting
+from darkport import analysis, fitting
 from darkport.fitting import (
     FitInputError,
     FitResult,
@@ -475,6 +475,47 @@ def test_fit_is_identical_alone_and_in_a_mixed_block():
     assert any(isinstance(o, FitResult) and not o.converged for o in outcomes)
     assert {100, 90, 85} <= {o.n_points for o in outcomes if isinstance(o, FitResult)}
     assert _outcomes(_fit_rows(phase[0], np.zeros((0, 100)), np.zeros((0, 100)))) == []
+
+
+@pytest.mark.parametrize("first", ["default grid", "three points"])
+def test_rows_sharing_a_phase_grid_fit_as_they_do_alone(first):
+    # default-grid rows, a jittered grid, the default grid with -0.0 for its
+    # first phase 0.0, and steps at two points of the fringe (mod 2 pi), the
+    # last once at the top and once further down
+    phase, d1, d2 = _bright_counts()
+    d1, d2 = d1[:12], d2[:12]
+    phase = np.repeat(phase[None], len(d1), axis=0)
+    assert phase[0, 0] == 0.0
+    phase[3, 1:-1] += np.random.default_rng(5).uniform(-0.01, 0.01, phase.shape[1] - 2)
+    phase[5, 0] = -0.0
+    phase[8] = 0.3 + math.pi * np.arange(phase.shape[1])
+    if first == "three points":
+        phase[0] = phase[8]
+    signs = fitting._shared_rows(lambda rows: np.signbit(rows[:, 0]), phase[:6])
+    assert signs.tolist() == [False] * 5 + [True]
+    fits = _fit_rows(phase, d1, d2)
+    assert (fits["reason"][[0, 8]] == 7).all() == (first == "three points")
+    for k in range(len(d1)):
+        [alone] = _fit_rows(phase[k:k + 1], d1[k:k + 1], d2[k:k + 1])
+        assert fits[k].tobytes() == alone.tobytes()
+
+
+def test_a_campaign_block_fits_its_phase_grid_once(monkeypatch):
+    # every row of a campaign block shares the scan's grid, so its three-point
+    # check and cos/sin basis are evaluated on one row
+    evaluated, shared_rows = [], fitting._shared_rows
+
+    def spied(func, a):
+        def recorded(rows):
+            evaluated.append((func is fitting._on_a_line, rows.shape))
+            return func(rows)
+        return shared_rows(recorded, a)
+
+    monkeypatch.setattr(fitting, "_shared_rows", spied)
+    reference, _ = ExperimentConfig().build_pair()
+    fits = analysis._slot_fits(reference, 0, ScanConfig(), 11, range(64))
+    assert fits["usable"].all()
+    assert evaluated == [(True, (1, 100)), (False, (1, 100))]
 
 
 # the fields of fitting._FIT other than the error objects
