@@ -46,9 +46,9 @@ MAX_ITERATIONS = 200
 RELATIVE_TOL = 1e-10
 # f of the data paths: the fringe is sin^2(phase_rad / 2 + p)
 _FRINGE_FREQUENCY = 0.5
-# rows per _fit_rows call where fit_interferograms, cli.cmd_fit and analysis._slot_fits
-# stream their input: one call on 1,600 fit rows raised fit's peak RSS from 42 to 65 MB,
-# and one on a slot's 200 rows a sweep's from 39.4 to 41.7 MB
+# rows per _fit_rows call where fit_interferograms, cli.cmd_fit and analysis.records_from_runs
+# stream their input: one call on 1,600 fit rows raised fit's peak RSS from 42 to 65 MB
+# (analysis._slot_fits streams a campaign slot in blocks of its own _SLOT_ROWS)
 _STREAM_ROWS = 64
 # a larger step total n = d1 + d2 lets the fit's weights (n + 2)^2 overflow
 _MAX_TOTAL = 1e150
@@ -155,7 +155,8 @@ def normalize(ig, detector: int = 1) -> NormalizedFringe:
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
-    phase, d1, d2 = _sorted_by_phase(*(np.asarray(getattr(ig, name), dtype=float)[None]
+    # copies, as the fringe may hold _normalize_rows' phase rows as they are
+    phase, d1, d2 = _sorted_by_phase(*(np.array(getattr(ig, name), dtype=float)[None]
                                        for name in ("phase_rad", "counts_d1", "counts_d2")))
     [reason], [detail], groups = _normalize_rows(phase, d1, d2, detector)
     if reason:
@@ -207,7 +208,8 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
                *(~(np.isfinite(c) & (c >= 0)).all(axis=-1) for c in (d1, d2))]
     over = d1 > _MAX_TOTAL - d2  # tested before d1 + d2 can overflow
     zeroed = over | np.any(refused, axis=0)[:, None]
-    d1, d2 = np.where(zeroed, 0.0, d1), np.where(zeroed, 0.0, d2)
+    if zeroed.any():
+        d1, d2 = np.where(zeroed, 0.0, d1), np.where(zeroed, 0.0, d2)
     counts = np.where(np.reshape(detectors, (-1, 1)) == 1, d1, d2)
     total = d1 + d2
     keep = total > 0
@@ -223,17 +225,19 @@ def _normalize_rows(phase: np.ndarray, d1: np.ndarray, d2: np.ndarray, detectors
     reason = np.where(failed.any(axis=0), np.argmax(failed, axis=0) + 1, 0)  # first broken rule
     detail = np.where(reason == 5, n_usable, np.where(reason == 6, span, 0.0))
     usable = np.flatnonzero(reason == 0)
-    n = np.where(keep, total, 1.0)
+    n = total if keep.all() else np.where(keep, total, 1.0)
     r = counts / n
     sigma = np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))
     groups = []
     for kept, rows in _by_length(n_usable[usable]).items():
         rows = usable[rows]
-        # one block-wide selector: rows ascend, so a[sel] reads them in order
-        sel = np.zeros_like(keep)
-        sel[rows] = keep[rows]
-        groups.append((rows, *(a[sel].reshape(len(rows), kept) for a in (phase, r, sigma)),
-                       np.full(len(rows), width - kept)))
+        arrays = phase, r, sigma  # as they are where every row keeps every step
+        if len(rows) < len(keep) or kept < width:
+            # one block-wide selector: rows ascend, so a[sel] reads them in order
+            sel = np.zeros_like(keep)
+            sel[rows] = keep[rows]
+            arrays = (a[sel].reshape(len(rows), kept) for a in arrays)
+        groups.append((rows, *arrays, np.full(len(rows), width - kept)))
     return reason, detail, groups
 
 
@@ -311,9 +315,16 @@ def _chi2_bound(dof: int) -> float:
 def _shared_rows(func: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
     """func(a) for a func that maps each row of the (rows, n) float array a
     on its own, evaluated on a's first row and on the rows that differ from
-    it in some bit (-0.0 is not 0.0), and gathered back to every row."""
+    it in some bit (-0.0 is not 0.0), and gathered back to every row.
+    Where no row differs, every row reads the first row's result through one
+    read-only view."""
+    if len(a) == 1:
+        return func(a)
     bits = a.view(np.uint64)
     own = np.any(bits != bits[:1], axis=-1)
+    if not own.any():
+        first = func(a[:1])
+        return np.broadcast_to(first, (len(a), *first.shape[1:]))
     own[:1] = True
     return func(a[own])[np.where(own, np.cumsum(own) - 1, 0)]
 

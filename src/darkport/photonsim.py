@@ -228,8 +228,13 @@ def _seed_state(seeds: Sequence) -> np.ndarray:
     """SeedSequence(seed).generate_state(4, np.uint64) of each seed (an int
     or a sequence of ints) as one (len(seeds), 4) uint64 array.
 
-    Seeds whose entropy has as many words are seeded as one block.
+    Seeds whose entropy has as many words are seeded as one block.  An
+    integer (rows, k) array whose entries all lie in [0, 2^32) is k words a
+    seed, taken in one operation.
     """
+    if (isinstance(seeds, np.ndarray) and seeds.ndim == 2 and seeds.dtype.kind in "iu"
+            and np.all((seeds >= 0) & (seeds <= _MASK32))):
+        return _pool_state(seeds.astype(np.uint32))
     words = [_entropy_words(seed) for seed in seeds]
     state = np.empty((len(words), 4), np.uint64)
     for rows in _by_length([len(w) for w in words]).values():
@@ -271,11 +276,11 @@ def draw_counts(
     """Counts at the two detectors of one configuration, one row per seed.
 
     Returns two (rows, n_steps) int64 arrays.  Row k is drawn from its own
-    Generator(PCG64) on SeedSequence(seeds[k]) (an int or tuple of ints),
-    detector 1 first, so it depends on nothing but the model, the scan and
-    its seed.  The SeedSequence states of all rows are computed in one
-    array pass (_seed_state); each row's PCG64 is then built from its state
-    words, with no SeedSequence per row.
+    Generator(PCG64) on SeedSequence(seeds[k]) (an int or a sequence of ints;
+    seeds may be a (rows, k) integer array), detector 1 first, so it depends
+    on nothing but the model, the scan and its seed.  The SeedSequence states
+    of all rows are computed in one array pass (_seed_state); each row's
+    PCG64 is then built from its state words, with no SeedSequence per row.
     """
     rates = np.stack(expected_rates(model, scan))
     state = _seed_state(seeds)

@@ -172,6 +172,41 @@ def test_campaign_records_match_the_stored_campaign_in_any_split():
     assert campaign_records(*pair, cfg.scan, 5, range(4, 6)) == whole[4:]
 
 
+def test_a_slot_is_one_block_with_the_bytes_of_any_split(monkeypatch):
+    # a default slot of 200 runs is drawn and fitted as one block, byte for byte
+    # the 64-run blocks of the same indices; a smaller cap streams a slot in
+    # blocks of at most that many runs, with the same bytes
+    reference, _ = ExperimentConfig().build_pair()
+    blocks, draw_counts = [], photonsim.draw_counts
+
+    def counting(model, scan, seeds):
+        blocks.append(len(seeds))
+        return draw_counts(model, scan, seeds)
+
+    def slot(indices):
+        return analysis._slot_fits(reference, 0, ScanConfig(), 9, indices)
+
+    monkeypatch.setattr(photonsim, "draw_counts", counting)
+    whole = slot(range(200))
+    assert blocks == [200]
+    cut = np.concatenate([slot(range(start, min(start + 64, 200))) for start in range(0, 200, 64)])
+    assert whole.tobytes() == cut.tobytes()
+    blocks.clear()
+    monkeypatch.setattr(analysis, "_SLOT_ROWS", 24)
+    assert slot(range(50)).tobytes() == whole[:50].tobytes()
+    assert blocks == [24, 24, 2]
+
+
+@pytest.mark.parametrize("indices, error", [([0, True], ValueError), ([0, 1.5], ValueError),
+                                            ([0, -1], ValueError),
+                                            ([2 ** 64], OverflowError)],
+                         ids=["bool", "float", "negative", "beyond_64_bits"])
+def test_campaign_records_refuse_a_run_index_that_is_not_a_seed_word(indices, error):
+    cfg = ExperimentConfig(n_runs=2)
+    with pytest.raises(error):
+        campaign_records(*cfg.build_pair(), cfg.scan, 5, indices)
+
+
 def test_bound_report_degenerate_histogram():
     recs = [record(k, 0.040, 0.041, 0.040, 0.041) for k in range(3)]
     report = bound_from_campaign(recs)

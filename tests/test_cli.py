@@ -443,8 +443,8 @@ def test_sweep_simulates_the_campaign_pair(tmp_path, capsys, monkeypatch):
     draw_counts = photonsim.draw_counts
 
     def recording(model, scan, seeds):
-        # each drawn row's model and seed (master_seed, run, slot)
-        simulated.extend((model, seed) for seed in seeds)
+        # each drawn row's model and seed (master_seed, run, slot), a row of a seed array
+        simulated.extend((model, tuple(map(int, seed))) for seed in seeds)
         return draw_counts(model, scan, seeds)
 
     monkeypatch.setattr(photonsim, "draw_counts", recording)
@@ -929,9 +929,11 @@ def test_experiment_config_refuses_a_master_seed_that_is_not_a_64_bit_int(seed):
 
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):
     # default campaign and sweep, 200 runs each: the campaign's 2 configurations,
-    # then the sweep's reference once and its toggled one at each of 7 epsilons
-    calls = {"normalize": 0, "rows": 0}
+    # then the sweep's reference once and its toggled one at each of 7 epsilons,
+    # each slot drawn and fitted as one block
+    calls = {"normalize": 0, "rows": 0, "fit_block": 0, "draw_counts": 0}
     normalize, fit_block = fitting._normalize_rows, fitting._fit_block
+    draw_counts = photonsim.draw_counts
 
     def counted_normalize(phase, *args, **kwargs):
         calls["normalize"] += len(phase)
@@ -939,10 +941,16 @@ def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypa
 
     def counted_fit_block(x, *args):
         calls["rows"] += len(x)
+        calls["fit_block"] += 1
         return fit_block(x, *args)
+
+    def counted_draw_counts(*args):
+        calls["draw_counts"] += 1
+        return draw_counts(*args)
 
     monkeypatch.setattr(fitting, "_normalize_rows", counted_normalize)
     monkeypatch.setattr(fitting, "_fit_block", counted_fit_block)
+    monkeypatch.setattr(photonsim, "draw_counts", counted_draw_counts)
     assert main(["campaign", "--out", str(tmp_path / "campaign")]) == 0
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
-    assert calls == {"normalize": 2000, "rows": 2000}
+    assert calls == {"normalize": 2000, "rows": 2000, "fit_block": 10, "draw_counts": 10}

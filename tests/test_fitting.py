@@ -518,6 +518,34 @@ def test_a_campaign_block_fits_its_phase_grid_once(monkeypatch):
     assert evaluated == [(True, (1, 100)), (False, (1, 100))]
 
 
+def test_shared_rows_of_one_grid_read_one_read_only_result():
+    # every row shares the first row's bits: each reads the first row's result,
+    # as the gather would give it, through one view that nothing can write
+    phase = np.repeat(ScanConfig().phases()[None], 5, axis=0)
+    gathered = np.cos(phase[:1])[np.zeros(5, dtype=int)]
+    shared = fitting._shared_rows(np.cos, phase)
+    assert shared.shape == gathered.shape and shared.tobytes() == gathered.tobytes()
+    assert not shared.flags.writeable
+    assert fitting._shared_rows(np.cos, phase[:1]).tobytes() == np.cos(phase[:1]).tobytes()
+
+
+def test_rows_that_keep_every_step_normalize_as_they_do_gathered():
+    # a block whose rows all keep every step is returned as it is; beside a
+    # row with a zero-total step, the same rows are gathered to the same bits
+    phase, d1, d2 = _bright_counts()
+    phase, d1, d2 = np.repeat(phase[None], 8, axis=0), d1[:8], d2[:8]
+    assert (d1 + d2 > 0).all()
+    hole = [a[:1].copy() for a in (phase, d1, d2)]
+    hole[1][0, 5] = hole[2][0, 5] = 0.0
+    _, _, [(rows, *full)] = fitting._normalize_rows(phase, d1, d2, 1)
+    _, _, [(mixed_rows, *gathered), _] = fitting._normalize_rows(
+        *(np.insert(a, 3, h, axis=0) for a, h in zip((phase, d1, d2), hole)), 1)
+    assert rows.tolist() == list(range(8)) and mixed_rows.tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
+    assert np.shares_memory(full[0], phase)
+    for a, b in zip(full, gathered):  # phase, ratio, sigma and n_excluded
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # the fields of fitting._FIT other than the error objects
 _NUMERIC_FIELDS = ("value", "sigma", "usable", "params", "cov", "converged", "residual_norm",
                    "n_points", "n_excluded")

@@ -150,6 +150,24 @@ def test_seed_state_is_the_seed_sequence_state():
         assert words.tobytes() == want.tobytes(), entropy
         assert _seed_state([entropy])[0].tobytes() == want.tobytes()
     assert _seed_state([]).shape == (0, 4)
+    # a slot's (master_seed, run, slot) rows as one uint64 array: rows of
+    # one-word entries are taken at once, the others word by word
+    for master_seed in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1):
+        seeds = np.array([(master_seed, idx, slot) for idx in (0, 7, 2 ** 32 - 1)
+                          for slot in (0, 1)], np.uint64)
+        for words, seed in zip(_seed_state(seeds), seeds.tolist()):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert words.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("seeds, message", [
+    (np.array([[3, -1, 0]]), "^expected non-negative integer$"),
+    (np.array([[True, False]]), "^seed must be an integer"),
+    (np.array([[1.0, 2.0]]), "^seed must be an integer"),
+], ids=["negative", "bool", "float"])
+def test_seed_arrays_are_refused_as_seed_sequence_refuses_them(seeds, message):
+    with pytest.raises(ValueError, match=message):
+        _seed_state(seeds)
 
 
 def test_one_block_mixes_entropy_word_counts():
