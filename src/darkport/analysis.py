@@ -5,9 +5,9 @@ distributions -> theta bound.  The Gamma ratio is the headline observable
 because the Sagnac's own visibility cancels from it; a campaign mean
 further than 5 standard errors from 1 raises the non-commutativity flag.
 Fits arrive as the fit engine's arrays (fitting._FIT) and the statistics
-are array expressions over them.  campaign_records and records_from_runs
-build RunRecords from the arrays; the statistics of records convert them
-back once.
+are array expressions over them; campaign and sweep build no RunRecord.
+Records are the library's edge (campaign_records, records_from_runs), and
+the statistics of records convert them back to slot fits once.
 """
 
 from __future__ import annotations
@@ -226,21 +226,21 @@ def campaign_records(reference: SagnacModel, toggled: SagnacModel, scan: ScanCon
 def _pairs(reference: np.ndarray, toggled: np.ndarray) -> tuple[np.ndarray, ...]:
     """V_both, its sigma, V_nim and its sigma of each detector pair of the
     slots' (runs, 2) fits with both fits usable: run-major, detector 1 then
-    2.  Every statistic pairs its fits here, the sweep's and the records'."""
+    2.  Every statistic pairs its fits here, from slots or from records."""
     usable = reference["usable"] & toggled["usable"]
     return tuple(fits[name][usable] for fits in (toggled, reference)
                  for name in ("value", "sigma"))
 
 
-def _record_pairs(records: Sequence[RunRecord]) -> tuple[np.ndarray, ...]:
-    """_pairs of records, whose slots fill one (runs, 4) _SLOT array as
-    _records reads it: v_nim_d1, v_nim_d2, v_both_d1 and v_both_d2, usable
-    where not None."""
+def _record_fits(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The reference and toggled slots' (runs, 2) _SLOT fits of records, as
+    _slot_fits gives them: v_nim_d1 and v_nim_d2, then v_both_d1 and
+    v_both_d2, usable where not None.  Nothing else converts records."""
     fits = np.array([(0.0, 0.0, False) if v is None else (v.value, v.sigma, True)
                      for rec in records
                      for v in (rec.v_nim_d1, rec.v_nim_d2, rec.v_both_d1, rec.v_both_d2)],
                     dtype=_SLOT).reshape(-1, 4)
-    return _pairs(fits[:, :2], fits[:, 2:])
+    return fits[:, :2], fits[:, 2:]
 
 
 def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float]:
@@ -254,7 +254,7 @@ def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float
 
 def delta_v_statistics(records: Sequence[RunRecord]) -> DeltaVStats:
     """Delta V mean, sample std, and standard error, pooled over detectors."""
-    return _delta_v_statistics(_record_pairs(records))
+    return _delta_v_statistics(_pairs(*_record_fits(records)))
 
 
 def _delta_v_statistics(pairs: tuple[np.ndarray, ...]) -> DeltaVStats:
@@ -270,20 +270,20 @@ def gamma_ratio_distribution(records: Sequence[RunRecord]) -> GammaRatioStats:
     rather than failing the campaign.  At least 2 usable points are needed:
     one value has no scatter, so no stderr to test the mean against.
     """
-    return _gamma_ratio_statistics(_record_pairs(records))
+    return _gamma_ratio_statistics(_pairs(*_record_fits(records)))
 
 
-def _gamma_ratio_statistics(pairs: tuple[np.ndarray, ...]) -> GammaRatioStats:
+def _gamma_ratio_statistics(pairs: tuple[np.ndarray, ...], stacklevel: int = 3) -> GammaRatioStats:
     """gamma_ratio_distribution of _pairs: each point as gamma_ratio computes
-    it, and each non-physical point's warning from gamma_ratio of that point."""
+    it, and each non-physical point's warning from gamma_ratio of that point,
+    at stacklevel (3: the caller of a public statistic, the sweep or _bound)."""
     v_both, s_both, v_nim, s_nim = pairs
     physical = (v_both >= 0.0) & (v_both < 1.0) & (v_nim >= 0.0) & (v_nim < 1.0)
     for both, sigma_both, nim, sigma_nim in zip(*(a[~physical].tolist() for a in pairs)):
         try:
             gamma_ratio(VisibilityValue(both, sigma_both), VisibilityValue(nim, sigma_nim))
         except NonPhysicalVisibilityError as err:
-            # stacklevel 3: the caller of a public statistic or of sensitivity_sweep
-            warnings.warn(f"excluding non-physical point: {err}", stacklevel=3)
+            warnings.warn(f"excluding non-physical point: {err}", stacklevel=stacklevel)
     # gamma_ratio's arithmetic, elementwise (np.sqrt rounds as math.sqrt does)
     a, b = v_both[physical], v_nim[physical]
     num, den = (1.0 - a) * (1.0 + a), (1.0 - b) * (1.0 + b)
@@ -312,19 +312,25 @@ def _histogram(values: np.ndarray, bins="fd") -> tuple[tuple[float, int], ...]:
 
 
 def bound_from_campaign(records: Sequence[RunRecord], bins="fd") -> BoundReport:
-    """Assemble the campaign's bound report.
+    """Assemble the campaign's bound report: _bound of the records' slot fits."""
+    return _bound(*_record_fits(records), bins, stacklevel=4)  # 4: our caller
+
+
+def _bound(reference: np.ndarray, toggled: np.ndarray, bins="fd", stacklevel=3) -> BoundReport:
+    """The bound report of the two slots' (runs, 2) _SLOT fits.
 
     theta uses the Gamma-ratio campaign mean and its scatter stderr; both
     the central (acos of the mean) and conservative (acos of mean minus
-    one stderr) conventions are reported.  The records are paired once.
+    one stderr) conventions are reported.  A run is complete when its four
+    fits are usable.  stacklevel is _gamma_ratio_statistics'.
     """
-    pairs = _record_pairs(records)
-    dv, gr = _delta_v_statistics(pairs), _gamma_ratio_statistics(pairs)
+    pairs = _pairs(reference, toggled)
+    dv, gr = _delta_v_statistics(pairs), _gamma_ratio_statistics(pairs, stacklevel)
     theta = theta_bound(gr.mean, gr.stderr)
-    n_complete = sum(1 for rec in records if not rec.is_partial)
     return BoundReport(
         n_values=dv.n_values,
-        n_complete_runs=n_complete,
+        n_complete_runs=int(np.count_nonzero(reference["usable"].all(1)
+                                             & toggled["usable"].all(1))),
         delta_v_mean=dv.mean,
         delta_v_std=dv.std,
         delta_v_stderr=dv.stderr,

@@ -93,9 +93,9 @@ def cmd_fit(args) -> int:
 
 def cmd_campaign(args) -> int:
     cfg = _seeded_config(args)
-    records = analysis.campaign_records(*cfg.build_pair(), cfg.scan, cfg.master_seed,
-                                        range(cfg.n_runs))
-    report = analysis.bound_from_campaign(records, bins=cfg.bins)
+    fits = [analysis._slot_fits(model, slot, cfg.scan, cfg.master_seed, range(cfg.n_runs))
+            for slot, model in enumerate(cfg.build_pair())]
+    report = analysis._bound(*fits, bins=cfg.bins)
     out = _ensure_out_dir(args, cfg)
     json_path = os.path.join(out, "bound_report.json")
     payload = {

@@ -65,8 +65,8 @@ def test_delta_v_requires_two_values():
     with pytest.raises(ValueError):
         delta_v_statistics([rec])
     assert rec.is_partial
-    assert [a.tolist() for a in analysis._record_pairs([rec])] == [[0.042], [0.002],
-                                                                   [0.040], [0.002]]
+    fits = analysis._record_fits([rec])
+    assert [a.tolist() for a in analysis._pairs(*fits)] == [[0.042], [0.002], [0.040], [0.002]]
 
 
 def test_identical_visibilities_are_a_null():
@@ -102,9 +102,12 @@ def test_gamma_ratio_needs_two_usable_values():
     # scatter, so no stderr to flag a deviation against
     rec = record(0, 0.042, 1.0, 0.040, 0.040)
     assert delta_v_statistics([rec]).n_values == 2
-    with pytest.warns(UserWarning, match="excluding non-physical point"), \
-            pytest.raises(TooFewFitsError, match="need at least 2 Gamma-ratio values, got 1"):
-        gamma_ratio_distribution([rec])
+    # each public statistic's exclusion warning names its caller, this file
+    for statistic in (gamma_ratio_distribution, bound_from_campaign):
+        with pytest.warns(UserWarning, match="excluding non-physical point") as caught, \
+                pytest.raises(TooFewFitsError, match="need at least 2 Gamma-ratio values, got 1"):
+            statistic([rec])
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_noncommutative_flag_triggers_on_shifted_mean():
@@ -220,9 +223,9 @@ def test_bound_report_degenerate_histogram():
 def test_bound_from_campaign_pairs_its_records_once(monkeypatch):
     recs = [record(k, 0.040 + 0.001 * k, 0.041, 0.040, 0.041 - 0.001 * k) for k in range(5)]
     recs.append(record(5, 0.040, None, 0.042, 0.041))
-    pair_records, calls = analysis._record_pairs, []
-    monkeypatch.setattr(analysis, "_record_pairs",
-                        lambda records: calls.append(records) or pair_records(records))
+    record_fits, calls = analysis._record_fits, []
+    monkeypatch.setattr(analysis, "_record_fits",
+                        lambda records: calls.append(records) or record_fits(records))
     report = bound_from_campaign(recs)
     assert calls == [recs]
     dv, gr = delta_v_statistics(recs), gamma_ratio_distribution(recs)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from darkport import analysis, config, fitting, photonsim
+from darkport import analysis, cli, config, fitting, photonsim
 from darkport.cli import load_config, main
 from darkport.config import ExperimentConfig
 from darkport.interferometer import SagnacModel
@@ -196,6 +196,28 @@ def test_campaign_with_failed_fits_writes_its_reports_and_exits_4(tmp_path, caps
     assert sorted(p.name for p in out.iterdir()) == [
         "bound_report.json", "delta_v_hist.csv", "gamma_ratio_hist.csv"]
     assert json.loads((out / "bound_report.json").read_text())["report"]["n_complete_runs"] == 9
+
+
+# the partial campaign's low-count fits leave V = 1 points, excluded with a warning
+@pytest.mark.filterwarnings("ignore:excluding non-physical point")
+@pytest.mark.parametrize("payload, rc, complete", [
+    ({}, 0, 200),
+    # 6 of 40 runs have a fit that fails or does not converge
+    ({"scan": {"mean_counts_per_step": 1.0}, "campaign": {"n_runs": 40}}, 4, 34),
+], ids=["default", "partial"])
+def test_campaign_report_is_the_bound_of_its_records(tmp_path, capsys, payload, rc, complete):
+    # campaign reads the slots' fit arrays; the records of the same runs give
+    # the same report, byte for byte
+    path = write_config(tmp_path, payload)
+    assert main(["campaign", "--config", path, "--seed", "0", "--out", str(tmp_path)]) == rc
+    capsys.readouterr()
+    cfg = load_config(path)
+    report = analysis.bound_from_campaign(analysis.campaign_records(
+        *cfg.build_pair(), cfg.scan, 0, range(cfg.n_runs)), bins=cfg.bins)
+    assert report.n_complete_runs == complete
+    text = (tmp_path / "bound_report.json").read_text()
+    assert text == dumps_json({"n_runs": cfg.n_runs, "master_seed": 0, "reference": cfg.reference,
+                               "toggled": cfg.toggled, "report": report})
 
 
 def test_default_campaign_seed_22709_has_no_failed_fit(tmp_path, capsys):
@@ -729,10 +751,12 @@ _ONE_GAMMA_VALUE = {"apparatus": {"visibility_v": 0.0}, "campaign": {"n_runs": 1
 @pytest.mark.parametrize("command", ["campaign", "sweep"])
 def test_single_gamma_value_is_too_few_not_a_detection(tmp_path, capsys, command):
     cfg = write_config(tmp_path, _ONE_GAMMA_VALUE)
-    with pytest.warns(UserWarning, match="excluding non-physical point"):
+    with pytest.warns(UserWarning, match="excluding non-physical point") as caught:
         rc = main([command, "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     assert rc == 4
+    # the warning names the command that called the statistics
+    assert [w.filename for w in caught] == [cli.__file__]
     assert "need at least 2 Gamma-ratio values, got 1" in err
     assert "noncommutative" not in out and "min_detectable_epsilon" not in out
     assert not (tmp_path / "out").exists()
@@ -930,10 +954,10 @@ def test_experiment_config_refuses_a_master_seed_that_is_not_a_64_bit_int(seed):
 def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypatch):
     # default campaign and sweep, 200 runs each: the campaign's 2 configurations,
     # then the sweep's reference once and its toggled one at each of 7 epsilons,
-    # each slot drawn and fitted as one block
-    calls = {"normalize": 0, "rows": 0, "fit_block": 0, "draw_counts": 0}
+    # each slot drawn and fitted as one block, with no RunRecord built
+    calls = {"normalize": 0, "rows": 0, "fit_block": 0, "draw_counts": 0, "records": 0}
     normalize, fit_block = fitting._normalize_rows, fitting._fit_block
-    draw_counts = photonsim.draw_counts
+    draw_counts, run_record = photonsim.draw_counts, analysis.RunRecord
 
     def counted_normalize(phase, *args, **kwargs):
         calls["normalize"] += len(phase)
@@ -950,7 +974,16 @@ def test_nominal_commands_fit_each_interferogram_once(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(fitting, "_normalize_rows", counted_normalize)
     monkeypatch.setattr(fitting, "_fit_block", counted_fit_block)
+    def counted_run_record(*args, **kwargs):
+        calls["records"] += 1
+        return run_record(*args, **kwargs)
+
     monkeypatch.setattr(photonsim, "draw_counts", counted_draw_counts)
+    monkeypatch.setattr(analysis, "RunRecord", counted_run_record)
     assert main(["campaign", "--out", str(tmp_path / "campaign")]) == 0
     assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
-    assert calls == {"normalize": 2000, "rows": 2000, "fit_block": 10, "draw_counts": 10}
+    assert calls == {"normalize": 2000, "rows": 2000, "fit_block": 10, "draw_counts": 10,
+                     "records": 0}
+    # the spy sees the records that the library edge builds
+    analysis._records(range(3), np.zeros((3, 4), analysis._SLOT))
+    assert calls["records"] == 3

@@ -2,8 +2,8 @@
 
 The fit front end must not care how its input is split, which detector is
 called which, or in what order the rows of a scan arrive; a campaign's
-count blocks must give the records of its runs fitted one by one; a
-block's one-pass seeding must give each seed's SeedSequence state; the
+count blocks must give the records of its runs fitted one by one, and
+its fit arrays the bound report of those records; a block's one-pass seeding must give each seed's SeedSequence state; the
 closed-form loop model must agree with the brute-force propagation
 oracle; quaternion algebra, the interferogram CSV format and the JSON
 reports, whole or a column at a time, must hold for any input.
@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from darkport.analysis import (
     TooFewFitsError,
+    _bound,
+    _slot_fits,
     bound_from_campaign,
     campaign_records,
     records_from_runs,
@@ -312,13 +314,17 @@ def test_campaign_blocks_match_the_runs_fitted_one_by_one(counts, descending, n_
              for rec in campaign_records(*pair, scan, master_seed, order[a:b])]
     split.sort(key=lambda rec: rec.run_index)
     assert _bits(split) == whole
-    assert _report_bytes(split) == _report_bytes(records)
+    assert _report_bytes(bound_from_campaign, split) == _report_bytes(bound_from_campaign, records)
+    # the campaign command's report reads the slots' fit arrays, with no record
+    slots = [_slot_fits(model, slot, scan, master_seed, range(n_runs))
+             for slot, model in enumerate(pair)]
+    assert _report_bytes(_bound, *slots) == _report_bytes(bound_from_campaign, records)
 
 
-def _report_bytes(records):
-    """The bound report's JSON bytes, or the error that refuses the records."""
+def _report_bytes(bound, *args):
+    """The bound report's JSON bytes, or the error that refuses its input."""
     try:
-        return dumps_json(bound_from_campaign(records))
+        return dumps_json(bound(*args))
     except TooFewFitsError as err:
         return repr(err)
 
