@@ -183,22 +183,17 @@ def _slot_fits(model: SagnacModel, slot: int, scan: ScanConfig, master_seed: int
     """The (runs, 2) _SLOT fits of one configuration's slot in the given runs,
     detector 1 then 2.
 
-    Run idx draws from seed (master_seed, idx, slot), a row of one (runs, 3)
-    uint64 array; the rows go through photonsim.draw_counts and
+    Run idx draws from seed (master_seed, idx, slot), a row of one
+    photonsim._run_seeds array; the rows go through photonsim.draw_counts and
     fitting._fit_rows as (rows, n_steps) count blocks with no Interferogram
     per run, _SLOT_ROWS rows at a time, so a default slot of 200 runs is one
     block.  A row depends only on the model's expected rates, the scan and
     its seed.
     """
     phase = scan.phases()
-    # refused as SeedSequence refuses them: a bool or a non-integer, then a negative int
-    master_seed, *runs = photonsim._as_entropy([master_seed, *indices])
-    if min([master_seed, *runs]) < 0:
-        raise ValueError("expected non-negative integer")
-    seeds = np.empty((len(runs), 3), np.uint64)
-    seeds[:, 0], seeds[:, 1], seeds[:, 2] = master_seed, runs, slot  # OverflowError past 64 bits
-    fits = np.zeros((len(runs), 2), _SLOT)
-    for start in range(0, len(runs), _SLOT_ROWS):
+    seeds = photonsim._run_seeds(master_seed, indices, slot)
+    fits = np.zeros((len(seeds), 2), _SLOT)
+    for start in range(0, len(seeds), _SLOT_ROWS):
         block = slice(start, start + _SLOT_ROWS)
         d1, d2 = photonsim.draw_counts(model, scan, seeds[block])
         fits[block] = _fit_rows(phase, d1, d2)[list(_SLOT.names)]

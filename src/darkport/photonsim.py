@@ -8,14 +8,14 @@ reproducible run by run regardless of execution order or grouping.
 
 draw_counts is the one drawer: it computes one configuration's rates
 once and draws a (rows, n_steps) count block, each row from its own
-Generator(PCG64) on SeedSequence(seed).  The seeding runs once per call,
-over all rows: each seed becomes SeedSequence's uint32 entropy words, the
-rows with as many words are hashed and mixed together in uint32 array
-arithmetic (numpy's SeedSequence algorithm, NEP 19), and each row's 4
-uint64 state words seed its PCG64, bit for bit as SeedSequence's
-generate_state would.  simulate_interferogram is its one-row case,
-simulate_run draws each of its two slots that way, and simulate_campaign
-draws each slot's runs as one block.
+Generator(PCG64) on SeedSequence(seed).  A campaign slot's seeds come as
+one array of entropy words (_run_seeds), which are hashed and mixed in
+uint32 array arithmetic (numpy's SeedSequence algorithm, NEP 19) into
+each row's 4 uint64 PCG64 state words, bit for bit as SeedSequence's
+generate_state gives them; every other seed is numpy's own SeedSequence.
+simulate_interferogram is the one-row case, simulate_run draws each of
+its two slots that way, and simulate_campaign draws each slot's runs as
+one block.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fitting import _REASONS, _by_length
+from .fitting import _REASONS
 from .interferometer import SagnacModel, dark_port_prob, mz_visibility_from_ports
 
 __all__ = [
@@ -66,8 +66,8 @@ def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(consts[:-1], np.uint32), np.array(consts[1:], np.uint32)
 
 
-# the 16 A steps every entropy takes: 4 fill the pool, then 3 per pool word
-# mix it into the other three; entropy beyond 4 words takes 4 steps a word
+# the 16 A steps of an entropy of at most 4 words: 4 fill the pool, then 3
+# per pool word mix it into the other three
 _STEPS_A = _hash_steps(_INIT_A, _MULT_A, 16)
 _FILL = tuple(c[:4] for c in _STEPS_A)
 # the constants that hash pool word src into each pool word; src's own slot
@@ -176,17 +176,18 @@ def _as_entropy(seed) -> tuple:
     return tuple(map(int, entropy))
 
 
-def _entropy_words(seed) -> list[int]:
-    """The uint32 entropy words SeedSequence makes of a seed: each integer's
-    words, least significant first, and one 0 word for a 0."""
-    words = []
-    for n in _as_entropy(seed):
-        if n < 0:  # numpy's check and message; n >> 32 would never reach 0
-            raise ValueError("expected non-negative integer")
-        words.append(n & _MASK32)
-        while n := n >> 32:
-            words.append(n & _MASK32)
-    return words
+def _run_seeds(master_seed: int, indices: Sequence[int], slot: int) -> np.ndarray:
+    """The (runs, k) uint64 array of seeds (master_seed, idx, slot), one row
+    per index: master_seed as its SeedSequence words (one below 2^32, else
+    two, least significant first), then idx, then slot."""
+    # refused as SeedSequence refuses them: a bool or a non-integer, then a negative int
+    master_seed, *runs = _as_entropy([master_seed, *indices])
+    if min([master_seed, *runs]) < 0:
+        raise ValueError("expected non-negative integer")
+    seeds = np.empty((len(runs), 4), np.uint64)
+    seeds[:, 2], seeds[:, 3] = runs, slot  # OverflowError past 64 bits, as for master_seed:
+    seeds[:, 0], seeds[:, 1] = master_seed & _MASK32, np.uint64(master_seed) >> 32
+    return seeds if master_seed > _MASK32 else np.delete(seeds, 1, axis=1)
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -203,22 +204,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pool_state(words: np.ndarray) -> np.ndarray:
     """SeedSequence(e).generate_state(4, np.uint64) of each row's entropy
-    words e in a (rows, n) uint32 array, as a (rows, 4) uint64 array: the
-    pool is filled, mixed and read out for all rows at once."""
+    words e in a (rows, n <= 4) uint32 array, as a (rows, 4) uint64 array:
+    the pool is filled, mixed and read out for all rows at once."""
     rows, n = words.shape
     pool = np.zeros((rows, 4), np.uint32)
-    pool[:, :n] = words[:, :4]
+    pool[:, :n] = words
     pool = _hashmix(pool, *_FILL)
     for src, consts in enumerate(_CROSS):
         mixed = _mix(pool, _hashmix(pool[:, src, None], *consts))
         mixed[:, src] = pool[:, src]  # a word is not mixed into itself
         pool = mixed
-    if n > 4:  # the A hash constant runs on from where the 16 steps left it
-        xor, mult = (c.reshape(n - 4, 4)
-                     for c in _hash_steps(int(_STEPS_A[1][-1]), _MULT_A, 4 * (n - 4)))
-        hashed = _hashmix(words[:, 4:, None], xor, mult)
-        for extra in range(n - 4):
-            pool = _mix(pool, hashed[:, extra])
     state = _hashmix(pool[:, None, :], *_OUTPUT).reshape(rows, 8)
     # word pairs read as little-endian uint64, as numpy does on any machine
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
@@ -228,18 +223,17 @@ def _seed_state(seeds: Sequence) -> np.ndarray:
     """SeedSequence(seed).generate_state(4, np.uint64) of each seed (an int
     or a sequence of ints) as one (len(seeds), 4) uint64 array.
 
-    Seeds whose entropy has as many words are seeded as one block.  An
-    integer (rows, k) array whose entries all lie in [0, 2^32) is k words a
-    seed, taken in one operation.
+    An integer (rows, k <= 4) array whose entries all lie in [0, 2^32), such
+    as a campaign slot's _run_seeds, is k words a seed, seeded in one pass
+    (_pool_state).  Every other seed is numpy's own SeedSequence, imported
+    at the first such draw as numpy.random is (_generator_of_state).
     """
-    if (isinstance(seeds, np.ndarray) and seeds.ndim == 2 and seeds.dtype.kind in "iu"
-            and np.all((seeds >= 0) & (seeds <= _MASK32))):
+    if (isinstance(seeds, np.ndarray) and seeds.ndim == 2 and seeds.shape[1] <= 4
+            and seeds.dtype.kind in "iu" and np.all((seeds >= 0) & (seeds <= _MASK32))):
         return _pool_state(seeds.astype(np.uint32))
-    words = [_entropy_words(seed) for seed in seeds]
-    state = np.empty((len(words), 4), np.uint64)
-    for rows in _by_length([len(w) for w in words]).values():
-        state[rows] = _pool_state(np.array([words[k] for k in rows], np.uint32))
-    return state
+    from numpy.random import SeedSequence
+    return np.array([SeedSequence(_as_entropy(seed)).generate_state(4, np.uint64)
+                     for seed in seeds], np.uint64).reshape(len(seeds), 4)
 
 
 @functools.cache
@@ -279,8 +273,8 @@ def draw_counts(
     Generator(PCG64) on SeedSequence(seeds[k]) (an int or a sequence of ints;
     seeds may be a (rows, k) integer array), detector 1 first, so it depends
     on nothing but the model, the scan and its seed.  The SeedSequence states
-    of all rows are computed in one array pass (_seed_state); each row's
-    PCG64 is then built from its state words, with no SeedSequence per row.
+    of all rows are computed first (_seed_state), those of a seed word array
+    in one array pass; each row's PCG64 is then built from its state words.
     """
     rates = np.stack(expected_rates(model, scan))
     state = _seed_state(seeds)
@@ -351,15 +345,15 @@ def simulate_campaign(
     Each run's counts depend only on its own seed pair, so runs can be
     regenerated individually or in parallel without changing any result:
     run idx equals simulate_run with seed (master_seed, idx).  Each slot's
-    runs are drawn as one draw_counts block, from seeds (master_seed, idx,
-    slot).
+    runs are one draw_counts block, from _run_seeds (master_seed, idx,
+    slot); master_seed must be an integer in [0, 2^64).
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
     model_nim, model_both = models
     check_pair(model_nim, model_both)
     phase = scan.phases()
-    slots = [draw_counts(model, scan, [(int(master_seed), idx, slot) for idx in range(n_runs)])
+    slots = [draw_counts(model, scan, _run_seeds(master_seed, range(n_runs), slot))
              for slot, model in enumerate((model_nim, model_both))]
     return [RunPair(idx, *(Interferogram(phase.copy(), d1[idx], d2[idx]) for d1, d2 in slots))
             for idx in range(n_runs)]

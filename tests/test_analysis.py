@@ -200,6 +200,38 @@ def test_a_slot_is_one_block_with_the_bytes_of_any_split(monkeypatch):
     assert blocks == [24, 24, 2]
 
 
+def test_slots_seed_in_one_pass_and_single_draws_through_seed_sequence(monkeypatch):
+    # a campaign slot, with a one- or two-word master seed, is seeded by one
+    # _pool_state call and no SeedSequence; a one-row draw by numpy's alone
+    calls, pool_state, seed_sequence = [], photonsim._pool_state, np.random.SeedSequence
+    monkeypatch.setattr(photonsim, "_pool_state",
+                        lambda words: calls.append(len(words)) or pool_state(words))
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda entropy: calls.append("SeedSequence") or seed_sequence(entropy))
+    pair, scan = ExperimentConfig().build_pair(), ScanConfig()
+    for master_seed in (0, 2 ** 32):
+        analysis._slot_fits(pair[0], 0, scan, master_seed, range(200))
+        assert calls == [200]
+        simulate_campaign(pair, scan, 3, master_seed)
+        assert calls == [200, 3, 3]
+        calls.clear()
+    photonsim.simulate_interferogram(pair[0], scan, seed=(0, 1))
+    assert calls == ["SeedSequence"]
+
+
+@pytest.mark.parametrize("master_seed, error", [(True, ValueError), (1.5, ValueError),
+                                                (-1, ValueError), (2 ** 64, OverflowError)],
+                         ids=["bool", "float", "negative", "beyond_64_bits"])
+def test_campaigns_refuse_a_master_seed_that_is_not_a_seed_word(master_seed, error):
+    # both campaign loops take their seeds from photonsim._run_seeds, by one rule
+    cfg = ExperimentConfig(n_runs=2)
+    pair = cfg.build_pair()
+    with pytest.raises(error):
+        simulate_campaign(pair, cfg.scan, 2, master_seed)
+    with pytest.raises(error):
+        campaign_records(*pair, cfg.scan, master_seed, range(2))
+
+
 @pytest.mark.parametrize("indices, error", [([0, True], ValueError), ([0, 1.5], ValueError),
                                             ([0, -1], ValueError),
                                             ([2 ** 64], OverflowError)],

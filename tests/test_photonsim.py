@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -14,6 +15,8 @@ from darkport.photonsim import (
     Interferogram,
     RunPair,
     ScanConfig,
+    _pool_state,
+    _run_seeds,
     _seed_state,
     analytic_visibility,
     draw_counts,
@@ -138,26 +141,33 @@ EDGE_ENTROPIES = [(), 0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 200
                   (0, 0), (1, 2, 3, 4, 5, 6), (2 ** 64 - 1, 2 ** 32, 9, 1), (11, 4, 0),
                   np.uint64(2 ** 64 - 1), np.int8(5), (np.uint32(7), np.int64(3), 1),
                   np.array([1, 2 ** 40], dtype=np.uint64), [3, 0, 2 ** 96]]
+WORDS = (0, 5, 2 ** 31, 2 ** 32 - 1)
+
+
+def _same_state(state, seeds):
+    """Each row of state is the oracle SeedSequence's state of its seed."""
+    assert state.shape == (len(seeds), 4) and state.dtype == np.uint64
+    for words, seed in zip(state, seeds, strict=True):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert words.tobytes() == want.tobytes(), seed
 
 
 def test_seed_state_is_the_seed_sequence_state():
     # the one-pass seeding's words are the oracle SeedSequence's, seed by
-    # seed, in one call over entropies of every word count
-    state = _seed_state(EDGE_ENTROPIES)
-    assert state.shape == (len(EDGE_ENTROPIES), 4) and state.dtype == np.uint64
-    for words, entropy in zip(state, EDGE_ENTROPIES):
-        want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
-        assert words.tobytes() == want.tobytes(), entropy
-        assert _seed_state([entropy])[0].tobytes() == want.tobytes()
-    assert _seed_state([]).shape == (0, 4)
-    # a slot's (master_seed, run, slot) rows as one uint64 array: rows of
-    # one-word entries are taken at once, the others word by word
+    # seed, over word arrays of every width it takes, from 0 to 2^32 - 1
+    for k in range(5):
+        seeds = np.array(list(itertools.product(WORDS, repeat=k)), np.uint64)
+        assert seeds.shape == (len(WORDS) ** k, k)
+        _same_state(_pool_state(seeds.astype(np.uint32)), seeds.tolist())
+        assert _seed_state(seeds).tobytes() == _pool_state(seeds.astype(np.uint32)).tobytes()
+    # a slot's (master_seed, run, slot) rows: a master seed from 2^32 on is two words
     for master_seed in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1):
-        seeds = np.array([(master_seed, idx, slot) for idx in (0, 7, 2 ** 32 - 1)
-                          for slot in (0, 1)], np.uint64)
-        for words, seed in zip(_seed_state(seeds), seeds.tolist()):
-            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            assert words.tobytes() == want.tobytes(), seed
+        for slot in (0, 1):
+            seeds = _run_seeds(master_seed, [0, 7, 2 ** 32 - 1], slot)
+            assert seeds.shape == (3, 3 + (master_seed >> 32 > 0)) and seeds.max() <= 2 ** 32 - 1
+            _same_state(_pool_state(seeds.astype(np.uint32)),
+                        [(master_seed, idx, slot) for idx in (0, 7, 2 ** 32 - 1)])
+    assert _seed_state([]).shape == (0, 4)
 
 
 @pytest.mark.parametrize("seeds, message", [
@@ -171,13 +181,12 @@ def test_seed_arrays_are_refused_as_seed_sequence_refuses_them(seeds, message):
 
 
 def test_one_block_mixes_entropy_word_counts():
-    # 1-, 3-, 4- and 6-word entropies (and none) seeded in one call, as
-    # separate groups, draw what each draws alone from its SeedSequence
+    # entropies of every word count (and none) drawn in one call draw what
+    # each draws alone from its SeedSequence
     scan, model = ScanConfig(mean_counts_per_step=200.0), flat_model()
-    seeds = [5, (11, 4, 0), (2 ** 40, 3, 1), (2 ** 64 - 1, 2 ** 32, 9, 1), (7, 4, 0), (), 6]
-    d1, d2 = draw_counts(model, scan, seeds)
+    d1, d2 = draw_counts(model, scan, EDGE_ENTROPIES)
     rates = np.stack(expected_rates(model, scan))
-    for k, seed in enumerate(seeds):
+    for k, seed in enumerate(EDGE_ENTROPIES):
         alone = draw_counts(model, scan, [seed])
         stream = np.random.default_rng(np.random.SeedSequence(seed)).poisson(rates)
         assert d1[k].tobytes() == alone[0][0].tobytes() == stream[0].tobytes()
@@ -186,7 +195,7 @@ def test_one_block_mixes_entropy_word_counts():
 
 @pytest.mark.parametrize("seed", [-1, (5, -2), -(2 ** 70)], ids=["int", "tuple", "wide"])
 def test_draws_refuse_a_negative_entropy_word(seed):
-    # numpy's own check and message; the word split would otherwise never end
+    # numpy's own check and message
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         np.random.SeedSequence(seed)
     scan, model = ScanConfig(), flat_model()

@@ -41,6 +41,7 @@ from darkport.interferometer import PhaseElement, SagnacModel, dark_port_prob, p
 from darkport.photonsim import (
     Interferogram,
     ScanConfig,
+    _pool_state,
     _seed_state,
     simulate_interferogram,
     simulate_run,
@@ -368,15 +369,25 @@ def test_closed_form_matches_the_propagation_oracle(model):
     assert abs(closed.p_bright - full.p_bright) <= 1e-12
 
 
+@st.composite
+def _word_arrays(draw):
+    """A (rows, k) uint64 array of SeedSequence entropy words, k from 0 to 4."""
+    k = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 2 ** 32 - 1), min_size=k, max_size=k),
+                         min_size=1, max_size=6))
+    return np.array(rows, np.uint64).reshape(len(rows), k)
+
+
 @settings(PROPERTY, max_examples=200)
-@given(entropies=st.lists(st.lists(st.integers(0, 2 ** 130), max_size=7), min_size=1,
-                          max_size=6))
-def test_seed_state_is_each_seed_sequence_state(entropies):
-    # one seeding pass over seeds of mixed word counts: each row is the
-    # state that SeedSequence alone gives its seed
-    state = _seed_state(entropies)
-    for words, entropy in zip(state, entropies, strict=True):
-        assert words.tobytes() == np.random.SeedSequence(entropy).generate_state(
+@given(words=_word_arrays())
+@example(words=np.array([[0, 2 ** 32 - 1, 0, 2 ** 32 - 1]], np.uint64))
+def test_seed_state_is_each_seed_sequence_state(words):
+    # one seeding pass over a block of word rows: each row is the state
+    # that SeedSequence alone gives its seed
+    state = _pool_state(words.astype(np.uint32))
+    assert _seed_state(words).tobytes() == state.tobytes()
+    for row, seed in zip(state, words.tolist(), strict=True):
+        assert row.tobytes() == np.random.SeedSequence(seed).generate_state(
             4, np.uint64).tobytes()
 
 

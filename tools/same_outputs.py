@@ -7,6 +7,9 @@ Runs the byte-identity set under PARENT_SRC (another tree's ``src/``
 directory, usually the parent commit's) and under this tree's ``src/``:
 
 * ``campaign`` and ``sweep`` at seeds 0, 3 and 7, default config;
+* ``simulate --seed 0``, whose two draws are seeded by numpy's own
+  SeedSequence, and ``campaign --seed 4294967296``, whose two-word master
+  seed still takes the one-pass slot seeding;
 * two partial campaigns at seed 0, 40 runs at 1.5 and at 1.0 counts/step
   (1 and 6 of the 40 runs have a fit that fails or does not converge);
 * ``fit`` over the 1,600 seed-3 ``lab_fit`` CSVs, written once by
@@ -17,7 +20,7 @@ working directory of the same layout, so output paths print the same on
 both sides.  The files written, stdout, stderr (each tree's ``src/`` path
 read as ``<src>``) and exit codes are compared; every difference is
 printed, and the exit code is 1 on any difference, 0 otherwise.  Standard
-library only; it takes about 7 s on two x86-64 cores.
+library only; it takes about 10 s on two x86-64 cores.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ DIFF_LINES = 20
 
 def cases(inputs: Path) -> list[tuple[str, list[str]]]:
     """(label, darkport argv without --out) of each command of the set."""
+    seeded = [(command, seed) for seed in (0, 3, 7) for command in ("campaign", "sweep")]
     found = [(f"{command} --seed {seed}", [command, "--seed", str(seed)])
-             for seed in (0, 3, 7) for command in ("campaign", "sweep")]
+             for command, seed in [*seeded, ("simulate", 0), ("campaign", 2 ** 32)]]
     inputs.mkdir(parents=True)
     for label, counts in PARTIAL.items():
         config = inputs / f"partial_{label}.json"
