@@ -292,15 +292,24 @@ def _gamma_ratio_statistics(pairs: tuple[np.ndarray, ...], stacklevel: int = 3) 
 
 
 def _histogram(values: np.ndarray, bins="fd") -> tuple[tuple[float, int], ...]:
-    """Histogram as (bin_center, count) rows of the 2 or more values that the
-    campaign statistics accept; Freedman-Diaconis by default.
+    """Histogram as (bin_center, count) rows of the 2 or more finite values that
+    the campaign statistics accept; Freedman-Diaconis by default.
 
     Degenerate samples (zero spread) collapse to a single bin instead of
-    tripping the automatic bin-width estimate.
+    tripping the automatic bin-width estimate.  "fd" takes numpy's bin count: width
+    2 IQR n^(-1/3), quartiles as np.percentile's linear rule and _lerp compute them.
     """
     arr = np.asarray(values, dtype=float)
-    if np.ptp(arr) == 0.0:
+    s = np.sort(arr).tolist()
+    if s[-1] - s[0] == 0.0:
         return ((float(arr[0]), int(arr.size)),)
+    if bins == "fd":  # np.histogram(bins="fd") would import numpy.ma, through np.unique
+        quartiles = []
+        for t, k in (math.modf((len(s) - 1) * q) for q in (0.75, 0.25)):
+            a, b = s[int(k)], s[int(k) + 1]
+            quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+        width = 2.0 * (quartiles[0] - quartiles[1]) * len(s) ** (-1.0 / 3.0)
+        bins = math.ceil((s[-1] - s[0]) / width) if width else 1
     counts, edges = np.histogram(arr, bins=bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return tuple((float(c), int(n)) for c, n in zip(centers, counts))

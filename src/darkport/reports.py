@@ -7,8 +7,9 @@ keep the output parseable everywhere.
 
 CSV input must be UTF-8.  Each field is parsed as Python ``float`` parses it
 (``1_0``, `` 7 `` and ``nan`` too), and a field that is not a finite number is
-an error naming its line.  Runs of plain files are joined and split once, with
-one float() per distinct text where texts repeat; the first bad file raises.
+an error naming its line.  A run of plain files is joined, split and parsed into
+one array at once (one float() per distinct text where texts repeat); the first
+bad file raises.  encode_columns writes each row through one format string.
 """
 
 from __future__ import annotations
@@ -131,18 +132,31 @@ def dumps_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
+def _plain_floats(column) -> bool:
+    """Whether column is a 1-d float array, at most double, of finite values and no -0.0."""
+    return (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind == "f"
+            and column.itemsize <= 8 and bool(np.isfinite(column).all())
+            and not np.signbit(column[column == 0]).any())
+
+
 def encode_columns(columns: dict) -> list[JsonText]:
     """The text of each row of equal-length columns as _encode writes its dict.
     A column is a sequence, an array (read through tolist()) or a dict of
-    columns; a column whose items share one type is encoded by one encoder."""
-    texts = []
+    columns; a column whose items share one type is encoded by one encoder.
+    Each row is one format string: %.17g for a _plain_floats column, %s for
+    the encoded text of any other."""
+    fields, values = [], []
     for key, column in sorted(columns.items()):  # the key order of _encode_dict
+        floats = _plain_floats(column)
+        fields.append(_encode_key(str(key)).replace("%", "%%") + ("%.17g" if floats else "%s"))
         column = (encode_columns(column) if isinstance(column, dict)
                   else column.tolist() if isinstance(column, np.ndarray) else column)
-        kinds = set(map(type, column))
-        encode = _encoder(kinds.pop()) if len(kinds) == 1 else _encode
-        texts.append(map(_encode_key(str(key)).__add__, map(encode, column)))
-    return [JsonText("{" + ",".join(row) + "}") for row in zip(*texts, strict=True)]
+        if not floats:
+            kinds = set(map(type, column))
+            column = map(_encoder(kinds.pop()) if len(kinds) == 1 else _encode, column)
+        values.append(column)
+    template = "{" + ",".join(fields) + "}"
+    return [JsonText(template % row) for row in zip(*values, strict=True)]
 
 
 def write_json(path, obj) -> None:
@@ -183,15 +197,17 @@ def _parse_block(paths: Sequence, expected_header: Sequence[str]) -> Iterator[np
     The first bad file raises.  No file after one that is not plain is opened, but the
     plain files after a plain one with a bad value are read before it raises."""
     head, width = ",".join(expected_header).encode(), len(expected_header)
-    field = rb"[-+.0-9eE]{1,32}"  # what float() may read; a .17g double takes 24 characters
-    plain = re.compile(re.escape(head) + rb"(?:\n" + b",".join([field] * width) + rb")+\n?")
+    # what float() may read (.17g takes 24); possessive, as a field never holds "," or "\n"
+    field = rb"[-+.0-9eE]{1,32}+"
+    plain = re.compile(re.escape(head) + rb"(?:\n" + b",".join([field] * width) + rb")++\n?")
     files = []
     for path in paths:
         try:
             with open(path, "rb") as fh:
-                text = fh.read().replace(b"\r\n", b"\n")  # ASCII if plain, so UTF-8
+                text = fh.read()  # ASCII if plain, so UTF-8
         except OSError:
             text = b""
+        text = text.replace(b"\r\n", b"\n") if b"\r" in text else text
         if plain.fullmatch(text):
             files.append((path, text[len(head):].rstrip(b"\n")))  # "\n" before each row
         else:
@@ -204,16 +220,21 @@ def _parse_block(paths: Sequence, expected_header: Sequence[str]) -> Iterator[np
 def _parse_plain(files: list, expected_header: Sequence[str]) -> Iterator[np.ndarray]:
     """Yield the rows of each (path, body) in files, split at their commas at once as the csv
     module splits them; a file with a refused or non-finite value goes to _parse_records."""
+    if not files:
+        return
     fields = b"".join(body for _, body in files).replace(b"\n", b",").split(b",")[1:]
-    ends, sample = np.cumsum([body.count(b"\n") for _, body in files], dtype=int), fields[::16]
+    counts, sample = [body.count(b"\n") for _, body in files], fields[::16]
     try:
         if 2 * len(set(sample)) <= len(sample):  # texts repeat: float() each distinct one once
-            fields = list(map(_FloatTable().__getitem__, fields))
-        rows = np.split(np.array(fields, dtype=float).reshape(-1, len(expected_header)), ends[:-1])
+            data = np.fromiter(map(_FloatTable().__getitem__, fields), float, len(fields))
+        else:
+            data = np.array(fields, dtype=float)
     except ValueError:  # a field float() refuses: the csv module reads each file
-        rows = [np.array(np.nan)] * len(files)
-    for (path, _), data in zip(files, rows):
-        yield data if np.isfinite(data).all() else _parse_records(path, expected_header)[0]
+        data = np.full(len(fields), np.nan)
+    data, ends = data.reshape(-1, len(expected_header)), np.cumsum(counts)
+    finite = np.logical_and.reduceat(np.isfinite(data).all(axis=1), ends - counts)
+    for (path, _), rows, ok in zip(files, np.split(data, ends[:-1]), finite):
+        yield rows if ok else _parse_records(path, expected_header)[0]
 
 
 def _parse_records(path, expected_header: Sequence[str]) -> tuple[np.ndarray, list]:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -205,19 +206,32 @@ def test_draws_refuse_a_negative_entropy_word(seed):
             draw()
 
 
-def test_import_and_config_leave_numpy_random_unloaded():
-    # numpy.random is imported at the first draw, so that a command's
-    # start-up, which the benchmark times as setup_s, never pays its import
+def _modules_loaded_by(code: str, package: str, cwd=None) -> list[str]:
+    """The modules of package that a fresh interpreter has loaded after running code."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys\nimport darkport.cli\nfrom darkport.cli import load_config\n"
-            "load_config(None)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    code += (f"\nprint(json.dumps(sorted(m for m in sys.modules if m == {package!r}"
+             f" or m.startswith({package + '.'!r}))))")
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_config_leave_numpy_random_unloaded():
+    # numpy.random is imported at the first draw, so that a command's
+    # start-up, which the benchmark times as setup_s, never pays its import
+    code = "import darkport.cli\nfrom darkport.cli import load_config\nload_config(None)"
+    assert _modules_loaded_by(code, "numpy.random") == []
+
+
+def test_campaign_leaves_numpy_ma_unloaded(tmp_path):
+    # np.histogram(bins="fd") would import numpy.ma, about 9 ms, through np.unique;
+    # the campaign's histograms count numpy's Freedman-Diaconis bins themselves
+    code = "from darkport.cli import main\nassert main(['campaign', '--out', 'out']) == 0"
+    assert _modules_loaded_by(code, "numpy.ma", cwd=tmp_path) == []
+    assert (tmp_path / "out" / "delta_v_hist.csv").is_file()
 
 
 def test_noiseless_counts_conserve_flux():

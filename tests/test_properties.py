@@ -3,10 +3,12 @@
 The fit front end must not care how its input is split, which detector is
 called which, or in what order the rows of a scan arrive; a campaign's
 count blocks must give the records of its runs fitted one by one, and
-its fit arrays the bound report of those records; a block's one-pass seeding must give each seed's SeedSequence state; the
-closed-form loop model must agree with the brute-force propagation
-oracle; quaternion algebra, the interferogram CSV format and the JSON
-reports, whole or a column at a time, must hold for any input.
+its fit arrays the bound report of those records, binned as numpy's
+Freedman-Diaconis rule bins them; a block's one-pass seeding must give each
+seed's SeedSequence state; the closed-form loop model must agree with the
+brute-force propagation oracle; quaternion algebra, the interferogram CSV
+format and the JSON reports, whole or a column at a time, must hold for any
+input.
 """
 
 import itertools
@@ -17,12 +19,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from darkport.analysis import (
     TooFewFitsError,
     _bound,
+    _histogram,
     _slot_fits,
     bound_from_campaign,
     campaign_records,
@@ -342,6 +345,38 @@ def test_low_count_campaigns_have_zero_total_steps_and_equal_totals():
     assert any(ig.counts_d1.sum() == ig.counts_d2.sum() for ig in fitted)
 
 
+@st.composite
+def _campaign_values(draw):
+    """2 to 1,000 values: normal; Cauchy, with a few far out; few distinct values,
+    with ties at the quartiles; Student-t(1.5) rounded, at any scale; or all equal
+    but one, whose IQR is 0 from 5 values on."""
+    n, rng = draw(st.integers(2, 1000)), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return {"normal": lambda: rng.normal(size=n), "cauchy": lambda: rng.standard_cauchy(n),
+            "ties": lambda: rng.integers(0, 4, n) * 0.25,
+            "tailed ties": lambda: (np.round(rng.standard_t(1.5, n), 1)
+                                    * 10.0 ** draw(st.integers(-8, 8))),
+            "one apart": lambda: np.r_[np.zeros(n - 1), rng.normal()],
+            }[draw(st.sampled_from(["normal", "cauchy", "ties", "tailed ties", "one apart"]))]()
+
+
+@settings(PROPERTY, max_examples=200, phases=[Phase.explicit, Phase.generate])
+@given(values=_campaign_values())
+@example(values=np.array([0.1, 0.3]))
+# the bin count of the first needs a + (b - a) t at t < 0.5, of the second
+# b - (b - a) (1 - t) at t >= 0.5
+@example(values=np.array([0.01, -0.01, 0.03, 0.1, -0.08, -0.1, 0.02, -0.01]))
+@example(values=np.array([0.2, 1.7, -0.3, -0.2, -1.0, -0.6, -0.3, -1.3]))
+@example(values=np.array([0.0, 0.0, 0.0, 0.0, 0.5]))
+def test_fd_histogram_bins_as_numpy_does(values):
+    iqr, spread = np.subtract(*np.percentile(values, [75, 25])), np.ptp(values)
+    # numpy's own width: an array of more than 10^4 bins is not drawn, to keep memory small
+    assume(spread > 0 and (iqr == 0 or spread <= 1e4 * 2.0 * iqr * len(values) ** (-1.0 / 3.0)))
+    counts, edges = np.histogram(values, bins="fd")
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    assert [(c.hex(), k) for c, k in _histogram(values)] == [
+        (c.hex(), k) for c, k in zip(centers.tolist(), counts.tolist())]
+
+
 _ANGLE = st.floats(-math.pi, math.pi)
 
 
@@ -640,7 +675,13 @@ _EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1]
     "mixed": [0, -1, 2 ** 70, True, False, None, 7, 3.0], "np.int64": [np.int64(-2 ** 63)] * 8,
     'k"\\\n\x00': ['"', "\\", "\n\x1f", "\x7f é", "", "null", "1", "-0"],
     "nested": {"text": [JsonText('{"x":[1,-0.0,"nan"]}'), JsonText("null")] * 4,
-               "bool": np.array([True, False] * 4)}})
+               "bool": np.array([True, False] * 4)},
+    # keys that hold the format string's "%", beside columns that it writes as %.17g
+    "%": np.array([0.1, 1 / 3, 3.4e38, 1e-45, -2.5, 0.0, 16777217.0, -7.0], dtype=np.float32),
+    "%s": np.array([0.1, -1e300, 5e-324, 1 / 3, 0.0, 2.0 ** 53 + 2, -2.5e-310, -0.0]),
+    "a%%b": np.array([1.5, 3.0, math.nan, math.inf, -math.inf, 0.0, 1e-300, -2.0]),
+    "%%": np.array(["1e400", "-1e-400", "0.1", "-0.5", "1e-30", "7", "3e38", "0"],
+                   dtype=np.longdouble)})
 def test_encode_columns_writes_each_row_as_dumps_json(columns):
     texts = encode_columns(columns)
     assert len(texts) == _height(columns)

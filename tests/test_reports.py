@@ -248,6 +248,40 @@ def test_plain_files_are_read_without_the_csv_module(tmp_path, monkeypatch):
     assert [data.tobytes() for data in got] == [want[scan] for scan in scans]
 
 
+def test_plain_path_edges_read_as_each_file_alone(tmp_path, monkeypatch):
+    # the plain pattern's edges: a field of 32 characters is plain and one of
+    # 33 is not; a last line with or without its newline is plain and a blank
+    # line after it is not; CRLF is plain beside LF, and a lone CR is not
+    head, rows = "phase_rad,counts_d1,counts_d2", ["0,1,2", "0.5,3,4", "1,5,6"]
+    long32, long33 = "0." + "1234567890" * 3, "0." + "1234567890" * 3 + "1"
+    texts = {"field32": f"{head}\n{long32},1,2\n", "field33": f"{head}\n{long33},1,2\n",
+             "final_newline": "\n".join([head, *rows]) + "\n",
+             "no_final_newline": "\n".join([head, *rows]),
+             "blank_line": "\n".join([head, *rows]) + "\n\n",
+             "crlf": "\r\n".join([head, *rows]) + "\r\n", "lf": "\n".join([head, *rows]) + "\n",
+             "lone_cr": f"{head}\n{rows[0]}\r{rows[1]}\n{rows[2]}\n"}
+    paths = []
+    for name, text in texts.items():
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_bytes(text.encode())
+    header = ("phase_rad", "counts_d1", "counts_d2")
+    alone = [read_interferogram_block([path])[0].tobytes() for path in paths]
+    records, left = reports._parse_records, []
+
+    def logged(path, expected_header):
+        left.append(path.stem)
+        return records(path, expected_header)
+
+    monkeypatch.setattr(reports, "_parse_records", logged)
+    got = read_interferogram_block(paths)
+    assert [data.tobytes() for data in got] == alone
+    assert [data.tobytes() for data in got] == [records(path, header)[0].tobytes()
+                                                for path in paths]
+    assert left == ["field33", "blank_line", "lone_cr"]
+    assert got[0][0, 0] == float(long32) and got[1][0, 0] == float(long33)
+    assert [len(data) for data in got[2:]] == [3] * 6
+
+
 def test_block_read_opens_no_file_after_a_malformed_one(tmp_path, monkeypatch):
     # the files after the first bad one stay unopened, as a FIFO there would block
     good, bad, after = (tmp_path / f"{name}.csv" for name in ("good", "bad", "after"))
