@@ -2,8 +2,8 @@
 
 The chain is: fitted visibilities per run -> Delta V and Gamma-ratio
 distributions -> theta bound.  The Gamma ratio is the headline observable
-because the Sagnac's own visibility cancels from it; a campaign mean
-further than 5 standard errors from 1 raises the non-commutativity flag.
+because the Sagnac's own visibility cancels from it; the flag and a sweep
+point detect a ratio at least 5 standard errors from 1 (_significance).
 Fits arrive as the fit engine's arrays (fitting._FIT) and the statistics
 are array expressions over them; campaign and sweep build no RunRecord.
 Records are the library's edge (campaign_records, records_from_runs), and
@@ -126,7 +126,7 @@ class GammaRatioStats:
 
     @property
     def noncommutative(self) -> bool:
-        return abs(self.mean - 1.0) > DETECTION_SIGMA * self.stderr
+        return _significance(self.mean - 1.0, self.stderr) >= DETECTION_SIGMA
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,14 @@ def _record_fits(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray]:
     return fits[:, :2], fits[:, 2:]
 
 
+def _significance(deviation: float, stderr: float) -> float:
+    """|deviation| / stderr: 0 with no deviation, inf where a nonzero one meets
+    zero scatter.  Every detection is a significance >= DETECTION_SIGMA."""
+    if deviation == 0.0:
+        return 0.0
+    return abs(deviation) / stderr if stderr > 0.0 else math.inf
+
+
 def _mean_std_stderr(values: np.ndarray, what: str) -> tuple[float, float, float]:
     """Mean, sample standard deviation and standard error of the mean of
     at least 2 values (what names them in the TooFewFitsError)."""
@@ -291,9 +299,9 @@ def _gamma_ratio_statistics(pairs: tuple[np.ndarray, ...], stacklevel: int = 3) 
                            n_excluded=int(np.count_nonzero(~physical)))
 
 
-def _histogram(values: np.ndarray, bins="fd") -> tuple[tuple[float, int], ...]:
+def _histogram(values: np.ndarray, bins) -> tuple[tuple[float, int], ...]:
     """Histogram as (bin_center, count) rows of the 2 or more finite values that
-    the campaign statistics accept; Freedman-Diaconis by default.
+    the campaign statistics accept, in bins ("fd", Freedman-Diaconis, or a count).
 
     Degenerate samples (zero spread) collapse to a single bin instead of
     tripping the automatic bin-width estimate.  "fd" takes numpy's bin count: width
@@ -320,7 +328,7 @@ def bound_from_campaign(records: Sequence[RunRecord], bins="fd") -> BoundReport:
     return _bound(*_record_fits(records), bins, stacklevel=4)  # 4: our caller
 
 
-def _bound(reference: np.ndarray, toggled: np.ndarray, bins="fd", stacklevel=3) -> BoundReport:
+def _bound(reference: np.ndarray, toggled: np.ndarray, bins, stacklevel=3) -> BoundReport:
     """The bound report of the two slots' (runs, 2) _SLOT fits.
 
     theta uses the Gamma-ratio campaign mean and its scatter stderr; both
@@ -370,10 +378,10 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
     """Detection reach versus a phase (0, eps, 0) in the toggled element.
 
     gamma_shift is the closed-form Gamma_reference - Gamma_toggled (up to 2
-    when the defect saturates).  The significance compares what the
-    visibility chain can actually see, |Gamma_toggled|/Gamma_reference
-    (visibilities only measure |Gamma|), against the empirical scatter of a
-    simulated campaign at that epsilon; epsilon = 0 therefore gives exactly 0.
+    when the defect saturates).  The significance is _significance of what the
+    visibility chain can actually see, 1 - |Gamma_toggled|/Gamma_reference
+    (visibilities only measure |Gamma|), in the Gamma-ratio stderr of a
+    simulated campaign at that epsilon, the flag's rule; epsilon = 0 gives 0.
     min_detectable_epsilon is the detecting epsilon (significance at least
     DETECTION_SIGMA) of smallest magnitude, the first in grid order on a tie.
 
@@ -396,22 +404,14 @@ def sensitivity_sweep(epsilon_grid: Iterable[float],
     points = []
     for eps in epsilon_grid:
         reference, toggled = config.with_epsilon(float(eps)).build_pair()
-        g_ref = gamma_of_model(reference)
-        g_tog = gamma_of_model(toggled)
+        g_ref, g_tog = gamma_of_model(reference), gamma_of_model(toggled)
         if g_ref <= 0.0:
             raise ConfigError(f"reference configuration must have Gamma > 0, got {g_ref!r} "
                               f"at epsilon {eps!r}")
-        shift = g_ref - g_tog
-        visible_deviation = abs(1.0 - abs(g_tog) / g_ref)
         stats = _gamma_ratio_statistics(_pairs(slot_fits(reference, 0), slot_fits(toggled, 1)))
-        if visible_deviation == 0.0:
-            significance = 0.0
-        elif stats.stderr > 0.0:
-            significance = visible_deviation / stats.stderr
-        else:
-            significance = math.inf
-        points.append(SweepPoint(epsilon=float(eps), gamma_shift=shift,
-                                 significance=significance))
+        points.append(SweepPoint(epsilon=float(eps), gamma_shift=g_ref - g_tog,
+                                 significance=_significance(1.0 - abs(g_tog) / g_ref,
+                                                            stats.stderr)))
     detecting = [p.epsilon for p in points if p.significance >= DETECTION_SIGMA]
     return SweepResult(points=tuple(points), min_detectable_epsilon=min(detecting, key=abs,
                                                                         default=None))

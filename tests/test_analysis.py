@@ -18,7 +18,8 @@ from darkport.analysis import (
     sensitivity_sweep,
 )
 from darkport.fitting import _FIT
-from darkport.interferometer import PhaseElement, VisibilityValue, gamma_ratio, theta_bound
+from darkport.interferometer import (PhaseElement, VisibilityValue, gamma_of_model, gamma_ratio,
+                                     theta_bound)
 from darkport.config import ExperimentConfig
 from darkport.photonsim import (
     Interferogram,
@@ -121,6 +122,14 @@ def test_noncommutative_flag_triggers_on_shifted_mean():
     assert gr.mean < 1.0
     assert abs(gr.mean - 1.0) > DETECTION_SIGMA * gr.stderr
     assert gr.noncommutative
+    # at the threshold: a mean at least 5 stderr from 1, on either side, flags.
+    # 1 + z stderr is exact at z = 5 and -5, so z is exactly 5 there
+    stderr = 2.0 ** -20
+    for z, flagged in ((4.99, False), (5.0, True), (5.01, True), (-4.99, False), (-5.0, True)):
+        gr = analysis.GammaRatioStats(values=np.ones(2), point_sigmas=np.zeros(2),
+                                      mean=1.0 + z * stderr, std=stderr, stderr=stderr,
+                                      mean_point_sigma=stderr, n_excluded=0)
+        assert gr.noncommutative is flagged, z
 
 
 def test_point_sigma_agrees_with_scatter():
@@ -328,7 +337,7 @@ def test_sweep_threshold_is_the_detection_constant():
         analysis.SweepResult(points=(), min_detectable_epsilon=None, threshold_sigma=3.0)
 
 
-def test_min_detectable_epsilon_is_the_smallest_detecting_magnitude():
+def test_min_detectable_epsilon_is_the_smallest_detecting_magnitude(monkeypatch):
     cfg = dataclasses.replace(ExperimentConfig(), n_runs=20)
     res = sensitivity_sweep((0.1, 0.05, 0.0), cfg)
     assert [p.significance >= DETECTION_SIGMA for p in res.points] == [True, True, False]
@@ -336,6 +345,20 @@ def test_min_detectable_epsilon_is_the_smallest_detecting_magnitude():
     # equal magnitudes: the first in grid order
     assert sensitivity_sweep((0.1, -0.05, 0.05), cfg).min_detectable_epsilon == -0.05
     assert sensitivity_sweep((0.1, 0.05, -0.05), cfg).min_detectable_epsilon == 0.05
+    # at the threshold: a point's significance is |1 - |Gamma_toggled| /
+    # Gamma_reference| in the stderr of its campaign, and it detects at 5 or
+    # more; the campaign's stderr puts epsilon 0.05 just under, then just over
+    cfg = dataclasses.replace(cfg, n_runs=4)
+    reference, toggled = cfg.with_epsilon(0.05).build_pair()
+    deviation = 1.0 - abs(gamma_of_model(toggled)) / gamma_of_model(reference)
+    statistics = analysis._gamma_ratio_statistics
+    for z, detected in ((4.99, None), (5.01, 0.05)):
+        stderr = deviation / z
+        monkeypatch.setattr(analysis, "_gamma_ratio_statistics",
+                            lambda pairs: dataclasses.replace(statistics(pairs), stderr=stderr))
+        res = sensitivity_sweep((0.0, 0.05), cfg)
+        assert [p.significance for p in res.points] == [0.0, deviation / stderr]
+        assert res.min_detectable_epsilon == detected
 
 
 # the swapped-roles, lossy-LC config of test_cli.py's

@@ -322,7 +322,7 @@ def test_campaign_blocks_match_the_runs_fitted_one_by_one(counts, descending, n_
     # the campaign command's report reads the slots' fit arrays, with no record
     slots = [_slot_fits(model, slot, scan, master_seed, range(n_runs))
              for slot, model in enumerate(pair)]
-    assert _report_bytes(_bound, *slots) == _report_bytes(bound_from_campaign, records)
+    assert _report_bytes(_bound, *slots, "fd") == _report_bytes(bound_from_campaign, records)
 
 
 def _report_bytes(bound, *args):
@@ -373,7 +373,7 @@ def test_fd_histogram_bins_as_numpy_does(values):
     assume(spread > 0 and (iqr == 0 or spread <= 1e4 * 2.0 * iqr * len(values) ** (-1.0 / 3.0)))
     counts, edges = np.histogram(values, bins="fd")
     centers = 0.5 * (edges[:-1] + edges[1:])
-    assert [(c.hex(), k) for c, k in _histogram(values)] == [
+    assert [(c.hex(), k) for c, k in _histogram(values, "fd")] == [
         (c.hex(), k) for c, k in zip(centers.tolist(), counts.tolist())]
 
 

@@ -14,6 +14,8 @@ directory, usually the parent commit's) and under this tree's ``src/``:
   (1 and 6 of the 40 runs have a fit that fails or does not converge);
 * ``campaign`` at 2 runs, whose Freedman-Diaconis histograms bin 4
   values, and ``campaign`` with an integer ``analysis.bins`` of 7;
+* ``campaign`` with the LC's phase at (0, 0.05, 0), which prints
+  ``noncommutative: yes``;
 * ``fit`` over the 1,600 seed-3 ``lab_fit`` CSVs, written once by
   ``perfbench/workloads.write_lab_files`` and read by both trees;
 * ``fit`` over 200 of those CSVs rewritten with CRLF line ends;
@@ -65,8 +67,13 @@ def cases(inputs: Path) -> list[tuple[str, list[str]]]:
                                       "campaign": {"n_runs": 40}}))
         found.append((f"campaign at {label} counts/step",
                       ["campaign", "--config", str(config), "--seed", "0"]))
+    # the default elements, the LC's phase at (0, 0.05, 0): a flagged campaign
+    flagged = [{"label": "lc", "phase": [0.0, 0.05, 0.0]},
+               {"label": "nim", "phase": [-math.pi, 0.0, 0.0],
+                "amplitude_transmission": math.sqrt(0.13)}]
     for label, section in [("2 runs", {"campaign": {"n_runs": 2}}),
-                           ("bins 7", {"analysis": {"bins": 7}})]:
+                           ("bins 7", {"analysis": {"bins": 7}}),
+                           ("lc phase 0.05", {"apparatus": {"elements": flagged}})]:
         config = inputs / f"{label.replace(' ', '_')}.json"
         config.write_text(json.dumps(section))
         found.append((f"campaign at {label}",
