@@ -94,6 +94,10 @@ class SagnacModel:
     sees them reversed, which is what makes the loop sensitive to
     non-commuting phases.  ``loop_products`` (clockwise, in list order, and
     counter-clockwise) and ``defect`` are computed when the model is built.
+    Each product is folded from the first element's quaternion, so a loop of
+    n elements costs n - 1 Hamilton products per direction; a loop with no
+    elements has products ``ONE``.  A fold from ``ONE`` would differ only in
+    the sign of a zero component, which no output sees.
     """
 
     visibility_v: float = 1.0
@@ -108,12 +112,14 @@ class SagnacModel:
             # pi/2-type reflection: exp(u*pi/2) = u for a unit imaginary u.
             # A real component breaks beamsplitter unitarity.
             raise ValueError("reflection must be purely imaginary (a pi/2-type reflection)")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        labels = [e.label for e in self.elements]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"element labels must be unique, got {labels!r}")
-        cw = ccw = ONE
-        for q in (e.quaternion for e in self.elements):
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        if len({e.label for e in elements}) != len(elements):
+            raise ValueError(
+                f"element labels must be unique, got {[e.label for e in elements]!r}")
+        cw = ccw = elements[0].quaternion if elements else ONE
+        for e in elements[1:]:
+            q = e.quaternion
             cw, ccw = mul(cw, q), mul(q, ccw)
         r = self.reflection
         object.__setattr__(self, "loop_products", (cw, ccw))
@@ -136,15 +142,17 @@ class PortProbabilities:
 
     def __post_init__(self) -> None:
         tol = 1e-9
-        for name, p in (("p_bright", self.p_bright), ("p_dark", self.p_dark)):
-            if not -tol <= p <= 1.0 + tol:
-                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-        if abs(self.p_bright + self.p_dark - 1.0) > tol:
-            raise ValueError(
-                f"port probabilities must sum to 1, got {self.p_bright + self.p_dark!r}")
-        # scrub float dust so downstream sqrt() is safe
-        object.__setattr__(self, "p_bright", min(max(self.p_bright, 0.0), 1.0))
-        object.__setattr__(self, "p_dark", min(max(self.p_dark, 0.0), 1.0))
+        b, d = self.p_bright, self.p_dark
+        if not (-tol <= b <= 1.0 + tol and -tol <= d <= 1.0 + tol
+                and abs(b + d - 1.0) <= tol):
+            for name, p in (("p_bright", b), ("p_dark", d)):
+                if not -tol <= p <= 1.0 + tol:
+                    raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+            raise ValueError(f"port probabilities must sum to 1, got {b + d!r}")
+        if not (0.0 <= b <= 1.0 and 0.0 <= d <= 1.0):
+            # scrub float dust so downstream sqrt() is safe
+            object.__setattr__(self, "p_bright", min(max(b, 0.0), 1.0))
+            object.__setattr__(self, "p_dark", min(max(d, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,10 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
     exit beamsplitter, and reads the diagonal.  This is the oracle the
     closed forms are tested against.  It shares only the model's loop
     products, computed when the model was built, with them; the
-    density-matrix walk is its own.
+    density-matrix walk is its own.  The two diagonal entries of rho are one
+    object, so the term r rho r^dagger that each port needs is formed once
+    and read by both: 9 Hamilton products in all, with the same bits as
+    forming it twice.
     """
     cw, ccw = model.loop_products
     r = model.reflection
@@ -225,8 +236,9 @@ def propagate_state(model: SagnacModel) -> PortProbabilities:
     # exit beamsplitter U = [[1, r], [r, 1]]/sqrt(2); probabilities are the
     # diagonal of U rho U^dagger
     rc = conj(r)
-    p_bright_q = (rho11 + mul(rho12, rc) + mul(r, rho21) + mul(mul(r, rho22), rc)).scaled(0.5)
-    p_dark_q = (mul(mul(r, rho11), rc) + mul(r, rho12) + mul(rho21, rc) + rho22).scaled(0.5)
+    r_rho_rc = mul(mul(r, rho11), rc)  # also r rho22 r^dagger, as rho22 is rho11
+    p_bright_q = (rho11 + mul(rho12, rc) + mul(r, rho21) + r_rho_rc).scaled(0.5)
+    p_dark_q = (r_rho_rc + mul(r, rho12) + mul(rho21, rc) + rho22).scaled(0.5)
 
     if max(abs(p_bright_q.x), abs(p_bright_q.y), abs(p_bright_q.z),
            abs(p_dark_q.x), abs(p_dark_q.y), abs(p_dark_q.z)) > UNIT_TOL:
@@ -283,6 +295,11 @@ def gamma_ratio(v_both: VisibilityValue, v_nim: VisibilityValue) -> UncertainVal
     return UncertainValue(value=ratio, sigma=sigma)
 
 
+def _theta(x: float) -> float:
+    """acos of x clamped to [-1, 1], in degrees."""
+    return math.degrees(math.acos(min(max(x, -1.0), 1.0)))
+
+
 def theta_bound(ratio: float, sigma: float = 0.0) -> ThetaBound:
     """Convert a Gamma ratio into an effective CW/CCW phase shift in degrees.
 
@@ -296,10 +313,6 @@ def theta_bound(ratio: float, sigma: float = 0.0) -> ThetaBound:
         raise ValueError(f"ratio must be finite, got {ratio!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-
-    def _theta(x: float) -> float:
-        return math.degrees(math.acos(min(max(x, -1.0), 1.0)))
-
     return ThetaBound(central_deg=_theta(ratio), conservative_deg=_theta(ratio - sigma))
 
 

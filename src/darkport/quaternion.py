@@ -98,9 +98,11 @@ class PhaseVector:
     phi3: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("phi1", "phi2", "phi3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"phase component {name} must be finite")
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)
+                and math.isfinite(self.phi3)):
+            name = next(n for n in ("phi1", "phi2", "phi3")
+                        if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"phase component {name} must be finite")
 
     @property
     def magnitude(self) -> float:

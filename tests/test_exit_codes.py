@@ -280,6 +280,10 @@ def test_loop_formulas_refuse_a_visibility_outside_0_1(function, v):
 @pytest.mark.parametrize("p_bright, p_dark, message", [
     (1.5, -0.5, "p_bright must lie in [0, 1], got 1.5"),
     (0.7, 0.7, "port probabilities must sum to 1, got 1.4"),
+    (math.nan, 0.5, "p_bright must lie in [0, 1], got nan"),
+    (0.5, math.nan, "p_dark must lie in [0, 1], got nan"),
+    # the sum is within its tolerance: only p_dark's own range refuses it
+    (1.0 + 9e-10, -1.5e-9, "p_dark must lie in [0, 1], got -1.5e-09"),
 ])
 def test_port_probabilities_refuse_a_range_or_sum_violation(p_bright, p_dark, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -118,6 +118,23 @@ def test_covariance_is_the_scaled_inverse_of_jtwj():
     close(fit_sinusoid(noisy), noisy, [0, 1, 2, 3])
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP watch item 'fit_sinusoid calls noise converged': the 2-sigma "
+    "amplitude test does not allow for the search over about 50 frequency "
+    "bins, so 29 of these 40 fits read converged at a noise frequency"))
+def test_free_frequency_fit_does_not_call_an_unresolved_fringe_converged():
+    # the default reference loop (analytic V 0.038) at 20 counts/step leaves
+    # the fringe unresolved; seeds 0-39, fixed before the first run
+    reference = ExperimentConfig().build_pair()[0]
+    scan = ScanConfig(mean_counts_per_step=20.0)
+    called = []
+    for seed in range(40):
+        fit = fit_sinusoid(normalize(simulate_interferogram(reference, scan, seed=seed)))
+        if abs(fit.frequency - 0.5) > 0.1 and fit.converged and not fit.low_signal:
+            called.append(seed)
+    assert called == []
+
+
 def test_noiseless_round_trip():
     truth = (0.076, 1.0, 0.3, 0.462)
     _, _, fringe = make_fringe(truth)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from darkport import interferometer
 from darkport.interferometer import (
     NonPhysicalVisibilityError,
     PhaseElement,
+    PortProbabilities,
     SagnacModel,
     ThetaBound,
     VisibilityValue,
@@ -64,6 +66,31 @@ def test_port_probabilities_sum_to_one():
         p = dark_port_prob(random_model(rng))
         assert math.isclose(p.p_bright + p.p_dark, 1.0, rel_tol=0.0, abs_tol=1e-12)
         assert 0.0 <= p.p_dark <= 1.0
+
+
+@pytest.mark.parametrize("p_bright, p_dark, want", [
+    # float dust beyond [0, 1] on either side is clamped to the edge
+    (-1e-12, 1.0, (0.0, 1.0)),
+    (1.0, -1e-12, (1.0, 0.0)),
+    (1.0 + 1e-12, 0.0, (1.0, 0.0)),
+    (0.0, 1.0 + 1e-12, (0.0, 1.0)),
+    (1.0 + 1e-12, -1e-12, (1.0, 0.0)),
+    # a value inside [0, 1] is returned as given, -0.0 included
+    (-0.0, 1.0, (-0.0, 1.0)),
+    (1.0, -0.0, (1.0, -0.0)),
+    (5e-324, 1.0, (5e-324, 1.0)),
+    (0.25, 0.75, (0.25, 0.75)),
+])
+def test_port_probabilities_clamp_only_values_outside_0_1(p_bright, p_dark, want):
+    p = PortProbabilities(p_bright, p_dark)
+    assert (p.p_bright.hex(), p.p_dark.hex()) == tuple(x.hex() for x in want)
+
+
+def test_duplicate_element_labels_are_refused_with_the_labels():
+    elements = (PhaseElement("lc"), PhaseElement("nim"), PhaseElement("lc", PhaseVector(0.1)))
+    with pytest.raises(ValueError, match=re.escape(
+            "element labels must be unique, got ['lc', 'nim', 'lc']")):
+        SagnacModel(elements=elements)
 
 
 def test_commuting_elements_leave_dark_port_dark():

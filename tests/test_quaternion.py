@@ -183,10 +183,11 @@ def test_phase_vector_magnitude():
 
 
 def test_phase_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PhaseVector(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        PhaseVector(0.0, math.inf, 0.0)
+    # each component alone, so a check that skips one of them fails here
+    for name in ("phi1", "phi2", "phi3"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^phase component {name} must be finite$"):
+                PhaseVector(**{name: value})
 
 
 def test_quaternion_helpers():

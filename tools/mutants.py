@@ -72,6 +72,17 @@ MUTANTS = (
     Mutant("src/darkport/interferometer.py", "conservative_deg=_theta(ratio - sigma)",
            "conservative_deg=_theta(ratio - 0.5 * sigma)",
            "the conservative theta's one-sigma shift"),
+    Mutant("src/darkport/quaternion.py", "                and math.isfinite(self.phi3)):",
+           "                ):", "PhaseVector's finiteness test of phi3"),
+    Mutant("src/darkport/interferometer.py", "-tol <= d <= 1.0 + tol", "-tol <= b <= 1.0 + tol",
+           "PortProbabilities' range test of p_dark"),
+    Mutant("src/darkport/interferometer.py", "if not (0.0 <= b <= 1.0 and 0.0 <= d <= 1.0):",
+           "if not 0.0 <= b <= 1.0:",
+           "the clamp of a p_dark outside [0, 1] beside a p_bright in it"),
+    Mutant("src/darkport/interferometer.py", "if len({e.label for e in elements})",
+           "if len([e.label for e in elements])", "the refusal of duplicate element labels"),
+    Mutant("src/darkport/interferometer.py", "for e in elements[1:]:", "for e in elements:",
+           "the loop products' fold from the first element, which counts it once"),
     Mutant("src/darkport/fitting.py",
            "np.maximum(np.sqrt(r * (1.0 - r) / n), 1.0 / (n + 2.0))",
            "np.sqrt(r * (1.0 - r) / n)",
@@ -81,7 +92,8 @@ MUTANTS = (
     Mutant("src/darkport/fitting.py", "scale, converged = 1.0, False",
            "scale, converged = 0.5, False", "fit_sinusoid's first step scale",
            untested="no command calls fit_sinusoid and no test pins its fit of an unresolved "
-                    "fringe, where the scale moves results (3 of 40 fringes, V 0.39 -> 0.25 and "
+                    "fringe (the strict xfail on such fringes still fails with it), where the "
+                    "scale moves results (3 of 40 fringes, V 0.39 -> 0.25 and "
                     "0.55 -> 0.18); a resolved fringe stops at the same minimum (V within 5e-7 "
                     "relative at 200 and 20,000 counts/step)"),
 )
